@@ -3,7 +3,8 @@ decisions, and symmetry analysis with stable machine-readable output.
 
 Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
 2 usage error, 3 enumeration budget exceeded, 4 symmetry-conjecture
-counterexample discovered (notable, not fatal).
+counterexample discovered (notable, not fatal), 5 internal contract
+violated (a library bug, reported on one stderr line).
 
 All output is UTF-8 with newline-terminated records, and identical
 invocations produce byte-identical output regardless of --threads.
@@ -23,7 +24,12 @@ from fractions import Fraction
 
 from .census import count_harmonic_frames, count_unordered_dft, full_census
 from .equivalence import are_equivalent
-from .errors import BudgetExceededError, DomainError, ModulusMismatchError
+from .errors import (
+    BudgetExceededError,
+    ContractViolationError,
+    DomainError,
+    ModulusMismatchError,
+)
 from .frames import build_frame, export_frame
 from .number_theory import PrimeModulus, is_prime
 from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits, structured_form
@@ -34,6 +40,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_COUNTEREXAMPLE = 4
+EXIT_CONTRACT = 5
 
 _JSON_SAFE_BOUND = 2**53
 
@@ -153,7 +160,7 @@ def cmd_count(cfg: RunConfig) -> int:
 
 
 def _record_json(N: int, d: int, rec) -> dict:
-    form = structured_form(rec.rep)
+    form = structured_form(rec.rep, rec.stabilizer)
     return {
         "N": N,
         "d": d,
@@ -174,10 +181,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     if cfg.d is None or not 1 <= cfg.d <= modulus.N:
         raise DomainError(f"need 1 <= d <= N, got d={cfg.d}")
     records = enumerate_orbits(
-        modulus,
-        cfg.d,
-        max_subsets=cfg.budgets.enumeration_max_subsets,
-        threads=cfg.threads,
+        modulus, cfg.d, max_subsets=cfg.budgets.enumeration_max_subsets
     )
     lines = []
     for rec in records:
@@ -219,10 +223,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise DomainError(f"need 1 <= d <= N, got d={cfg.d}")
     census = full_census(modulus, cfg.d)
     records = enumerate_orbits(
-        modulus,
-        cfg.d,
-        max_subsets=cfg.budgets.enumeration_max_subsets,
-        threads=cfg.threads,
+        modulus, cfg.d, max_subsets=cfg.budgets.enumeration_max_subsets
     )
     hist: dict[int, int] = {}
     for rec in records:
@@ -557,6 +558,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ModulusMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ContractViolationError as exc:
+        print(f"error: internal contract violated: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":

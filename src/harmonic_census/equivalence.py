@@ -8,13 +8,16 @@ coordinate permutation of the d slots, whose application to one frame
 reproduces the other entrywise; the witness is re-verified exactly against
 both frame matrices before it is returned.
 
-For inequivalent pairs the verdict carries a certificate tag.  The multiset
-of unscaled inner products against the all-ones vector,
+For inequivalent pairs are_equivalent returns the certificate tag
+orbit-mismatch: the canonical representatives differ.  It computes no
+further invariant, which would add O(N d) work to every decision.  The
+multiset of unscaled inner products against the all-ones vector,
 { sum_k w^(m n_k) : m = 1, ..., N-1 },
-is a unitary invariant and usually separates orbits; when it does, the
-certificate says so.  It is only a necessary condition though, so angle
-collisions between distinct orbits are reported as plain orbit mismatches
-rather than treated as equivalence.
+is a unitary invariant that usually separates orbits, and
+cross_validate_equivalence tallies, for each pair of distinct orbits,
+whether it does (angle-multiset-mismatch) or the multisets collide
+(orbit-mismatch).  It is only a necessary condition, so a collision is
+logged, never treated as equivalence.
 """
 
 from __future__ import annotations
@@ -72,7 +75,10 @@ def verify_witness(a: GeneratorSet, b: GeneratorSet, witness: Witness) -> bool:
 
 
 def are_equivalent(a: GeneratorSet, b: GeneratorSet) -> EquivalenceVerdict:
-    """Orbit-identity decision with constructive witness or certificate."""
+    """Orbit-identity decision.  Equivalent pairs carry a constructive
+    witness, verified exactly; inequivalent pairs always carry the
+    certificate orbit-mismatch (the angle-multiset certificate is tallied
+    only by cross_validate_equivalence)."""
     if a.modulus != b.modulus:
         raise ModulusMismatchError(
             f"mixed moduli {a.modulus.N} and {b.modulus.N}"

@@ -144,7 +144,6 @@ def multiplicative_order(m: int, modulus: PrimeModulus) -> int:
     raise ContractViolationError(f"no order found for {m} mod {N}")  # pragma: no cover
 
 
-@functools.lru_cache(maxsize=None)
 def _smallest_primitive_root(N: int) -> int:
     if N == 2:
         return 1
@@ -155,7 +154,9 @@ def _smallest_primitive_root(N: int) -> int:
     raise ContractViolationError(f"no primitive root mod {N}")  # pragma: no cover
 
 
+@functools.lru_cache(maxsize=1024)
 def find_primitive_root(modulus: PrimeModulus) -> PrimitiveRoot:
     """The smallest primitive root mod N (any choice would do; the smallest
-    one makes every downstream object deterministic)."""
+    one makes every downstream object deterministic).  Found and validated
+    once per modulus; later calls return the same frozen object."""
     return PrimitiveRoot(_smallest_primitive_root(modulus.N), modulus)

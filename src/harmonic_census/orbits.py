@@ -9,21 +9,24 @@ stabilizer, c divides d or d-1, and the stabilized sets decompose into
 multiplicative cosets of the order-c subgroup of units (an optional 0 rides
 along untouched).
 
-Orbit enumeration streams all C(N, d) sorted subsets in lexicographic order
-and keeps a subset exactly when it is the lexicographic minimum of its own
-orbit, so no visited-set memory is needed and the output order is forced.
-The hot loop is vectorized: a subset S is encoded as the integer
-key(S) = sum_{x in S} 2^(N-1-x), and for fixed d comparing keys is
-equivalent to comparing sorted tuples lexicographically (larger key means
-lexicographically smaller tuple; ties mean equal sets).  That turns the
-canonical-representative test into a handful of numpy passes per unit m.
+Orbit enumeration rests on one lemma.  For any nonzero x in a set S the
+image x^-1 . S contains 1, so the lexicographically smallest member of an
+orbit (its representative) has 1 as its smallest nonzero element, and only
+the C(N-1, d-1) candidates {0, 1} u U and {1} u U, with U a subset of
+{2, ..., N-1}, need a visit.  A unit m maps a candidate T to a set that
+contains 1 exactly when m = x^-1 for a nonzero x in T, so T is a
+representative iff T <= x^-1 . T for those at most d-1 multipliers, and the
+multipliers with x^-1 . T = T make up its whole stabilizer (x fixes T iff
+x^-1 does).  Candidates are tested in chunks, one numpy pass over sorted
+rows per multiplier column.  Those containing 0 come first, each group in
+combination order, so the records come out sorted by representative with no
+visited-set memory.  The single set with no nonzero element, {0}, is its
+own orbit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator
@@ -146,27 +149,34 @@ def coset_blocks(s: GeneratorSet, c: int) -> tuple[int, ...]:
     """Partition the nonzero elements of s into cosets of the order-c unit
     subgroup, returning the smallest member of each coset.  Valid whenever
     c divides the stabilizer order of s."""
+    return _coset_leaders(s, unit_subgroup(s.modulus, c))
+
+
+def _coset_leaders(s: GeneratorSet, H: tuple[int, ...]) -> tuple[int, ...]:
     N = s.modulus.N
-    H = unit_subgroup(s.modulus, c)
     remaining = set(x for x in s.elems if x != 0)
     leaders = []
-    while remaining:
-        x = min(remaining)
+    for x in s.elems:  # ascending, so x is the smallest element left
+        if x not in remaining:
+            continue
         coset = {(x * h) % N for h in H}
         if not coset <= remaining:
             raise ContractViolationError(
-                f"elements of {s} do not split into cosets of order {c}"
+                f"elements of {s} do not split into cosets of order {len(H)}"
             )
         leaders.append(x)
         remaining -= coset
     return tuple(leaders)
 
 
-def structured_form(s: GeneratorSet) -> StructuredForm:
+def structured_form(s: GeneratorSet, stab: tuple[int, ...] | None = None) -> StructuredForm:
     """Write s in block form: the stabilizer has some order c, and the
     nonzero elements are a disjoint union of c-element cosets (with 0 kept
-    aside when present)."""
-    c = len(stabilizer(s))
+    aside when present).  stab, when given, must be the stabilizer of s
+    (as in OrbitRecord.stabilizer), which is the order-c unit subgroup; it
+    spares recomputing it.  The expansion is checked against s either way."""
+    H = stabilizer(s) if stab is None else stab
+    c = len(H)
     has_zero = 0 in s.elems
     kind = KIND_ZERO_BLOCKS if has_zero else KIND_BLOCKS
     nonzero_count = s.d - (1 if has_zero else 0)
@@ -174,8 +184,7 @@ def structured_form(s: GeneratorSet) -> StructuredForm:
         raise ContractViolationError(
             f"stabilizer order {c} does not divide the nonzero count of {s}"
         )
-    leaders = coset_blocks(s, c)
-    form = StructuredForm(s.modulus, kind, c, leaders)
+    form = StructuredForm(s.modulus, kind, c, _coset_leaders(s, H))
     if form.expand() != s:
         raise ContractViolationError(f"block expansion does not reproduce {s}")
     return form
@@ -201,59 +210,57 @@ def primitive_root_independence_check(
     return set1 == set2
 
 
-# -- brute-force orbit enumeration ------------------------------------------
+# -- orbit enumeration -------------------------------------------------------
 
 
-def _subset_chunks(N: int, d: int, chunk_rows: int) -> Iterator[np.ndarray]:
-    total = math.comb(N, d)
-    flat = chain.from_iterable(combinations(range(N), d))
-    remaining = total
-    while remaining:
-        rows = min(chunk_rows, remaining)
-        yield np.fromiter(flat, dtype=np.int64, count=rows * d).reshape(rows, d)
-        remaining -= rows
+def _candidate_chunks(N: int, d: int, chunk_rows: int) -> Iterator[np.ndarray]:
+    """The sorted d-subsets whose smallest nonzero element is 1: first
+    {0, 1} u U, then {1} u U, with U running over the subsets of
+    {2, ..., N-1} in combination order."""
+    for head in ((0, 1), (1,)):
+        k = d - len(head)
+        if k < 0:
+            continue
+        flat = chain.from_iterable(combinations(range(2, N), k))
+        remaining = math.comb(N - 2, k)
+        while remaining:
+            rows = min(chunk_rows, remaining)
+            tail = np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
+            lead = np.broadcast_to(np.array(head, dtype=np.int64), (rows, len(head)))
+            yield np.hstack([lead, tail])
+            remaining -= rows
 
 
-def _keys(subsets: np.ndarray, N: int) -> np.ndarray:
-    return np.bitwise_or.reduce(
-        np.left_shift(np.int64(1), (N - 1) - subsets), axis=1
-    )
+def _scan_candidates(
+    rows: np.ndarray, N: int, inverse: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the rows that are lexicographically no larger than x^-1 . row
+    for every nonzero x in the row.  Returns the kept rows and a boolean
+    mask of the same shape marking the x with x^-1 . row == row, which are
+    exactly the stabilizer.  All rows of one chunk share their head."""
+    one = int(rows[0, 0] == 0)  # column holding the element 1
+    fixes = np.zeros(rows.shape, dtype=bool)
+    fixes[:, one] = True
+    for j in range(one + 1, rows.shape[1]):
+        img = np.sort(rows * inverse[rows[:, j]][:, None] % N, axis=1)
+        differs = img != rows
+        first = differs.argmax(axis=1)
+        at = np.arange(len(rows))
+        moved = differs[at, first]
+        keep = ~moved | (img[at, first] > rows[at, first])
+        rows, fixes = rows[keep], fixes[keep]
+        fixes[:, j] = ~moved[keep]
+    return rows, fixes
 
 
-def _scan_chunk(subsets: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (reps, stab_mask): the rows that are canonical representatives
-    and, for those rows, a boolean (len, N) matrix of stabilizing units."""
-    key0 = _keys(subsets, N)
-    is_rep = np.ones(len(subsets), dtype=bool)
-    for m in range(2, N):
-        km = _keys((subsets * m) % N, N)
-        is_rep &= km <= key0
-    reps = subsets[is_rep]
-    stab = np.zeros((len(reps), N), dtype=bool)
-    stab[:, 1] = True
-    rkey0 = key0[is_rep]
-    for m in range(2, N):
-        stab[:, m] = _keys((reps * m) % N, N) == rkey0
-    return reps, stab
-
-
-def _records_from(reps: np.ndarray, stab: np.ndarray, modulus: PrimeModulus) -> list[OrbitRecord]:
+def _record(modulus: PrimeModulus, rep: tuple[int, ...], stab: tuple[int, ...]) -> OrbitRecord:
     N = modulus.N
-    out = []
-    for row, mask in zip(reps.tolist(), stab):
-        members = tuple(int(m) for m in np.nonzero(mask)[0])
-        c = len(members)
-        if (N - 1) % c != 0:
-            raise ContractViolationError(f"stabilizer order {c} does not divide {N - 1}")
-        out.append(
-            OrbitRecord(
-                rep=GeneratorSet(modulus, tuple(row)),
-                size=(N - 1) // c,
-                stab_order=c,
-                stabilizer=members,
-            )
-        )
-    return out
+    c = len(stab)
+    if (N - 1) % c != 0:
+        raise ContractViolationError(f"stabilizer order {c} does not divide {N - 1}")
+    return OrbitRecord(
+        rep=GeneratorSet(modulus, rep), size=(N - 1) // c, stab_order=c, stabilizer=stab
+    )
 
 
 def enumerate_orbits(
@@ -264,9 +271,10 @@ def enumerate_orbits(
     threads: int | None = None,
 ) -> list[OrbitRecord]:
     """All orbits of unordered d-subsets under the unit-group action, sorted
-    by representative.  Streams the C(N, d) subsets in chunks; chunks may be
-    processed by a thread pool, with results merged back in stream order so
-    the output is identical for any worker count."""
+    by representative.  Visits the C(N-1, d-1) sets whose smallest nonzero
+    element is 1, in chunks of _CHUNK_ROWS candidates, on the calling
+    thread; threads is accepted for compatibility and changes nothing.  The
+    budget is still counted in subsets covered, C(N, d)."""
     N = modulus.N
     if not 1 <= d <= N:
         raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
@@ -278,24 +286,16 @@ def enumerate_orbits(
             required=total,
             budget=budget,
         )
-    workers = (os.cpu_count() or 1) if threads is None else max(1, threads)
-    chunks = _subset_chunks(N, d, _CHUNK_ROWS)
 
-    records: list[OrbitRecord] = []
-    if workers == 1 or total <= _CHUNK_ROWS:
-        for chunk in chunks:
-            records.extend(_records_from(*_scan_chunk(chunk, N), modulus))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = []
-            for chunk in chunks:
-                pending.append(pool.submit(_scan_chunk, chunk, N))
-                if len(pending) >= 2 * workers:
-                    reps, stab = pending.pop(0).result()
-                    records.extend(_records_from(reps, stab, modulus))
-            for fut in pending:
-                reps, stab = fut.result()
-                records.extend(_records_from(reps, stab, modulus))
+    # {0} is the one set with no nonzero element; every unit fixes it
+    records = [_record(modulus, (0,), tuple(range(1, N)))] if d == 1 else []
+    # x^-1 mod N by lookup; d = 1 runs no multiplier pass, so N may be large
+    inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
+    for chunk in _candidate_chunks(N, d, _CHUNK_ROWS):
+        reps, fixes = _scan_candidates(chunk, N, inverse)
+        for row, mask in zip(reps.tolist(), fixes.tolist()):
+            stab = tuple(x for x, fixed in zip(row, mask) if fixed)
+            records.append(_record(modulus, tuple(row), stab))
 
     covered = sum(r.size for r in records)
     if covered != total:

@@ -557,7 +557,7 @@ def conjecture_scan(
     counterexample record; it is reported, never suppressed.  Representatives
     are processed independently (possibly by a thread pool) and the rows keep
     enumeration order, so the report is deterministic for any worker count."""
-    records = enumerate_orbits(modulus, d, max_subsets=max_subsets, threads=threads)
+    records = enumerate_orbits(modulus, d, max_subsets=max_subsets)
     workers = (os.cpu_count() or 1) if threads is None else max(1, threads)
 
     def scan_one(rec) -> ScanRow:

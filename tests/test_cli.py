@@ -1,5 +1,6 @@
 import json
 
+from harmonic_census import ContractViolationError, cli
 from harmonic_census.cli import main
 
 
@@ -101,6 +102,24 @@ def test_env_budget(capsys, monkeypatch):
         capsys, "enumerate", "--N", "13", "--d", "4", "--max-subsets", "1000"
     )
     assert code == 0
+
+
+def test_verify_past_int64_key_limit(capsys):
+    code, out, _ = run(capsys, "verify", "--N", "101", "--d", "3", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["match"] is True and obj["total_bruteforce"] == obj["total_formula"]
+
+
+def test_contract_violation_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ContractViolationError("orbit sizes sum to 1")
+
+    monkeypatch.setattr(cli, "full_census", broken)
+    code, out, err = run(capsys, "verify", "--N", "7", "--d", "3")
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal contract violated: orbit sizes sum to 1\n"
 
 
 def test_equivalent_exit_codes(capsys):

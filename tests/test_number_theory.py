@@ -62,6 +62,12 @@ def test_find_primitive_root_examples():
     assert find_primitive_root(PrimeModulus(7)).g == 3
 
 
+def test_find_primitive_root_cached():
+    first = find_primitive_root(PrimeModulus(1009))
+    assert find_primitive_root(PrimeModulus(1009)) is first
+    assert first.g == 11
+
+
 def test_primitive_root_order_for_all_primes_to_10000():
     for N in primes_up_to(10**4):
         m = PrimeModulus(N)

@@ -5,6 +5,7 @@ import pytest
 
 from harmonic_census import (
     BudgetExceededError,
+    ContractViolationError,
     DomainError,
     GeneratorSet,
     PrimeModulus,
@@ -12,6 +13,7 @@ from harmonic_census import (
     canonical_rep,
     coset_blocks,
     enumerate_orbits,
+    full_census,
     primitive_root_independence_check,
     stabilizer,
     structured_form,
@@ -114,6 +116,16 @@ def test_structured_form_expansion_roundtrip(m13):
         assert structured_form(s).expand() == s
 
 
+def test_structured_form_from_record_stabilizer(m7, m13):
+    for d in range(1, 14):
+        for rec in enumerate_orbits(m13, d):
+            assert structured_form(rec.rep, rec.stabilizer) == structured_form(rec.rep)
+    s = GeneratorSet(m7, (1, 2, 4))
+    for wrong in ((1, 6), (1, 3, 5)):
+        with pytest.raises(ContractViolationError):
+            structured_form(s, wrong)
+
+
 def test_block_coarsening(m13):
     """A set splitting into blocks for the order-b subgroup also splits into
     blocks for every order c dividing b."""
@@ -183,6 +195,33 @@ def test_enumerate_orbits_against_independent_oracle():
                 assert rec.size * rec.stab_order == N - 1
                 assert stabilizer(rec.rep) == rec.stabilizer
                 assert canonical_rep(rec.rep) == rec.rep
+
+
+def test_enumerate_orbits_exhaustive_against_oracle():
+    """Every prime N <= 13 and every d, including {0} at d = 1 and the
+    whole of Z_N at d = N: the records, in order, are the oracle's."""
+    for N in (2, 3, 5, 7, 11, 13):
+        m = PrimeModulus(N)
+        for d in range(1, N + 1):
+            got = [(r.rep.elems, r.size, r.stab_order) for r in enumerate_orbits(m, d)]
+            oracle = oracles.subset_orbit_census(N, d)
+            assert got == [(rep, *oracle[rep]) for rep in sorted(oracle)]
+
+
+def test_enumerate_orbits_past_int64_key_limit():
+    """N > 64, where packing a subset into an int64 bit-key would wrap."""
+    for N, d in ((67, 2), (101, 3), (127, 2), (131, 2)):
+        m = PrimeModulus(N)
+        recs = enumerate_orbits(m, d)
+        census = full_census(m, d)
+        assert len(recs) == census.total
+        hist = {}
+        for r in recs:
+            hist[r.stab_order] = hist.get(r.stab_order, 0) + 1
+        assert hist == {c: g for c, g in census.gamma.items() if g}
+        for r in recs:
+            assert canonical_rep(r.rep) == r.rep
+            assert stabilizer(r.rep) == r.stabilizer
 
 
 def test_enumerate_orbits_structure(m13):
