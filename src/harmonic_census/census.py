@@ -9,12 +9,16 @@ formula for the number of subsets expressible in that block shape; since a
 subset with a larger stabilizer of order b (c | b) is also expressible in
 c-blocks, the recursion runs backwards over the divisor lattice:
 
-    beta_c = (N-1)(N-1-c)...(N-1-(q-1)c) / (c^q q!) - sum_{c<b<N, c|b, b|t} beta_b
+    beta_c = (N-1)(N-1-c)...(N-1-(q-1)c) / (c^q q!) - sum_{c<b, b|N-1, c|b, b|t} beta_b
 
 with t = d and q = d/c when c | d, and t = d-1, q = (d-1)/c when c | d-1
-(the two cases are exclusive for c > 1).  Terms beta_b with b not dividing
-N-1 are zero: no unit of order b exists, so no orbit of size (N-1)/b exists.
-gamma_1 then follows from mass balance against C(N, d).
+(the two cases are exclusive for c > 1; t = 0, the d = 1 case, is divisible
+by every b).  Only b | N-1 appear: for any other b no unit of order b
+exists, so no orbit of size (N-1)/b exists and beta_b = 0.  The divisors of
+N-1 are listed once and each target's beta_c is computed from the largest c
+down, so a census costs O(tau(N-1)^2) exact operations after the O(sqrt N)
+divisor search, whatever the size of N.  gamma_1 then follows from mass
+balance against C(N, d).
 
 A second, independently coded recursion computes the same counts directly
 at orbit level (the alpha_* functions); the two are asserted equal in the
@@ -27,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ContractViolationError, DomainError
 from .number_theory import PrimeModulus, divisors
@@ -51,56 +54,48 @@ def _check_beta_pre(N: int, d: int, c: int) -> None:
         raise DomainError(f"c={c} divides neither d={d} nor d-1={d - 1}")
 
 
-@lru_cache(maxsize=None)
-def _beta(N: int, target: int, c: int) -> Fraction:
-    """Cumulative subset count over orbits of stabilizer order exactly c,
-    recursing over the fixed target (d or d-1)."""
-    if (N - 1) % c != 0:
-        return Fraction(0)
-    q = target // c
-    num = 1
-    for i in range(q):
-        num *= N - 1 - i * c
-    first = Fraction(num, c**q * math.factorial(q))
-    sub = sum(
-        (_beta(N, target, b) for b in range(2 * c, N, c) if target % b == 0),
-        Fraction(0),
-    )
-    return first - sub
+def _betas(N: int, target: int, divs: list[int]) -> dict[int, Fraction]:
+    """beta_c for every c > 1 in divs (the divisors of N-1, ascending) with
+    c | target, keyed by c in descending order.  Each beta_c subtracts the
+    beta_b already computed for the multiples b of c."""
+    out: dict[int, Fraction] = {}
+    for c in reversed(divs):
+        if c == 1 or target % c:
+            continue
+        q = target // c
+        num = 1
+        for i in range(q):
+            num *= N - 1 - i * c
+        first = Fraction(num, c**q * math.factorial(q))
+        out[c] = first - sum((v for b, v in out.items() if b % c == 0), Fraction(0))
+    return out
+
+
+def _nontrivial_betas(N: int, d: int) -> dict[int, Fraction]:
+    """beta_c for all c > 1 with c | N-1 and (c | d or c | d-1), ascending."""
+    divs = divisors(N - 1)
+    return dict(sorted({**_betas(N, d, divs), **_betas(N, d - 1, divs)}.items()))
 
 
 def beta(modulus: PrimeModulus, d: int, c: int) -> Fraction:
     """beta_c for dimension d (c > 1, c | N-1, c | d or c | d-1)."""
     N = modulus.N
     _check_beta_pre(N, d, c)
-    return _beta(N, _case_target(d, c), c)
+    return _betas(N, _case_target(d, c), divisors(N - 1))[c]
 
 
-def gamma(modulus: PrimeModulus, d: int, c: int) -> int:
-    """gamma_c, the number of orbits of size (N-1)/c; exact integer."""
-    N = modulus.N
-    if c == 1:
-        total = Fraction(math.comb(N, d), N - 1)
-        for cc in _nontrivial_orders(N, d):
-            total -= Fraction(gamma(modulus, d, cc), cc)
-        if total.denominator != 1 or total < 0:
-            raise ContractViolationError(
-                f"gamma_1({N},{d}) = {total} is not a nonnegative integer"
-            )
-        return int(total)
-    value = Fraction(c) * beta(modulus, d, c) / (N - 1)
+def _gamma(N: int, d: int, c: int, beta_c: Fraction) -> int:
+    value = Fraction(c) * beta_c / (N - 1)
     if value.denominator != 1:
         raise ContractViolationError(f"gamma_{c}({N},{d}) = {value} is not integral")
     return int(value)
 
 
-def _nontrivial_orders(N: int, d: int) -> list[int]:
-    """All c > 1 with c | N-1 and (c | d or c | d-1), ascending."""
-    return [
-        c
-        for c in divisors(N - 1)
-        if c > 1 and (d % c == 0 or (d - 1) % c == 0)
-    ]
+def gamma(modulus: PrimeModulus, d: int, c: int) -> int:
+    """gamma_c, the number of orbits of size (N-1)/c; exact integer."""
+    if c == 1:
+        return full_census(modulus, d).gamma[1]
+    return _gamma(modulus.N, d, c, beta(modulus, d, c))
 
 
 @dataclass(frozen=True)
@@ -126,10 +121,17 @@ def full_census(modulus: PrimeModulus, d: int) -> Census:
     N = modulus.N
     if not 1 <= d <= N:
         raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
-    orders = [1] + _nontrivial_orders(N, d)
-    gammas = {c: gamma(modulus, d, c) for c in orders}
-    betas = {c: beta(modulus, d, c) for c in orders if c > 1}
-    betas[1] = Fraction(gammas[1] * (N - 1))
+    betas = _nontrivial_betas(N, d)
+    gammas = {c: _gamma(N, d, c, v) for c, v in betas.items()}
+    gamma_1 = Fraction(math.comb(N, d), N - 1)
+    for c, g in gammas.items():
+        gamma_1 -= Fraction(g, c)
+    if gamma_1.denominator != 1 or gamma_1 < 0:
+        raise ContractViolationError(
+            f"gamma_1({N},{d}) = {gamma_1} is not a nonnegative integer"
+        )
+    gammas = {1: int(gamma_1), **gammas}
+    betas = {1: Fraction(gammas[1] * (N - 1)), **betas}
     mass = sum(Fraction(g * (N - 1), c) for c, g in gammas.items())
     if mass != math.comb(N, d):
         raise ContractViolationError(
@@ -138,7 +140,7 @@ def full_census(modulus: PrimeModulus, d: int) -> Census:
     return Census(
         modulus=modulus,
         d=d,
-        beta={c: betas[c] for c in orders},
+        beta=betas,
         gamma=gammas,
         total=sum(gammas.values()),
     )
@@ -198,24 +200,36 @@ def growth_ratio(modulus: PrimeModulus, d: int) -> float:
 # -- independent orbit-level recursion ---------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _alpha(N: int, target: int, c: int) -> Fraction:
-    if (N - 1) % c != 0:
-        return Fraction(0)
-    q = target // c
-    num = 1
-    for i in range(1, q):
-        num *= N - 1 - i * c
-    first = Fraction(num, c ** (q - 1) * math.factorial(q))
-    sub = sum(
-        (
-            Fraction(N - 1, b) * _alpha(N, target, b)
-            for b in range(2 * c, N, c)
-            if target % b == 0
-        ),
-        Fraction(0),
-    )
-    return first - Fraction(c, N - 1) * sub
+def _alphas(N: int, target: int, divs: list[int]) -> dict[int, Fraction]:
+    """alpha_c for every c > 1 in divs (the divisors of N-1, ascending) with
+    c | target, from the largest c down; target >= 1."""
+    out: dict[int, Fraction] = {}
+    for c in reversed(divs):
+        if c == 1 or target % c:
+            continue
+        q = target // c
+        num = 1
+        for i in range(1, q):
+            num *= N - 1 - i * c
+        first = Fraction(num, c ** (q - 1) * math.factorial(q))
+        sub = sum(
+            (Fraction(N - 1, b) * a for b, a in out.items() if b % c == 0),
+            Fraction(0),
+        )
+        out[c] = first - Fraction(c, N - 1) * sub
+    return out
+
+
+def _nontrivial_alphas(N: int, d: int) -> dict[int, Fraction]:
+    divs = divisors(N - 1)
+    return {**_alphas(N, d, divs), **_alphas(N, d - 1, divs)}
+
+
+def _alpha_1(N: int, d: int, alphas: dict[int, Fraction]) -> Fraction:
+    total = Fraction(math.comb(N, d), N - 1)
+    for c, a in alphas.items():
+        total -= a / c
+    return total
 
 
 def alpha(modulus: PrimeModulus, d: int, c: int) -> Fraction:
@@ -230,12 +244,9 @@ def alpha(modulus: PrimeModulus, d: int, c: int) -> Fraction:
     if d < 2:
         raise DomainError(f"alpha recursion needs d >= 2, got d={d}")
     if c == 1:
-        total = Fraction(math.comb(N, d), N - 1)
-        for cc in _nontrivial_orders(N, d):
-            total -= alpha(modulus, d, cc) / cc
-        return total
+        return _alpha_1(N, d, _nontrivial_alphas(N, d))
     _check_beta_pre(N, d, c)
-    return _alpha(N, _case_target(d, c), c)
+    return _alphas(N, _case_target(d, c), divisors(N - 1))[c]
 
 
 def count_harmonic_frames_alpha(modulus: PrimeModulus, d: int) -> Fraction:
@@ -243,6 +254,5 @@ def count_harmonic_frames_alpha(modulus: PrimeModulus, d: int) -> Fraction:
     N = modulus.N
     if not 1 < d < N:
         raise DomainError(f"alpha total needs 1 < d < N, got d={d}, N={N}")
-    return alpha(modulus, d, 1) + sum(
-        (alpha(modulus, d, c) for c in _nontrivial_orders(N, d)), Fraction(0)
-    )
+    alphas = _nontrivial_alphas(N, d)
+    return _alpha_1(N, d, alphas) + sum(alphas.values(), Fraction(0))

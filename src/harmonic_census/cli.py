@@ -117,7 +117,9 @@ def cmd_count(cfg: RunConfig) -> int:
     if cfg.d is None or not 1 <= cfg.d <= modulus.N:
         raise DomainError(f"need 1 <= d <= N, got d={cfg.d}")
     census = full_census(modulus, cfg.d)
-    total = count_harmonic_frames(modulus, cfg.d)
+    # the census total is also 2 for d = 1 and 1 for d = N, the documented
+    # special cases of count_harmonic_frames
+    total = census.total
     note = None
     if cfg.d == 1:
         note = "d=1: two orbits, one of them the degenerate single-vector frame"

@@ -89,14 +89,14 @@ def stabilizer(s: GeneratorSet) -> tuple[int, ...]:
 
 
 def canonical_rep(s: GeneratorSet) -> GeneratorSet:
-    """Lexicographically smallest member of the orbit of s."""
+    """Lexicographically smallest member of the orbit of s.  By the lemma in
+    the module docstring it contains 1, so only the images x^-1 . s for
+    nonzero x in s are tried; s = {0} is its own orbit."""
     N = s.modulus.N
-    best = s.elems
-    for m in range(2, N):
-        img = tuple(sorted((m * x) % N for x in s.elems))
-        if img < best:
-            best = img
-    return GeneratorSet(s.modulus, best)
+    images = [
+        tuple(sorted(pow(x, -1, N) * y % N for y in s.elems)) for x in s.elems if x
+    ]
+    return GeneratorSet(s.modulus, min(images, default=s.elems))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the definitions only, with
 no reuse of the package's enumeration or counting paths: plain dict/set
-orbit chasing for subset orbits, and raw streaming over ordered tuples for
-the scaling action.  Slow but obviously correct; nothing in the package is
-trusted beyond basic types.
+orbit chasing for subset orbits, all N-1 multipliers for a lex-min image,
+raw streaming over ordered tuples for the scaling action, and the classical
+necklace count for the number of subset orbits.  Slow but obviously
+correct; nothing in the package is trusted beyond basic types.
 """
 
 from __future__ import annotations
@@ -32,6 +33,33 @@ def subset_orbit_census(N: int, d: int) -> dict[tuple[int, ...], tuple[int, int]
         )
         out[min(orbit)] = (len(orbit), stab)
     return out
+
+
+def lexmin_image(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically smallest m . elems over every unit m."""
+    return min(tuple(sorted((m * x) % N for x in elems)) for m in range(1, N))
+
+
+def necklace_count(n: int, k: int) -> int:
+    """Binary necklaces of length n with k ones, up to rotation:
+    (1/n) sum_{j | gcd(n, k)} phi(j) C(n/j, k/j)."""
+    g = math.gcd(n, k)
+    total = 0
+    for j in range(1, g + 1):
+        if g % j == 0:
+            phi = sum(1 for i in range(1, j + 1) if math.gcd(i, j) == 1)
+            total += phi * math.comb(n // j, k // j)
+    assert total % n == 0
+    return total // n
+
+
+def subset_orbit_count_via_necklaces(N: int, d: int) -> int:
+    """Number of d-subset orbits of Z_N under the units, for prime N.
+
+    The units are cyclic of order N-1, so through the discrete log a set of
+    nonzero elements is a binary necklace of length N-1; 0 is fixed, so the
+    sets with and without 0 give Neck(N-1, d-1) + Neck(N-1, d)."""
+    return necklace_count(N - 1, d) + necklace_count(N - 1, d - 1)
 
 
 def pi1_orbit_count_raw(N: int, d: int, budget: int = 10**7) -> int | None:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,35 @@ def test_closed_form_d2_d3():
                 else (N * N - 2 * N + 3) // 6
             )
             assert count_harmonic_frames(PrimeModulus(N), 3) == expected
+
+
+def test_count_against_necklaces():
+    for N in primes_up_to(399):
+        if N < 3:
+            continue
+        m = PrimeModulus(N)
+        for d in range(2, N):
+            neck = oracles.subset_orbit_count_via_necklaces(N, d)
+            assert count_harmonic_frames(m, d) == neck
+
+
+@pytest.mark.parametrize("N", [2**31 - 1, 1470268801, 19999999])
+def test_count_against_necklaces_near_range_edge(N):
+    m = PrimeModulus(N)
+    for d in range(2, 13):
+        neck = oracles.subset_orbit_count_via_necklaces(N, d)
+        assert count_harmonic_frames(m, d) == neck
+
+
+def test_census_at_range_edge_is_fast():
+    # the recursion visits only divisors of N-1; a loop over the multiples
+    # of c below N would take far longer than this bound at N = 2^31 - 1
+    m = PrimeModulus(2**31 - 1)
+    start = time.perf_counter()
+    for d in range(2, 9):
+        cen = full_census(m, d)
+        assert cen.total == count_harmonic_frames(m, d)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_alpha_equals_gamma():

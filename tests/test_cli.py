@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from harmonic_census import ContractViolationError, cli
 from harmonic_census.cli import main
 
@@ -36,6 +38,15 @@ def test_count_requires_prime(capsys):
 def test_count_d_range(capsys):
     code, _, err = run(capsys, "count", "--N", "7", "--d", "8")
     assert code == 2
+
+
+@pytest.mark.parametrize("N", [1000003, 1470268801])
+def test_count_d1_large_N(capsys, N):
+    # d = 1 recurses on target 0, which every divisor of N-1 divides
+    # (1470268800 has 1536 divisors)
+    code, out, _ = run(capsys, "count", "--N", str(N), "--d", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["total"] == 2
 
 
 def test_enumerate_records(capsys):

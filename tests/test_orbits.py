@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -89,6 +90,15 @@ def test_canonical_rep_idempotent_and_orbit_constant(m13):
         assert canonical_rep(rep) == rep
         for m in range(1, 13):
             assert canonical_rep(act(m, s)) == rep
+
+
+def test_canonical_rep_against_all_multipliers():
+    for N in (2, 3, 5, 7, 11, 13):
+        m = PrimeModulus(N)
+        for d in range(1, N + 1):
+            for sub in itertools.combinations(range(N), d):
+                rep = canonical_rep(GeneratorSet(m, sub))
+                assert rep.elems == oracles.lexmin_image(N, sub)
 
 
 def test_structured_form_examples(m5, m7):
