@@ -68,9 +68,7 @@ from .symmetry import (
     SymmetryReport,
     conjecture_scan,
     full_symmetry_group,
-    gram_automorphisms,
     guaranteed_subgroup,
-    reconstructed_element,
 )
 
 __version__ = "0.1.0"

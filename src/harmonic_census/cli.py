@@ -16,6 +16,7 @@ budget; an explicit --max-subsets beats both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,7 +63,6 @@ class RunConfig:
     output_format: str = "table"
     budgets: Budgets = field(default_factory=Budgets)
     output_path: str | None = None
-    threads: int | None = None
 
 
 def _json_int(v: int):
@@ -373,7 +373,6 @@ def cmd_scan(cfg: RunConfig) -> int:
         cfg.d,
         max_subsets=cfg.budgets.enumeration_max_subsets,
         max_N=cfg.budgets.symmetry_max_N,
-        threads=cfg.threads,
     )
     rows_json = [
         {
@@ -477,7 +476,9 @@ def _add_common(sp, *, d=False, gens=False, ab=False):
     )
     sp.add_argument("--out", type=str, default=None, help="write output to file")
     sp.add_argument("--max-subsets", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument(
+        "--threads", type=int, default=None, help="accepted for compatibility; no effect"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,6 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call (not at import) and reused:
+    parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def _resolve_budget(args) -> int:
     explicit = getattr(args, "max_subsets", None)
     if explicit is not None:
@@ -531,7 +539,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed_check:
         return seed_check()
@@ -551,7 +559,6 @@ def main(argv: list[str] | None = None) -> int:
             output_format=args.output_format,
             budgets=Budgets(enumeration_max_subsets=_resolve_budget(args)),
             output_path=args.out,
-            threads=getattr(args, "threads", None),
         )
         return _DISPATCH[args.command](cfg)
     except BudgetExceededError as exc:

@@ -89,7 +89,16 @@ def are_equivalent(a: GeneratorSet, b: GeneratorSet) -> EquivalenceVerdict:
     if canonical_rep(a) != canonical_rep(b):
         return EquivalenceVerdict(equivalent=False, certificate=CERT_ORBIT_MISMATCH)
 
-    m0 = next(m for m in range(1, N) if act(m, b) == a)
+    # m . b = a sends some nonzero y in b to the smallest nonzero a0 in a,
+    # so m = a0 / y; {0} is fixed by every unit and takes m0 = 1
+    a0 = next((x for x in a.elems if x), None)
+    m0 = 1
+    if a0 is not None:
+        m0 = min(
+            m
+            for m in (a0 * pow(y, -1, N) % N for y in b.elems if y)
+            if tuple(sorted(m * x % N for x in b.elems)) == a.elems
+        )
     m0_inv = pow(m0, -1, N)
     position = {x: k for k, x in enumerate(b.elems)}
     perm = tuple(position[(x * m0_inv) % N] for x in a.elems)

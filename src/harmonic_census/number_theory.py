@@ -53,18 +53,14 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> list[int]:
-    """All divisors of n in increasing order."""
+    """All divisors of n in increasing order, built from the prime
+    factorisation, so the cost after factoring grows with their number."""
     if n < 1:
         raise DomainError(f"divisors requires n >= 1, got {n}")
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in _factorisation(n):
+        out = [q * p**k for q in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -79,18 +75,21 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, by trial division."""
+def _factorisation(n: int) -> list[tuple[int, int]]:
+    """(prime, multiplicity) pairs of n >= 1, by trial division up to the
+    square root of the shrinking cofactor."""
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            out.append((p, e))
         p += 1 if p == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
@@ -147,7 +146,7 @@ def multiplicative_order(m: int, modulus: PrimeModulus) -> int:
 def _smallest_primitive_root(N: int) -> int:
     if N == 2:
         return 1
-    factors = _prime_factors(N - 1)
+    factors = [p for p, _ in _factorisation(N - 1)]
     for g in range(2, N):
         if all(pow(g, (N - 1) // p, N) != 1 for p in factors):
             return g

@@ -1,19 +1,36 @@
 """Independent brute-force oracles used to cross-validate the library.
 
 Everything here is deliberately written against the definitions only, with
-no reuse of the package's enumeration or counting paths: plain dict/set
-orbit chasing for subset orbits, all N-1 multipliers for a lex-min image,
-raw streaming over ordered tuples for the scaling action, and the classical
-necklace count for the number of subset orbits.  Slow but obviously
-correct; nothing in the package is trusted beyond basic types.
+no reuse of the package's enumeration, counting or symmetry paths: plain
+dict/set orbit chasing for subset orbits, all N-1 multipliers for a lex-min
+image or an equivalence witness, raw streaming over ordered tuples for the
+scaling action, the classical necklace count for the number of subset
+orbits, trial division for divisors, and backtracking over Gram labels plus
+exact unitary reconstruction for symmetry groups.  Slow but obviously
+correct; nothing in the package is trusted beyond basic types (Gram labels
+and the exact cyclotomic coefficient helpers).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 
 import numpy as np
+
+from harmonic_census import (
+    BudgetExceededError,
+    CyclotomicInt,
+    FrameMatrix,
+    GramMatrix,
+    PrimeModulus,
+    ScaledCyclotomic,
+    gram,
+)
+from harmonic_census.cyclotomic import canonicalize_array, exponent_counts
+
+AUTOMORPHISM_CAP = 500_000
 
 
 def subset_orbit_census(N: int, d: int) -> dict[tuple[int, ...], tuple[int, int]]:
@@ -38,6 +55,29 @@ def subset_orbit_census(N: int, d: int) -> dict[tuple[int, ...], tuple[int, int]
 def lexmin_image(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically smallest m . elems over every unit m."""
     return min(tuple(sorted((m * x) % N for x in elems)) for m in range(1, N))
+
+
+def witness_multiplier(N: int, a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
+    """Smallest unit m with m . b = a as sets, scanning every m; None if
+    there is none."""
+    target = sorted(a)
+    return next(
+        (m for m in range(1, N) if sorted((m * x) % N for x in b) == target), None
+    )
+
+
+def divisors_trial(n: int) -> list[int]:
+    """All divisors of n >= 1 in increasing order, by trial division up to
+    sqrt(n)."""
+    small, large = [], []
+    k = 1
+    while k * k <= n:
+        if n % k == 0:
+            small.append(k)
+            if k != n // k:
+                large.append(n // k)
+        k += 1
+    return small + large[::-1]
 
 
 def necklace_count(n: int, k: int) -> int:
@@ -113,3 +153,150 @@ def pi1_orbit_count_via_subsets(N: int, d: int) -> int:
         assert math.factorial(d) % stab == 0
         total += math.factorial(d) // stab
     return total
+
+
+# -- symmetry groups by search -----------------------------------------------
+
+
+def gram_automorphisms(g: GramMatrix, *, max_N: int = 31) -> list[tuple[int, ...]]:
+    """All column permutations preserving the difference labels, found by
+    backtracking: sigma(i) - sigma(0) must land in the label class of i, and
+    every earlier difference constrains the extension.  Always contains the
+    N cyclic shifts.  Label classes are negation-symmetric, so preserving
+    differences one way preserves them both ways; both are checked anyway.
+    Refuses N > max_N, and label structures whose group is all of S_N.
+    """
+    N = g.N
+    if N > max_N:
+        raise BudgetExceededError(
+            f"Gram automorphism search for N={N} exceeds limit {max_N}",
+            required=N,
+            budget=max_N,
+        )
+    label_ids: dict[tuple, int] = {}
+    cls = [label_ids.setdefault(g.difference_label(t), len(label_ids)) for t in range(N)]
+    same = [[tp for tp in range(N) if cls[tp] == cls[t]] for t in range(N)]
+    if N > 2 and len(set(cls[1:])) == 1:
+        raise BudgetExceededError(
+            "all off-diagonal labels coincide; the automorphism group is all "
+            f"of S_{N} and is not enumerated",
+            required=math.factorial(N),
+            budget=AUTOMORPHISM_CAP,
+        )
+
+    out: list[tuple[int, ...]] = []
+    sigma = [0] * N
+    used = [False] * N
+
+    def extend(i: int) -> None:
+        if i == N:
+            out.append(tuple(sigma))
+            if len(out) > AUTOMORPHISM_CAP:
+                raise BudgetExceededError(
+                    "automorphism group larger than cap",
+                    required=-1,
+                    budget=AUTOMORPHISM_CAP,
+                )
+            return
+        for delta in same[i]:
+            cand = (sigma[0] + delta) % N
+            if used[cand]:
+                continue
+            ok = True
+            for j in range(1, i):
+                if (
+                    cls[(cand - sigma[j]) % N] != cls[(i - j) % N]
+                    or cls[(sigma[j] - cand) % N] != cls[(j - i) % N]
+                ):
+                    ok = False
+                    break
+            if ok:
+                sigma[i] = cand
+                used[cand] = True
+                extend(i + 1)
+                used[cand] = False
+
+    for s0 in range(N):
+        sigma[0] = s0
+        used[s0] = True
+        extend(1)
+        used[s0] = False
+    out.sort()
+    return out
+
+
+def verify_permutations(frame: FrameMatrix, sigmas: np.ndarray) -> np.ndarray:
+    """For each candidate column permutation, reconstruct the unique unitary
+    candidate U = (1/N) Phi P_sigma Phi^* and test, exactly,
+    U Phi = Phi P_sigma and U U^* = I.  Returns a boolean vector."""
+    if len(sigmas) > 128:  # bound the (S, d, N, N) work tensors
+        return np.concatenate(
+            [
+                verify_permutations(frame, sigmas[i : i + 128])
+                for i in range(0, len(sigmas), 128)
+            ]
+        )
+    N, d = frame.N, frame.d
+    E = frame.exponents
+    gens = np.array(frame.generators.elems, dtype=np.int64)
+    S = len(sigmas)
+    T = np.arange(N, dtype=np.int64)
+
+    # N U[i,j] = sum_m w^(sigma(m) n_i - m n_j)
+    A = (sigmas[:, None, :] * gens[None, :, None]) % N  # (S, d, N): sigma(m) n_i
+    EX = (A[:, :, None, :] - E[None, None, :, :]) % N  # (S, d, d, N) over m
+    Uc = exponent_counts(EX, N)  # (S, d, d, N), canonical
+
+    # (N U) Phi: coefficient at t of sum_j (N U)[i,j] w^(m n_j)
+    IDX = (T[None, None, :] - E[:, :, None]) % N  # (d, N, N): [j, m, t]
+    lhs = np.zeros((S, d, N, N), dtype=np.int64)
+    for j in range(d):
+        lhs += Uc[:, :, j, :][:, :, IDX[j]]
+    lhs = canonicalize_array(lhs)
+    rhs = exponent_counts(A[..., None], N) * N  # N * one-hot(sigma(m) n_i)
+    ok = (lhs == rhs).all(axis=(1, 2, 3))
+
+    # (N U)(N U)^*: coefficient t of sum_j U[i,j] conj(U[k,j])
+    W = np.empty((S, d, d, N), dtype=np.int64)
+    for t in range(N):
+        shifted = np.take(Uc, (T - t) % N, axis=3)
+        W[:, :, :, t] = np.einsum("siju,skju->sik", Uc, shifted)
+    W = canonicalize_array(W)
+    expected = np.zeros((d, d, N), dtype=np.int64)
+    expected[np.arange(d), np.arange(d), 0] = N * N
+    expected = canonicalize_array(expected)
+    ok &= (W == expected[None]).all(axis=(1, 2, 3))
+    return ok
+
+
+def symmetry_permutations(frame: FrameMatrix, *, max_N: int = 31) -> set[tuple[int, ...]]:
+    """The full symmetry group as column permutations: the Gram
+    automorphisms that an exact unitary realizes."""
+    candidates = gram_automorphisms(gram(frame), max_N=max_N)
+    keep = verify_permutations(frame, np.array(candidates, dtype=np.int64))
+    return {sig for sig, ok in zip(candidates, keep) if ok}
+
+
+@dataclass(frozen=True)
+class ReconstructedElement:
+    """The exact unitary (1/denominator) * dense, dense[i, j] a coefficient
+    vector in Z[w]."""
+
+    modulus: PrimeModulus
+    column_perm: tuple[int, ...]
+    dense: np.ndarray
+    denominator: int
+
+    def entry(self, i: int, j: int) -> ScaledCyclotomic:
+        coeffs = tuple(int(c) for c in self.dense[i, j])
+        return ScaledCyclotomic(CyclotomicInt(self.modulus, coeffs), self.denominator)
+
+
+def reconstructed_element(frame: FrameMatrix, sigma: tuple[int, ...]) -> ReconstructedElement:
+    """The exact unitary (1/N) Phi P_sigma Phi^*."""
+    N = frame.N
+    gens = np.array(frame.generators.elems, dtype=np.int64)
+    sig = np.array(sigma, dtype=np.int64)
+    A = (sig[None, :] * gens[:, None]) % N  # (d, N)
+    EX = (A[:, None, :] - frame.exponents[None, :, :]) % N  # (d, d, N)
+    return ReconstructedElement(frame.modulus, tuple(sigma), exponent_counts(EX, N), N)

@@ -11,12 +11,15 @@ from harmonic_census import (
     angle_multiset,
     are_equivalent,
     cross_validate_equivalence,
+    enumerate_orbits,
 )
 from harmonic_census.equivalence import (
     CERT_ANGLE_MISMATCH,
     CERT_ORBIT_MISMATCH,
     verify_witness,
 )
+
+import oracles
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -37,6 +40,20 @@ def test_witness_smallest_unit():
     a, b = GeneratorSet(M7, (1, 2, 4)), GeneratorSet(M7, (1, 2, 4))
     v = are_equivalent(a, b)
     assert v.witness.m0 == 1  # reflexive pairs use the identity unit
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
+def test_witness_is_full_scan_minimum(N):
+    """The witness tries only m = a0 / y (a0 the smallest nonzero element of
+    a, y nonzero in b); it must still be the smallest unit of all N-1."""
+    m = PrimeModulus(N)
+    for d in range(1, N + 1):
+        for rec in enumerate_orbits(m, d):
+            orbit = sorted({act(u, rec.rep).elems for u in range(1, N)})
+            for ea in orbit:
+                for eb in orbit:
+                    v = are_equivalent(GeneratorSet(m, ea), GeneratorSet(m, eb))
+                    assert v.witness.m0 == oracles.witness_multiplier(N, ea, eb)
 
 
 def test_witness_verified_exactly():

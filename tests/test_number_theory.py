@@ -10,6 +10,8 @@ from harmonic_census import (
     primes_up_to,
 )
 
+import oracles
+
 
 def test_is_prime_small():
     assert is_prime(7)
@@ -34,6 +36,13 @@ def test_divisors():
     assert divisors(7) == [1, 7]
     with pytest.raises(DomainError):
         divisors(0)
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 5001):
+        assert divisors(n) == oracles.divisors_trial(n)
+    for n in (2**31 - 2, 1470268800, 19999998):
+        assert divisors(n) == oracles.divisors_trial(n)
 
 
 def test_divisors_pairing():

@@ -1,3 +1,5 @@
+import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -5,24 +7,28 @@ import pytest
 
 from harmonic_census import (
     BudgetExceededError,
+    ContractViolationError,
     GeneratorSet,
     PrimeModulus,
     ScaledCyclotomic,
     build_frame,
     conjecture_scan,
+    count_harmonic_frames,
     enumerate_orbits,
     full_symmetry_group,
     gram,
-    gram_automorphisms,
     guaranteed_subgroup,
-    reconstructed_element,
     root_power,
+    stabilizer,
 )
 from harmonic_census.symmetry import (
     KIND_BLOCK_PERM,
     KIND_DIAGONAL,
-    _verify_permutations,
+    KIND_PRODUCT,
+    _check_generators,
 )
+
+import oracles
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -70,14 +76,14 @@ def test_degenerate_zero_set():
 
 
 def test_gram_automorphisms_trivial_stabilizer():
-    autos = gram_automorphisms(gram(build_frame(GeneratorSet(M5, (1, 2)))))
+    autos = oracles.gram_automorphisms(gram(build_frame(GeneratorSet(M5, (1, 2)))))
     assert len(autos) == 5
     shifts = sorted(tuple((m + b) % 5 for m in range(5)) for b in range(5))
     assert autos == shifts
 
 
 def test_gram_automorphisms_pm_structure():
-    autos = gram_automorphisms(gram(build_frame(GeneratorSet(M5, (1, 4)))))
+    autos = oracles.gram_automorphisms(gram(build_frame(GeneratorSet(M5, (1, 4)))))
     assert len(autos) == 10
     expected = sorted(
         tuple((sign * j + b) % 5 for j in range(5))
@@ -89,19 +95,19 @@ def test_gram_automorphisms_pm_structure():
 
 def test_gram_automorphisms_fix_diagonal():
     g = gram(build_frame(GeneratorSet(M7, (1, 2, 4))))
-    for sigma in gram_automorphisms(g):
+    for sigma in oracles.gram_automorphisms(g):
         for j in range(7):
             assert g.label(sigma[j], sigma[j]) == g.label(j, j)
 
 
 def test_gram_automorphism_budget():
     with pytest.raises(BudgetExceededError):
-        gram_automorphisms(
+        oracles.gram_automorphisms(
             gram(build_frame(GeneratorSet(PrimeModulus(37), (1, 2)))), max_N=31
         )
     # degenerate label structure is refused rather than enumerated
     with pytest.raises(BudgetExceededError):
-        gram_automorphisms(gram(build_frame(GeneratorSet(M5, (1, 2, 3, 4)))))
+        oracles.gram_automorphisms(gram(build_frame(GeneratorSet(M5, (1, 2, 3, 4)))))
 
 
 def test_full_symmetry_group_examples():
@@ -126,7 +132,7 @@ def test_full_group_closure_and_containment():
             for b in perms:
                 assert tuple(a[b[j]] for j in range(N)) in perms
         # necessity: realized permutations preserve the Gram labels
-        autos = set(gram_automorphisms(gram(build_frame(GeneratorSet(m, elems)))))
+        autos = set(oracles.gram_automorphisms(gram(build_frame(GeneratorSet(m, elems)))))
         assert perms <= autos
 
 
@@ -153,7 +159,7 @@ def test_simplex_counterexample():
 
     frame = build_frame(GeneratorSet(M5, (1, 2, 3, 4)))
     every = np.array(list(permutations(range(5))), dtype=np.int64)
-    assert int(_verify_permutations(frame, every).sum()) == 120
+    assert int(oracles.verify_permutations(frame, every).sum()) == 120
 
 
 def test_full_dimension_closed_form():
@@ -164,17 +170,17 @@ def test_full_dimension_closed_form():
     m3 = PrimeModulus(3)
     frame = build_frame(GeneratorSet(m3, (0, 1, 2)))
     every = np.array(list(permutations(range(3))), dtype=np.int64)
-    assert int(_verify_permutations(frame, every).sum()) == 6
+    assert int(oracles.verify_permutations(frame, every).sum()) == 6
 
 
 def test_full_group_equals_exhaustive_search_at_n7():
-    """The backtracking search plus reconstruction must agree with filtering
-    all 5040 permutations through the exact reconstruction check."""
+    """The closed form must agree with filtering all 5040 permutations
+    through the exact reconstruction check."""
     every = np.array(list(permutations(range(7))), dtype=np.int64)
     for elems in [(1, 2), (0, 1, 6), (1, 2, 4), (0, 1, 2, 4)]:
         s = GeneratorSet(M7, elems)
         frame = build_frame(s)
-        keep = _verify_permutations(frame, every)
+        keep = oracles.verify_permutations(frame, every)
         exhaustive = {
             tuple(sig) for sig, ok in zip(every.tolist(), keep) if ok
         }
@@ -186,13 +192,13 @@ def test_full_group_equals_exhaustive_search_at_n7():
 def test_verify_permutations_rejects_non_symmetries():
     frame = build_frame(GeneratorSet(M5, (1, 2)))
     every = np.array(list(permutations(range(5))), dtype=np.int64)
-    keep = _verify_permutations(frame, every)
+    keep = oracles.verify_permutations(frame, every)
     assert int(keep.sum()) == 5
 
 
 def test_reconstructed_element_identity():
     frame = build_frame(GeneratorSet(M5, (1, 2)))
-    ident = reconstructed_element(frame, tuple(range(5)))
+    ident = oracles.reconstructed_element(frame, tuple(range(5)))
     assert ident.denominator == 5
     one = ScaledCyclotomic(root_power(M5, 0).scale(5), 5)
     assert ident.entry(0, 0) == one
@@ -220,3 +226,92 @@ def test_conjecture_scan():
 def test_symmetry_budget():
     with pytest.raises(BudgetExceededError):
         full_symmetry_group(GeneratorSet(PrimeModulus(37), (1, 2)), max_N=31)
+
+
+def _check_against_search(s: GeneratorSet, max_N: int = 31) -> None:
+    """The closed form against the brute-force oracle: Gram automorphisms by
+    backtracking, each realized by an exact unitary reconstruction."""
+    N = s.modulus.N
+    r = full_symmetry_group(s, max_N=max_N)
+    frame = build_frame(s)
+    c = len(stabilizer(s))
+    assert r.stabilizer_order == c
+    assert r.subgroup_order == len(r.subgroup_permutations) == N * c
+    subgroup = set(r.subgroup_permutations)
+    assert len(subgroup) == N * c
+    nonzero = sum(1 for x in s.elems if x)
+    if N > 2 and nonzero == N - 1:
+        # simplex or basis: the labels coincide and every permutation lifts
+        with pytest.raises(BudgetExceededError):
+            oracles.gram_automorphisms(gram(frame), max_N=max_N)
+        assert r.full_group_order == math.factorial(N)
+        assert r.full_permutations is None
+        assert oracles.verify_permutations(frame, np.array(sorted(subgroup))).all()
+        if N <= 7:
+            every = np.array(list(permutations(range(N))), dtype=np.int64)
+            assert oracles.verify_permutations(frame, every).all()
+        return
+    search = oracles.symmetry_permutations(frame, max_N=max_N)
+    assert set(r.full_permutations) == search
+    assert subgroup == search
+    assert r.full_group_order == len(r.full_permutations) == len(search)
+    assert r.conjecture_holds is True
+
+
+@pytest.mark.parametrize(
+    "N, ds",
+    [(N, range(1, N + 1)) for N in (2, 3, 5, 7, 11, 13)] + [(17, range(2, 6))],
+)
+def test_closed_form_matches_search_oracle(N, ds):
+    m = PrimeModulus(N)
+    for d in ds:
+        for rec in enumerate_orbits(m, d):
+            if set(rec.rep.elems) == {0}:
+                continue  # N copies of one vector, see test_degenerate_zero_set
+            _check_against_search(rec.rep)
+
+
+def test_closed_form_past_default_cap():
+    for N, elems in [(37, (1, 10, 26)), (37, (0, 1, 6, 31, 36)), (41, (1, 2, 3))]:
+        _check_against_search(GeneratorSet(PrimeModulus(N), elems), max_N=N)
+
+
+def test_listings_are_lazy_and_ordered():
+    s = GeneratorSet(PrimeModulus(13), (0, 1, 3, 9))  # c = 3
+    r = full_symmetry_group(s)
+    perms, elements = r.subgroup_permutations, r.elements
+    assert len(perms) == len(elements) == 39
+    assert list(perms) == sorted(perms)
+    assert perms[-1] == perms[38]
+    with pytest.raises(IndexError):
+        perms[39]
+    keys = [(e.src, e.expo) for e in elements]
+    assert keys == sorted(keys) and len(set(keys)) == 39
+    assert {e.column_perm for e in elements} == set(perms)
+    # every element maps the frame's columns as its permutation says
+    E = build_frame(s).exponents
+    for e in elements:
+        moved = (E[list(e.src)] + np.array(e.expo)[:, None]) % 13
+        assert np.array_equal(moved, E[:, list(e.column_perm)])
+    kinds = {}
+    for e in elements:
+        kinds[e.kind] = kinds.get(e.kind, 0) + 1
+    assert kinds == {KIND_DIAGONAL: 13, KIND_BLOCK_PERM: 2, KIND_PRODUCT: 24}
+
+
+def test_generator_checks_reject_a_wrong_unit():
+    s = GeneratorSet(M7, (1, 2, 4))
+    stab = sorted(stabilizer(s))
+    assert _check_generators(s, 2, 3, stab) == [1, 2, 0]
+    for h in (1, 3, 6):  # h = 1 misses Stab(S); 3 and 6 do not fix S
+        with pytest.raises(ContractViolationError):
+            _check_generators(s, h, 3, stab)
+
+
+def test_scan_n17_d5_is_fast():
+    start = time.perf_counter()
+    report = conjecture_scan(PrimeModulus(17), 5)
+    elapsed = time.perf_counter() - start
+    assert len(report.rows) == count_harmonic_frames(PrimeModulus(17), 5)
+    assert not report.counterexamples
+    assert elapsed < 2.0, elapsed  # the search it replaces took about 2 s
