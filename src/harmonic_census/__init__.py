@@ -68,6 +68,7 @@ from .symmetry import (
     SymmetryReport,
     conjecture_scan,
     full_symmetry_group,
+    gram_automorphisms,
     guaranteed_subgroup,
 )
 

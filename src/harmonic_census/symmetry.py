@@ -3,6 +3,9 @@
 U is a symmetry when U Phi = Phi P_sigma for a column permutation sigma.  A
 tight frame is fixed up to a unitary by its Gram matrix, so for distinct
 columns sigma is realized, by a unique unitary, iff it preserves the Gram.
+The Gram entry of difference t is (1/d) sum_k w^(t n_k); the only rational
+relation among w^0, ..., w^(N-1) is that they sum to zero, so two entries are
+equal iff their labels, the multisets t S, are equal.
 
 Guaranteed subgroup.  D = diag(w^(n_1), ..., w^(n_d)) induces m -> m+1.
 With c = |Stab(S)|, h = g^((N-1)/c) generates Stab(S) and permutes the
@@ -20,10 +23,13 @@ off-diagonal Gram entries equal, so G is constant off 0 and S is {0} (N
 copies of one vector: trivial group), all units (the regular simplex) or
 Z_N (a scaled orthogonal basis); the last two have all N! permutations.
 
-Nothing is searched: D, Q and their relations are checked exactly, and the
-group is listed lazily from the pairs (a, b).  The search this replaces now
-checks the closed form in tests/oracles.py.  See also Vale & Waldron, "The
-symmetry group of a finite frame" (2010).
+Nothing is searched.  D, Q and their relations are checked exactly;
+gram_automorphisms finds the label-preserving multipliers directly, and
+full_symmetry_group checks that they contain Stab(S) and reports whether
+they equal it.  Groups are listed lazily from the pairs (a, b).  A
+backtracking search with exact unitary reconstruction checks all of this in
+tests/oracles.py.  See also Vale & Waldron, "The symmetry group of a finite
+frame" (2010).
 """
 
 from __future__ import annotations
@@ -83,6 +89,22 @@ class _Listing(Sequence):
         return self._item(i % self._n)
 
 
+class AffinePermutations(_Listing):
+    """The permutations m -> a m + b of Z_N, a in multipliers and b in Z_N,
+    in lexicographic order."""
+
+    def __init__(self, N: int, multipliers: Sequence[int]):
+        self.N, self.multipliers = N, tuple(sorted(multipliers))
+        super().__init__(N * len(self.multipliers), self._permutation)
+
+    def _permutation(self, i: int) -> tuple[int, ...]:
+        # (b, a + b, ...): by b, then by (a + b) mod N
+        N, mults = self.N, self.multipliers
+        b, j = divmod(i, len(mults))
+        a = mults[(bisect.bisect_left(mults, N - b) + j) % len(mults)]
+        return tuple((a * m + b) % N for m in range(N))
+
+
 @dataclass(eq=False)
 class SymmetryReport:
     """subgroup_* describes <D, Q>, full_* the whole group (full_permutations
@@ -103,9 +125,9 @@ class SymmetryReport:
 
 def _check_generators(s: GeneratorSet, h: int, c: int, stab: list[int]) -> list[int]:
     """Check exactly, on the exponent matrix E[k, m] = m n_k mod N, that D
-    advances every column by one, that Q^k induces m -> h^k m for k = 1..c
-    with Q^c = I, that Q D Q^{-1} = D^h, and that the powers of h are
-    Stab(S).  Returns Q as a slot permutation."""
+    advances every column by one, that h maps S onto itself and so defines
+    Q, that Q^k induces m -> h^k m for k = 1..c, that Q^c = I, and that the
+    powers of h are Stab(S).  Returns Q as a slot permutation."""
     N, d = s.modulus.N, s.d
     E = build_frame(s).exponents
     gens = np.array(s.elems, dtype=np.int64)
@@ -116,15 +138,15 @@ def _check_generators(s: GeneratorSet, h: int, c: int, stab: list[int]) -> list[
         slot = np.full(N, -1, dtype=np.int64)
         slot[gens] = ident
         q = slot[h * gens % N]
+        ok = ok and bool((q >= 0).all())
         P = [q]  # slot permutations of Q^1, ..., Q^c
         while len(P) < c:
             P.append(q[P[-1]])
         hk = np.array([pow(h, k, N) for k in range(1, c + 1)], dtype=np.int64)
-        ok = ok and bool((q >= 0).all())
-        ok = ok and np.array_equal(E[np.stack(P)], E[:, hk[:, None] * m % N].transpose(1, 0, 2))
-        # Q^c = I; Q D Q^(c-1) has w^(n_q[k]) in slot P[c-2][q[k]] of row k
-        ok = ok and np.array_equal(P[-1], ident) and np.array_equal(P[-2][q], ident)
-        ok = ok and np.array_equal(gens[q], h * gens % N)
+        moved = E[:, hk[:, None] * m % N].transpose(1, 0, 2)
+        # at Q^1 this reads n_q[k] = h n_k for every slot k: Q D Q^{-1} = D^h
+        ok = ok and np.array_equal(E[np.stack(P)], moved)
+        ok = ok and np.array_equal(P[-1], ident)
     if not ok or sorted(pow(h, k, N) for k in range(c)) != stab:
         raise ContractViolationError(f"D, Q or their relations fail for {s}")
     return q.tolist()
@@ -138,12 +160,15 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
     stab = sorted(stabilizer(s))
     c = len(stab)
     if set(s.elems) == {0}:
+        identity = tuple(range(N))
         return SymmetryReport(
             generators_found=({"kind": "diagonal", "exponents": [0]},),
             stabilizer_order=c,
             subgroup_order=1,
-            subgroup_permutations=(tuple(range(N)),),
-            elements=(SymmetryElement(s.modulus, KIND_DIAGONAL, 0, tuple(range(N)), (0,), (0,)),),
+            subgroup_permutations=(identity,),
+            elements=(
+                SymmetryElement(s.modulus, KIND_DIAGONAL, 0, identity, (0,), (0,)),
+            ),
             note="degenerate generator set {0}: D = Q = I",
         )
 
@@ -157,14 +182,6 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
     by_src = sorted(stab, key=lambda a: [slot[a * x % N] for x in s.elems])
     first_inv = pow(next(x for x in s.elems if x), -1, N)
 
-    def permutation_of(a: int, b: int) -> tuple[int, ...]:
-        return tuple((a * m + b) % N for m in range(N))
-
-    def permutation(i: int) -> tuple[int, ...]:
-        # (b, a + b, ...) in lexicographic order: by b, then by (a + b) mod N
-        b, j = divmod(i, c)
-        return permutation_of(stab[(bisect.bisect_left(stab, N - b) + j) % c], b)
-
     def element(i: int) -> SymmetryElement:
         # by src (fixed by a), then by expo, which orders the shifts b by
         # b * n mod N for the first nonzero generator n
@@ -175,25 +192,57 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
             kind, power = KIND_DIAGONAL, b
         elif b == 0:
             kind, power = KIND_BLOCK_PERM, log_h[a]
-        src, expo = [slot[a * x % N] for x in s.elems], [b * x % N for x in s.elems]
-        return SymmetryElement(s.modulus, kind, power, permutation_of(a, b), tuple(src), tuple(expo))
+        return SymmetryElement(
+            s.modulus,
+            kind,
+            power,
+            column_perm=tuple((a * m + b) % N for m in range(N)),
+            src=tuple(slot[a * x % N] for x in s.elems),
+            expo=tuple(b * x % N for x in s.elems),
+        )
 
     return SymmetryReport(
         generators_found=tuple(generators),
         stabilizer_order=c,
         subgroup_order=N * c,
-        subgroup_permutations=_Listing(N * c, permutation),
+        subgroup_permutations=AffinePermutations(N, stab),
         elements=_Listing(N * c, element),
     )
 
 
-def full_symmetry_group(s: GeneratorSet, *, max_N: int = DEFAULT_SYMMETRY_MAX_N) -> SymmetryReport:
-    """<D, Q> and the full group by the closed form of the module docstring:
-    <D, Q> itself but for {0} (trivial) and the simplex and the basis (N!)."""
+def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
+    """The column permutations preserving the Gram matrix of the frame of
+    s: the maps m -> a m + b whose multiplier a preserves every label, in
+    lexicographic order.  When all off-diagonal labels coincide every
+    permutation preserves them, and S_N is not listed."""
+    N = s.modulus.N
+    t = np.arange(N, dtype=np.int64)
+    labels = np.sort(t[:, None] * np.array(s.elems, dtype=np.int64) % N, axis=1)
+    if N > 2 and (labels[1:] == labels[1]).all():
+        raise BudgetExceededError(
+            "all off-diagonal labels coincide; the automorphism group is all "
+            f"of S_{N} and is not listed",
+            required=math.factorial(N),
+            budget=N * (N - 1),
+        )
+    units = t[1:]
+    keep = (labels[units[:, None] * t % N] == labels).all(axis=(1, 2))
+    return AffinePermutations(N, units[keep].tolist())
+
+
+def full_symmetry_group(
+    s: GeneratorSet, *, max_N: int = DEFAULT_SYMMETRY_MAX_N
+) -> SymmetryReport:
+    """<D, Q> and the full group: the Gram automorphisms, which by the module
+    docstring are <D, Q> itself but for {0} (trivial) and the simplex and
+    the basis (N!)."""
     N = s.modulus.N
     if N > max_N:
-        raise BudgetExceededError(f"symmetry group for N={N} exceeds limit {max_N}",
-                                  required=N, budget=max_N)
+        raise BudgetExceededError(
+            f"symmetry group for N={N} exceeds limit {max_N}",
+            required=N,
+            budget=max_N,
+        )
     report = guaranteed_subgroup(s)
     nonzero = sum(1 for x in s.elems if x)
     if nonzero == 0:
@@ -203,11 +252,19 @@ def full_symmetry_group(s: GeneratorSet, *, max_N: int = DEFAULT_SYMMETRY_MAX_N)
     elif N > 2 and nonzero == N - 1:
         report.full_group_order = math.factorial(N)
         family = "scaled orthogonal basis" if 0 in s.elems else "regular simplex"
-        report.note = (f"all off-diagonal Gram entries equal ({family}); "
-                       "the symmetry group is all column permutations")
+        report.note = (
+            f"all off-diagonal Gram entries equal ({family}); "
+            "the symmetry group is all column permutations"
+        )
     else:
-        report.full_group_order = report.subgroup_order
-        report.full_permutations = report.subgroup_permutations
+        autos = gram_automorphisms(s)
+        stab = report.subgroup_permutations.multipliers
+        if not set(stab) <= set(autos.multipliers):
+            raise ContractViolationError(
+                f"guaranteed subgroup not contained in full group for {s}"
+            )
+        report.full_group_order = len(autos)
+        report.full_permutations = autos
     report.conjecture_holds = report.full_group_order == report.subgroup_order
     return report
 
@@ -234,8 +291,12 @@ class ScanReport:
 
 
 def conjecture_scan(
-    modulus: PrimeModulus, d: int, *, max_subsets: int | None = None,
-    max_N: int = DEFAULT_SYMMETRY_MAX_N, threads: int | None = None,
+    modulus: PrimeModulus,
+    d: int,
+    *,
+    max_subsets: int | None = None,
+    max_N: int = DEFAULT_SYMMETRY_MAX_N,
+    threads: int | None = None,
 ) -> ScanReport:
     """Compare the full group with <D, Q> for every orbit representative, in
     enumeration order; a False row is a counterexample, never suppressed.
@@ -243,6 +304,14 @@ def conjecture_scan(
     rows = []
     for rec in enumerate_orbits(modulus, d, max_subsets=max_subsets):
         r = full_symmetry_group(rec.rep, max_N=max_N)
-        rows.append(ScanRow(rec.rep, r.stabilizer_order, r.subgroup_order,
-                            r.full_group_order, r.conjecture_holds, r.note))
+        rows.append(
+            ScanRow(
+                rep=rec.rep,
+                stabilizer_order=r.stabilizer_order,
+                subgroup_order=r.subgroup_order,
+                full_group_order=r.full_group_order,
+                conjecture_holds=r.conjecture_holds,
+                note=r.note,
+            )
+        )
     return ScanReport(modulus=modulus, d=d, rows=tuple(rows))

@@ -17,10 +17,12 @@ from harmonic_census import (
     enumerate_orbits,
     full_symmetry_group,
     gram,
+    gram_automorphisms,
     guaranteed_subgroup,
     root_power,
     stabilizer,
 )
+from harmonic_census import symmetry
 from harmonic_census.symmetry import (
     KIND_BLOCK_PERM,
     KIND_DIAGONAL,
@@ -132,8 +134,8 @@ def test_full_group_closure_and_containment():
             for b in perms:
                 assert tuple(a[b[j]] for j in range(N)) in perms
         # necessity: realized permutations preserve the Gram labels
-        autos = set(oracles.gram_automorphisms(gram(build_frame(GeneratorSet(m, elems)))))
-        assert perms <= autos
+        g = gram(build_frame(GeneratorSet(m, elems)))
+        assert perms <= set(oracles.gram_automorphisms(g))
 
 
 def test_corollary_trivial_stabilizer_gives_shifts():
@@ -244,6 +246,8 @@ def _check_against_search(s: GeneratorSet, max_N: int = 31) -> None:
         # simplex or basis: the labels coincide and every permutation lifts
         with pytest.raises(BudgetExceededError):
             oracles.gram_automorphisms(gram(frame), max_N=max_N)
+        with pytest.raises(BudgetExceededError):
+            gram_automorphisms(s)
         assert r.full_group_order == math.factorial(N)
         assert r.full_permutations is None
         assert oracles.verify_permutations(frame, np.array(sorted(subgroup))).all()
@@ -251,6 +255,9 @@ def _check_against_search(s: GeneratorSet, max_N: int = 31) -> None:
             every = np.array(list(permutations(range(N))), dtype=np.int64)
             assert oracles.verify_permutations(frame, every).all()
         return
+    autos = gram_automorphisms(s)
+    assert list(autos) == oracles.gram_automorphisms(gram(frame), max_N=max_N)
+    assert autos.multipliers == tuple(sorted(stabilizer(s)))
     search = oracles.symmetry_permutations(frame, max_N=max_N)
     assert set(r.full_permutations) == search
     assert subgroup == search
@@ -306,6 +313,15 @@ def test_generator_checks_reject_a_wrong_unit():
     for h in (1, 3, 6):  # h = 1 misses Stab(S); 3 and 6 do not fix S
         with pytest.raises(ContractViolationError):
             _check_generators(s, h, 3, stab)
+
+
+def test_full_group_must_contain_the_subgroup(monkeypatch):
+    s = GeneratorSet(M7, (1, 2, 4))  # c = 3
+    monkeypatch.setattr(
+        symmetry, "gram_automorphisms", lambda s: symmetry.AffinePermutations(7, [1])
+    )
+    with pytest.raises(ContractViolationError):
+        full_symmetry_group(s)
 
 
 def test_scan_n17_d5_is_fast():
