@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .census import count_harmonic_frames, count_unordered_dft, full_census
@@ -34,7 +33,7 @@ from .errors import (
 from .frames import build_frame, export_frame
 from .number_theory import PrimeModulus, is_prime
 from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits, structured_form
-from .symmetry import DEFAULT_SYMMETRY_MAX_N, conjecture_scan, full_symmetry_group
+from .symmetry import conjecture_scan, full_symmetry_group
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -44,25 +43,6 @@ EXIT_COUNTEREXAMPLE = 4
 EXIT_CONTRACT = 5
 
 _JSON_SAFE_BOUND = 2**53
-
-
-@dataclass(frozen=True)
-class Budgets:
-    enumeration_max_subsets: int = DEFAULT_MAX_SUBSETS
-    symmetry_max_N: int = DEFAULT_SYMMETRY_MAX_N
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    N: int
-    d: int | None = None
-    generators: tuple[int, ...] | None = None
-    gens_a: tuple[int, ...] | None = None
-    gens_b: tuple[int, ...] | None = None
-    output_format: str = "table"
-    budgets: Budgets = field(default_factory=Budgets)
-    output_path: str | None = None
 
 
 def _json_int(v: int):
@@ -86,9 +66,15 @@ def _parse_gens(text: str) -> tuple[int, ...]:
         raise DomainError(f"malformed generator list {text!r}")
 
 
-def _emit(payload: str | bytes, path: str | None) -> None:
-    if isinstance(payload, str):
-        payload = payload.encode("utf-8")
+def _join(xs, sep: str = ",") -> str:
+    return sep.join(str(x) for x in xs)
+
+
+def _emit(payload: list[str] | bytes, path: str | None) -> None:
+    """Write a command's output lines, or its exported bytes, to stdout or
+    to path."""
+    if isinstance(payload, list):
+        payload = ("\n".join(payload) + "\n").encode("utf-8")
     if path is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
@@ -97,72 +83,69 @@ def _emit(payload: str | bytes, path: str | None) -> None:
             fh.write(payload)
 
 
-def _validated_modulus(N: int) -> PrimeModulus:
-    if N < 2 or not is_prime(N):
+def _checked_modulus(args: argparse.Namespace) -> PrimeModulus:
+    """The modulus N, which must be prime; for the commands that take a
+    dimension d, also 1 <= d <= N."""
+    if args.N < 2 or not is_prime(args.N):
         raise DomainError("N must be prime")
-    return PrimeModulus(N)
-
-
-def _generator_set(modulus: PrimeModulus, gens: tuple[int, ...]) -> GeneratorSet:
-    # any residue representatives are accepted; GeneratorSet reduces mod N,
-    # sorts, and rejects duplicates, and outputs echo the normalized form
-    return GeneratorSet(modulus, gens)
+    d = getattr(args, "d", None)
+    if d is not None and not 1 <= d <= args.N:
+        raise DomainError(f"need 1 <= d <= N, got d={d}")
+    return PrimeModulus(args.N)
 
 
 # -- commands ----------------------------------------------------------------
+# Each takes the parsed arguments and the checked modulus and returns its
+# output, as lines or as exported bytes, with the exit code.
+
+Output = tuple[list[str] | bytes, int]
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    modulus = _validated_modulus(cfg.N)
-    if cfg.d is None or not 1 <= cfg.d <= modulus.N:
-        raise DomainError(f"need 1 <= d <= N, got d={cfg.d}")
-    census = full_census(modulus, cfg.d)
+def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    N, d = modulus.N, args.d
+    census = full_census(modulus, d)
     # the census total is also 2 for d = 1 and 1 for d = N, the documented
     # special cases of count_harmonic_frames
-    total = census.total
     note = None
-    if cfg.d == 1:
+    if d == 1:
         note = "d=1: two orbits, one of them the degenerate single-vector frame"
-    elif cfg.d == modulus.N:
+    elif d == N:
         note = "d=N: a single orbit"
     orders = sorted(census.gamma)
-    rows = [
-        {
-            "c": c,
-            "beta": _fraction_json(census.beta[c]),
-            "gamma": _json_int(census.gamma[c]),
-            "orbit_size": census.orbit_size(c),
-        }
-        for c in orders
-    ]
-    if cfg.output_format == "json":
-        obj = {"N": cfg.N, "d": cfg.d, "total": _json_int(total), "rows": rows}
+    if args.output_format == "json":
+        rows = [
+            {
+                "c": c,
+                "beta": _fraction_json(census.beta[c]),
+                "gamma": _json_int(census.gamma[c]),
+                "orbit_size": census.orbit_size(c),
+            }
+            for c in orders
+        ]
+        obj = {"N": N, "d": d, "total": _json_int(census.total), "rows": rows}
         if note:
             obj["note"] = note
-        _emit(_dumps(obj) + "\n", cfg.output_path)
-    elif cfg.output_format == "csv":
+        return [_dumps(obj)], EXIT_OK
+    if args.output_format == "csv":
         lines = ["N,d,c,beta,gamma,orbit_size"]
         for c in orders:
             lines.append(
-                f"{cfg.N},{cfg.d},{c},{census.beta[c]},{census.gamma[c]},{census.orbit_size(c)}"
+                f"{N},{d},{c},{census.beta[c]},{census.gamma[c]},{census.orbit_size(c)}"
             )
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    else:
-        lines = [f"N={cfg.N} d={cfg.d} total={total}"]
-        lines.append(f"{'c':>8} {'beta':>16} {'gamma':>16} {'orbit_size':>12}")
-        for c in orders:
-            lines.append(
-                f"{c:>8} {str(census.beta[c]):>16} {census.gamma[c]:>16} "
-                f"{census.orbit_size(c):>12}"
-            )
-        if note:
-            lines.append(f"note: {note}")
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
+        return lines, EXIT_OK
+    lines = [f"N={N} d={d} total={census.total}"]
+    lines.append(f"{'c':>8} {'beta':>16} {'gamma':>16} {'orbit_size':>12}")
+    for c in orders:
+        lines.append(
+            f"{c:>8} {str(census.beta[c]):>16} {census.gamma[c]:>16} "
+            f"{census.orbit_size(c):>12}"
+        )
+    if note:
+        lines.append(f"note: {note}")
+    return lines, EXIT_OK
 
 
-def _record_json(N: int, d: int, rec) -> dict:
-    form = structured_form(rec.rep, rec.stabilizer)
+def _record_json(N: int, d: int, rec, form) -> dict:
     return {
         "N": N,
         "d": d,
@@ -178,55 +161,34 @@ def _record_json(N: int, d: int, rec) -> dict:
     }
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    modulus = _validated_modulus(cfg.N)
-    if cfg.d is None or not 1 <= cfg.d <= modulus.N:
-        raise DomainError(f"need 1 <= d <= N, got d={cfg.d}")
-    records = enumerate_orbits(
-        modulus, cfg.d, max_subsets=cfg.budgets.enumeration_max_subsets
-    )
+def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    records = enumerate_orbits(modulus, args.d, max_subsets=args.max_subsets)
     lines = []
+    if args.output_format == "csv":
+        lines.append("generators,size,stab_order,stabilizer,kind,block_leaders")
     for rec in records:
-        obj = _record_json(cfg.N, cfg.d, rec)
-        if cfg.output_format == "json":
-            lines.append(_dumps(obj))
-        elif cfg.output_format == "csv":
-            sf = obj["structured_form"]
+        form = structured_form(rec.rep, rec.stabilizer)
+        if args.output_format == "json":
+            lines.append(_dumps(_record_json(modulus.N, args.d, rec, form)))
+        elif args.output_format == "csv":
             lines.append(
-                ",".join(
-                    [
-                        "|".join(str(x) for x in rec.rep.elems),
-                        str(rec.size),
-                        str(rec.stab_order),
-                        "|".join(str(x) for x in rec.stabilizer),
-                        sf["kind"],
-                        "|".join(str(x) for x in sf["block_leaders"]),
-                    ]
-                )
+                f"{_join(rec.rep.elems, '|')},{rec.size},{rec.stab_order},"
+                f"{_join(rec.stabilizer, '|')},{form.kind},"
+                f"{_join(form.block_leaders, '|')}"
             )
         else:
-            sf = obj["structured_form"]
             lines.append(
-                f"rep=[{','.join(str(x) for x in rec.rep.elems)}] "
-                f"size={rec.size} c={rec.stab_order} "
-                f"stabilizer=[{','.join(str(x) for x in rec.stabilizer)}] "
-                f"kind={sf['kind']} "
-                f"leaders=[{','.join(str(x) for x in sf['block_leaders'])}]"
+                f"rep=[{_join(rec.rep.elems)}] size={rec.size} c={rec.stab_order} "
+                f"stabilizer=[{_join(rec.stabilizer)}] kind={form.kind} "
+                f"leaders=[{_join(form.block_leaders)}]"
             )
-    if cfg.output_format == "csv":
-        lines.insert(0, "generators,size,stab_order,stabilizer,kind,block_leaders")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    modulus = _validated_modulus(cfg.N)
-    if cfg.d is None or not 1 <= cfg.d <= modulus.N:
-        raise DomainError(f"need 1 <= d <= N, got d={cfg.d}")
-    census = full_census(modulus, cfg.d)
-    records = enumerate_orbits(
-        modulus, cfg.d, max_subsets=cfg.budgets.enumeration_max_subsets
-    )
+def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    N, d = modulus.N, args.d
+    census = full_census(modulus, d)
+    records = enumerate_orbits(modulus, d, max_subsets=args.max_subsets)
     hist: dict[int, int] = {}
     for rec in records:
         hist[rec.stab_order] = hist.get(rec.stab_order, 0) + 1
@@ -239,72 +201,61 @@ def cmd_verify(cfg: RunConfig) -> int:
         match = formula == brute
         all_match &= match
         rows.append({"c": c, "formula": formula, "bruteforce": brute, "match": match})
-    total_match = census.total == len(records)
-    all_match &= total_match
+    all_match &= census.total == len(records)
+    code = EXIT_OK if all_match else EXIT_MISMATCH
 
-    if cfg.output_format == "json":
+    if args.output_format == "json":
+        for r in rows:
+            r["formula"] = _json_int(r["formula"])
         obj = {
-            "N": cfg.N,
-            "d": cfg.d,
+            "N": N,
+            "d": d,
             "total_formula": _json_int(census.total),
             "total_bruteforce": len(records),
             "match": all_match,
-            "rows": [
-                {
-                    "c": r["c"],
-                    "formula": _json_int(r["formula"]),
-                    "bruteforce": r["bruteforce"],
-                    "match": r["match"],
-                }
-                for r in rows
-            ],
+            "rows": rows,
         }
-        _emit(_dumps(obj) + "\n", cfg.output_path)
-    else:
-        lines = [
-            f"N={cfg.N} d={cfg.d} formula_total={census.total} "
-            f"bruteforce_total={len(records)} match={'yes' if all_match else 'NO'}"
-        ]
-        lines.append(f"{'c':>8} {'formula':>16} {'bruteforce':>16} {'match':>8}")
-        for r in rows:
-            lines.append(
-                f"{r['c']:>8} {r['formula']:>16} {r['bruteforce']:>16} "
-                f"{'yes' if r['match'] else 'NO':>8}"
-            )
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK if all_match else EXIT_MISMATCH
+        return [_dumps(obj)], code
+    lines = [
+        f"N={N} d={d} formula_total={census.total} "
+        f"bruteforce_total={len(records)} match={'yes' if all_match else 'NO'}"
+    ]
+    lines.append(f"{'c':>8} {'formula':>16} {'bruteforce':>16} {'match':>8}")
+    for r in rows:
+        lines.append(
+            f"{r['c']:>8} {r['formula']:>16} {r['bruteforce']:>16} "
+            f"{'yes' if r['match'] else 'NO':>8}"
+        )
+    return lines, code
 
 
-def cmd_frame(cfg: RunConfig) -> int:
-    modulus = _validated_modulus(cfg.N)
-    if not cfg.generators:
+def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    if not args.gens:
         raise DomainError("frame requires --gens")
-    s = _generator_set(modulus, cfg.generators)
+    s = GeneratorSet(modulus, args.gens)
     f = build_frame(s)
-    if cfg.output_format in ("json", "csv"):
-        _emit(export_frame(f, cfg.output_format), cfg.output_path)
-    else:
-        lines = [
-            f"N={f.N} d={f.d} generators=[{','.join(str(x) for x in s.elems)}] "
-            f"normalization={f.normalization}"
-        ]
-        lines.append("exponent matrix (entry (k,m) = m*n_k mod N):")
-        for k in range(f.d):
-            lines.append("  " + " ".join(f"{int(e):>3}" for e in f.exponents[k]))
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
+    if args.output_format in ("json", "csv"):
+        return export_frame(f, args.output_format), EXIT_OK
+    lines = [
+        f"N={f.N} d={f.d} generators=[{_join(s.elems)}] "
+        f"normalization={f.normalization}"
+    ]
+    lines.append("exponent matrix (entry (k,m) = m*n_k mod N):")
+    for k in range(f.d):
+        lines.append("  " + " ".join(f"{int(e):>3}" for e in f.exponents[k]))
+    return lines, EXIT_OK
 
 
-def cmd_equivalent(cfg: RunConfig) -> int:
-    modulus = _validated_modulus(cfg.N)
-    if not cfg.gens_a or not cfg.gens_b:
+def cmd_equivalent(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    if not args.a or not args.b:
         raise DomainError("equivalent requires --a and --b")
-    a = _generator_set(modulus, cfg.gens_a)
-    b = _generator_set(modulus, cfg.gens_b)
+    a = GeneratorSet(modulus, args.a)
+    b = GeneratorSet(modulus, args.b)
     if a.d != b.d:
         raise DomainError(f"generator lists have different sizes {a.d} and {b.d}")
     verdict = are_equivalent(a, b)
-    if cfg.output_format == "json":
+    code = EXIT_OK if verdict.equivalent else EXIT_MISMATCH
+    if args.output_format == "json":
         if verdict.equivalent:
             obj = {
                 "equivalent": True,
@@ -313,17 +264,13 @@ def cmd_equivalent(cfg: RunConfig) -> int:
             }
         else:
             obj = {"equivalent": False, "certificate": verdict.certificate}
-        _emit(_dumps(obj) + "\n", cfg.output_path)
+        return [_dumps(obj)], code
+    if verdict.equivalent:
+        w = verdict.witness
+        line = f"equivalent m0={w.m0} coordinate_perm=[{_join(w.coordinate_perm)}]"
     else:
-        if verdict.equivalent:
-            _emit(
-                f"equivalent m0={verdict.witness.m0} "
-                f"coordinate_perm=[{','.join(str(x) for x in verdict.witness.coordinate_perm)}]\n",
-                cfg.output_path,
-            )
-        else:
-            _emit(f"inequivalent certificate={verdict.certificate}\n", cfg.output_path)
-    return EXIT_OK if verdict.equivalent else EXIT_MISMATCH
+        line = f"inequivalent certificate={verdict.certificate}"
+    return [line], code
 
 
 def _symmetry_json(s: GeneratorSet, report) -> dict:
@@ -343,69 +290,52 @@ def _symmetry_json(s: GeneratorSet, report) -> dict:
     }
 
 
-def cmd_symmetry(cfg: RunConfig) -> int:
-    modulus = _validated_modulus(cfg.N)
-    if not cfg.generators:
+def cmd_symmetry(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    if not args.gens:
         raise DomainError("symmetry requires --gens")
-    s = _generator_set(modulus, cfg.generators)
-    report = full_symmetry_group(s, max_N=cfg.budgets.symmetry_max_N)
-    if cfg.output_format == "json":
-        _emit(_dumps(_symmetry_json(s, report)) + "\n", cfg.output_path)
-    else:
-        lines = [
-            f"N={cfg.N} generators=[{','.join(str(x) for x in s.elems)}] "
-            f"c={report.stabilizer_order} subgroup_order={report.subgroup_order} "
-            f"full_order={report.full_group_order} "
-            f"conjecture_holds={report.conjecture_holds}"
-        ]
-        if report.note:
-            lines.append(f"note: {report.note}")
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
-
-
-def cmd_scan(cfg: RunConfig) -> int:
-    modulus = _validated_modulus(cfg.N)
-    if cfg.d is None or not 1 <= cfg.d <= modulus.N:
-        raise DomainError(f"need 1 <= d <= N, got d={cfg.d}")
-    report = conjecture_scan(
-        modulus,
-        cfg.d,
-        max_subsets=cfg.budgets.enumeration_max_subsets,
-        max_N=cfg.budgets.symmetry_max_N,
-    )
-    rows_json = [
-        {
-            "rep": list(r.rep.elems),
-            "c": r.stabilizer_order,
-            "subgroup_order": _json_int(r.subgroup_order),
-            "full_group_order": _json_int(r.full_group_order),
-            "conjecture_holds": r.conjecture_holds,
-            "note": r.note,
-        }
-        for r in report.rows
+    s = GeneratorSet(modulus, args.gens)
+    report = full_symmetry_group(s)
+    if args.output_format == "json":
+        return [_dumps(_symmetry_json(s, report))], EXIT_OK
+    lines = [
+        f"N={modulus.N} generators=[{_join(s.elems)}] "
+        f"c={report.stabilizer_order} subgroup_order={report.subgroup_order} "
+        f"full_order={report.full_group_order} "
+        f"conjecture_holds={report.conjecture_holds}"
     ]
-    if cfg.output_format == "json":
-        obj = {
-            "N": cfg.N,
-            "d": cfg.d,
-            "rows": rows_json,
-            "counterexamples": [
-                list(r.rep.elems) for r in report.counterexamples
-            ],
-        }
-        _emit(_dumps(obj) + "\n", cfg.output_path)
-    else:
-        lines = [f"N={cfg.N} d={cfg.d} orbits={len(report.rows)}"]
-        for r in report.rows:
-            mark = "" if r.conjecture_holds else "  <-- counterexample"
-            lines.append(
-                f"rep=[{','.join(str(x) for x in r.rep.elems)}] c={r.stabilizer_order} "
-                f"subgroup={r.subgroup_order} full={r.full_group_order} "
-                f"holds={'yes' if r.conjecture_holds else 'NO'}{mark}"
-            )
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
+    if report.note:
+        lines.append(f"note: {report.note}")
+    return lines, EXIT_OK
+
+
+def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    N, d = modulus.N, args.d
+    report = conjecture_scan(modulus, d, max_subsets=args.max_subsets)
+    code = EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
+    if args.output_format == "json":
+        rows = [
+            {
+                "rep": list(r.rep.elems),
+                "c": r.stabilizer_order,
+                "subgroup_order": _json_int(r.subgroup_order),
+                "full_group_order": _json_int(r.full_group_order),
+                "conjecture_holds": r.conjecture_holds,
+                "note": r.note,
+            }
+            for r in report.rows
+        ]
+        counterexamples = [list(r.rep.elems) for r in report.counterexamples]
+        obj = {"N": N, "d": d, "rows": rows, "counterexamples": counterexamples}
+        return [_dumps(obj)], code
+    lines = [f"N={N} d={d} orbits={len(report.rows)}"]
+    for r in report.rows:
+        mark = "" if r.conjecture_holds else "  <-- counterexample"
+        lines.append(
+            f"rep=[{_join(r.rep.elems)}] c={r.stabilizer_order} "
+            f"subgroup={r.subgroup_order} full={r.full_group_order} "
+            f"holds={'yes' if r.conjecture_holds else 'NO'}{mark}"
+        )
+    return lines, code
 
 
 # -- built-in reference checks ------------------------------------------------
@@ -514,10 +444,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _resolve_budget(args) -> int:
-    explicit = getattr(args, "max_subsets", None)
-    if explicit is not None:
-        return explicit
+def _resolve_budget(args: argparse.Namespace) -> int:
+    if args.max_subsets is not None:
+        return args.max_subsets
     env = os.environ.get("HC_MAX_SUBSETS")
     if env is not None:
         try:
@@ -547,20 +476,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = RunConfig(
-            command=args.command,
-            N=args.N,
-            d=getattr(args, "d", None),
-            generators=(
-                _parse_gens(args.gens) if getattr(args, "gens", None) else None
-            ),
-            gens_a=_parse_gens(args.a) if getattr(args, "a", None) else None,
-            gens_b=_parse_gens(args.b) if getattr(args, "b", None) else None,
-            output_format=args.output_format,
-            budgets=Budgets(enumeration_max_subsets=_resolve_budget(args)),
-            output_path=args.out,
-        )
-        return _DISPATCH[args.command](cfg)
+        # the errors are checked in this order: generator lists, budget, N
+        # and d, then the command's own.  A list may hold any residues;
+        # GeneratorSet reduces them mod N, sorts them and rejects
+        # duplicates, and outputs echo that normalized form.
+        for name in ("gens", "a", "b"):
+            if getattr(args, name, None):
+                setattr(args, name, _parse_gens(getattr(args, name)))
+        args.max_subsets = _resolve_budget(args)
+        payload, code = _DISPATCH[args.command](args, _checked_modulus(args))
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -570,6 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolationError as exc:
         print(f"error: internal contract violated: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    _emit(payload, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ package a genuine proof rather than a tolerance check.
 The module also provides vectorized helpers operating on numpy integer
 arrays whose last axis is a coefficient vector.  These carry the same
 canonical-form semantics and exist purely so that the bulk verification
-paths (tight-frame identities, reconstructed symmetry unitaries) stay exact
-without paying Python-object overhead per entry.
+paths (the tight-frame identities and Gram matrices in `frames`, and the
+unitary reconstruction in the test oracles) stay exact without paying
+Python-object overhead per entry.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ def is_zero(a: CyclotomicInt) -> bool:
 class ScaledCyclotomic:
     """An exact element of (1/denominator) * Z[w].
 
-    Used for Gram entries (denominator d) and reconstructed symmetry
-    unitaries (denominator N).  No reduction is performed; equality
-    cross-multiplies the two exact numerators.
+    Used for Gram entries (denominator d), symmetry element entries
+    (denominator 1) and, in the test oracles, reconstructed unitaries
+    (denominator N).  No reduction is performed; equality cross-multiplies
+    the two exact numerators.
     """
 
     numerator: CyclotomicInt

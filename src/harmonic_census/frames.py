@@ -14,11 +14,12 @@ The Gram matrix Phi^* Phi is circulant with entries
 (1/d) sum_l w^(n_l (k-j)); each diagonal carries the difference label
 sorted((k-j) . [n]), and two entries are equal exactly when their labels
 coincide (sums of fewer than N roots of unity separate multisets).  That
-label structure is what the symmetry search consumes.
+label structure is what `symmetry.gram_automorphisms` reads.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -202,17 +203,17 @@ def _round12(x: float) -> float:
 
 
 def _complex_entries(f: FrameMatrix) -> tuple[list[list[float]], list[list[float]]]:
-    scale = 1.0 / math.sqrt(f.d)
-    real, imag = [], []
-    for k in range(f.d):
-        re_row, im_row = [], []
-        for m in range(f.N):
-            z = f.entry(k, m).to_complex() * scale
-            re_row.append(_round12(z.real))
-            im_row.append(_round12(z.imag))
-        real.append(re_row)
-        imag.append(im_row)
-    return real, imag
+    """The entries w^(m n_k) / sqrt(d), rounded, looked up by exponent in one
+    table of the N roots of unity.  Each root is a single cmath.exp; through
+    CyclotomicInt.to_complex, w^(N-1), stored as -(1 + w + ... + w^(N-2)),
+    would sum N-1 floats and lose digits."""
+    N, scale = f.N, 1.0 / math.sqrt(f.d)
+    # w = -1 at N = 2, where cmath.exp(1j * pi) keeps an imaginary 1.2e-16
+    roots = [1, -1] if N == 2 else [cmath.exp(2j * cmath.pi * k / N) for k in range(N)]
+    re = [_round12((z * scale).real) for z in roots]
+    im = [_round12((z * scale).imag) for z in roots]
+    rows = f.exponents.tolist()
+    return [[re[e] for e in r] for r in rows], [[im[e] for e in r] for r in rows]
 
 
 def export_frame(f: FrameMatrix, format: str) -> bytes:

@@ -80,12 +80,18 @@ def act(m: int, s: GeneratorSet) -> GeneratorSet:
 
 
 def stabilizer(s: GeneratorSet) -> tuple[int, ...]:
-    """All units fixing s as a set; always contains 1."""
+    """All units fixing s as a set, sorted; always contains 1.  A unit m
+    fixing s maps the smallest nonzero x0 of s to some nonzero y of s, so
+    only the at most d multipliers y x0^-1 are tried; s = {0} is fixed by
+    every unit."""
     N = s.modulus.N
+    nonzero = [x for x in s.elems if x]
+    if not nonzero:
+        return tuple(range(1, N))
     base = set(s.elems)
-    return tuple(
-        m for m in range(1, N) if all((m * x) % N in base for x in s.elems)
-    )
+    x0_inv = pow(nonzero[0], -1, N)
+    candidates = sorted(y * x0_inv % N for y in nonzero)
+    return tuple(m for m in candidates if all(m * x % N in base for x in s.elems))
 
 
 def canonical_rep(s: GeneratorSet) -> GeneratorSet:
@@ -268,13 +274,11 @@ def enumerate_orbits(
     d: int,
     *,
     max_subsets: int | None = None,
-    threads: int | None = None,
 ) -> list[OrbitRecord]:
     """All orbits of unordered d-subsets under the unit-group action, sorted
     by representative.  Visits the C(N-1, d-1) sets whose smallest nonzero
-    element is 1, in chunks of _CHUNK_ROWS candidates, on the calling
-    thread; threads is accepted for compatibility and changes nothing.  The
-    budget is still counted in subsets covered, C(N, d)."""
+    element is 1, in chunks of _CHUNK_ROWS candidates.  The budget, by
+    default DEFAULT_MAX_SUBSETS, is counted in subsets covered, C(N, d)."""
     N = modulus.N
     if not 1 <= d <= N:
         raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")

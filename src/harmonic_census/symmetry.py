@@ -47,7 +47,7 @@ from .frames import build_frame
 from .number_theory import PrimeModulus, find_primitive_root
 from .orbits import GeneratorSet, enumerate_orbits, stabilizer
 
-DEFAULT_SYMMETRY_MAX_N = 31
+SYMMETRY_MAX_N = 31  # the largest N full_symmetry_group accepts
 
 KIND_DIAGONAL = "diagonal_power"
 KIND_BLOCK_PERM = "block_perm_power"
@@ -230,18 +230,16 @@ def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
     return AffinePermutations(N, units[keep].tolist())
 
 
-def full_symmetry_group(
-    s: GeneratorSet, *, max_N: int = DEFAULT_SYMMETRY_MAX_N
-) -> SymmetryReport:
+def full_symmetry_group(s: GeneratorSet) -> SymmetryReport:
     """<D, Q> and the full group: the Gram automorphisms, which by the module
     docstring are <D, Q> itself but for {0} (trivial) and the simplex and
-    the basis (N!)."""
+    the basis (N!).  Refuses N > SYMMETRY_MAX_N."""
     N = s.modulus.N
-    if N > max_N:
+    if N > SYMMETRY_MAX_N:
         raise BudgetExceededError(
-            f"symmetry group for N={N} exceeds limit {max_N}",
+            f"symmetry group for N={N} exceeds limit {SYMMETRY_MAX_N}",
             required=N,
-            budget=max_N,
+            budget=SYMMETRY_MAX_N,
         )
     report = guaranteed_subgroup(s)
     nonzero = sum(1 for x in s.elems if x)
@@ -295,15 +293,14 @@ def conjecture_scan(
     d: int,
     *,
     max_subsets: int | None = None,
-    max_N: int = DEFAULT_SYMMETRY_MAX_N,
-    threads: int | None = None,
 ) -> ScanReport:
     """Compare the full group with <D, Q> for every orbit representative, in
     enumeration order; a False row is a counterexample, never suppressed.
-    Runs on the calling thread; threads is accepted and changes nothing."""
+    max_subsets is the enumeration budget of enumerate_orbits, and N is
+    capped by SYMMETRY_MAX_N as in full_symmetry_group."""
     rows = []
     for rec in enumerate_orbits(modulus, d, max_subsets=max_subsets):
-        r = full_symmetry_group(rec.rep, max_N=max_N)
+        r = full_symmetry_group(rec.rep)
         rows.append(
             ScanRow(
                 rep=rec.rep,

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written against the definitions only, with
 no reuse of the package's enumeration, counting or symmetry paths: plain
-dict/set orbit chasing for subset orbits, all N-1 multipliers for a lex-min
-image or an equivalence witness, raw streaming over ordered tuples for the
-scaling action, the classical necklace count for the number of subset
+dict/set orbit chasing for subset orbits, all N-1 multipliers for a
+stabilizer, a lex-min image or an equivalence witness, raw streaming over
+ordered tuples for the scaling action, the classical necklace count for the number of subset
 orbits, trial division for divisors, and backtracking over Gram labels plus
 exact unitary reconstruction for symmetry groups.  Slow but obviously
 correct; nothing in the package is trusted beyond basic types (Gram labels
@@ -50,6 +50,12 @@ def subset_orbit_census(N: int, d: int) -> dict[tuple[int, ...], tuple[int, int]
         )
         out[min(orbit)] = (len(orbit), stab)
     return out
+
+
+def stabilizer_scan(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
+    """Every unit m with m . elems = elems, by trying all N-1 of them."""
+    base = set(elems)
+    return tuple(m for m in range(1, N) if all((m * x) % N in base for x in elems))
 
 
 def lexmin_image(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:

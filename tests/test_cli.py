@@ -1,3 +1,4 @@
+import cmath
 import json
 
 import pytest
@@ -196,6 +197,18 @@ def test_frame_csv(capsys):
     assert code == 0
     row2 = out.splitlines()[1]
     assert row2.split(",")[1].startswith("-0.707106781187")
+
+
+def test_frame_export_matches_cmath(capsys):
+    # w^(N-1), stored as -(1 + w + ... + w^(N-2)), is exported as exactly
+    # as every other power
+    code, out, _ = run(capsys, "frame", "--N", "67", "--gens", "1", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    for m in range(67):
+        z = cmath.exp(2j * cmath.pi * m / 67)
+        assert obj["real"][0][m] == float(f"{z.real:.12g}")
+        assert obj["imag"][0][m] == float(f"{z.imag:.12g}")
 
 
 def test_output_file(tmp_path, capsys):

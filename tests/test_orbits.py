@@ -62,6 +62,15 @@ def test_stabilizer_examples(m5, m7):
     assert stabilizer(GeneratorSet(m5, (1, 2))) == (1,)
 
 
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
+def test_stabilizer_against_unit_scan(N):
+    m = PrimeModulus(N)
+    for d in range(1, N + 1):
+        for elems in itertools.combinations(range(N), d):
+            s = GeneratorSet(m, elems)
+            assert stabilizer(s) == oracles.stabilizer_scan(N, elems)
+
+
 def test_stabilizer_is_cyclic_subgroup(m13):
     for elems in [(1, 5, 8, 12), (0, 1, 12), (1, 3, 9)]:
         s = GeneratorSet(m13, elems)
@@ -253,13 +262,13 @@ def test_enumerate_budget():
     assert exc.value.required == math.comb(31, 15)
 
 
-def test_enumerate_threads_deterministic(m13, monkeypatch):
+def test_enumerate_chunk_size_invariant(m13, monkeypatch):
     import harmonic_census.orbits as orbits_mod
 
-    monkeypatch.setattr(orbits_mod, "_CHUNK_ROWS", 64)
-    base = enumerate_orbits(m13, 6, threads=1)
-    for workers in (2, 8):
-        assert enumerate_orbits(m13, 6, threads=workers) == base
+    base = enumerate_orbits(m13, 6)
+    for rows in (1, 64):
+        monkeypatch.setattr(orbits_mod, "_CHUNK_ROWS", rows)
+        assert enumerate_orbits(m13, 6) == base
 
 
 def test_enumerate_large_smoke():

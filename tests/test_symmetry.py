@@ -227,14 +227,14 @@ def test_conjecture_scan():
 
 def test_symmetry_budget():
     with pytest.raises(BudgetExceededError):
-        full_symmetry_group(GeneratorSet(PrimeModulus(37), (1, 2)), max_N=31)
+        full_symmetry_group(GeneratorSet(PrimeModulus(37), (1, 2)))
 
 
 def _check_against_search(s: GeneratorSet, max_N: int = 31) -> None:
     """The closed form against the brute-force oracle: Gram automorphisms by
     backtracking, each realized by an exact unitary reconstruction."""
     N = s.modulus.N
-    r = full_symmetry_group(s, max_N=max_N)
+    r = full_symmetry_group(s)
     frame = build_frame(s)
     c = len(stabilizer(s))
     assert r.stabilizer_order == c
@@ -278,8 +278,9 @@ def test_closed_form_matches_search_oracle(N, ds):
             _check_against_search(rec.rep)
 
 
-def test_closed_form_past_default_cap():
+def test_closed_form_past_default_cap(monkeypatch):
     for N, elems in [(37, (1, 10, 26)), (37, (0, 1, 6, 31, 36)), (41, (1, 2, 3))]:
+        monkeypatch.setattr(symmetry, "SYMMETRY_MAX_N", N)
         _check_against_search(GeneratorSet(PrimeModulus(N), elems), max_N=N)
 
 
