@@ -13,8 +13,13 @@ a symbolic tag, applied only in floating-point exports.
 The Gram matrix Phi^* Phi is circulant with entries
 (1/d) sum_l w^(n_l (k-j)); each diagonal carries the difference label
 sorted((k-j) . [n]), and two entries are equal exactly when their labels
-coincide (sums of fewer than N roots of unity separate multisets).  That
-label structure is what `symmetry.gram_automorphisms` reads.
+coincide.  The numerator of an entry is the count vector of its label, and
+two count vectors denote the same element of Z[w] only if they differ by a
+constant vector c; both sum to d, so c N = 0 and c = 0.  `GramMatrix`
+therefore stores just the N label rows, O(N d), and counts a numerator
+from its row on demand.  The same argument reduces the unit-norm identity
+to d congruences per column.  That label structure is what
+`symmetry.gram_automorphisms` reads.
 """
 
 from __future__ import annotations
@@ -108,12 +113,10 @@ def verify_funtf(f: FrameMatrix) -> FuntfReport:
     N, d = f.N, f.d
     E = f.exponents
 
-    # column squared norms: sum_k w^(m n_k) * conj(w^(m n_k)), conj(w^e) = w^(-e)
-    col_exps = (E + (-E) % N).T % N  # (N, d)
-    col_coeffs = exponent_counts(col_exps, N)
-    want_norm = np.zeros((N, N), dtype=np.int64)
-    want_norm[:, 0] = d
-    unit_norm = bool(np.array_equal(col_coeffs, canonicalize_array(want_norm)))
+    # column squared norms: sum_k w^(m n_k) * conj(w^(m n_k)), conj(w^e) =
+    # w^(-e).  Its count vector and [d, 0, ..., 0] both sum to d, so they
+    # denote the same number only if equal: every e + (-e) must be 0 mod N.
+    unit_norm = bool(((E + (-E) % N) % N == 0).all())
 
     # row Gram: (Phi Phi^*)[k, l] = sum_m w^(m (n_k - n_l))
     gens = np.array(f.generators.elems, dtype=np.int64)
@@ -128,69 +131,58 @@ def verify_funtf(f: FrameMatrix) -> FuntfReport:
 
 
 class GramMatrix:
-    """Circulant Gram matrix of a frame, exact entries plus difference labels.
+    """Circulant Gram matrix of a frame, as its N difference labels.
 
     entry(j, k) = (1/d) sum_l w^(n_l (k-j)) and label(j, k) is the sorted
-    tuple of (k-j) . [n]; the all-zeros label marks the diagonal.  Entries
-    are stored once per difference, which is what makes the matrix circulant
-    by construction; the constructor re-derives every entry from the column
-    inner products and checks the equal-entry/equal-label criterion, so the
-    stored form is verified rather than assumed.
+    tuple of (k-j) . [n]; the all-zeros label marks the diagonal.  Only the
+    (N, d) array of sorted label rows t . [n] is stored, which makes the
+    matrix circulant by construction; a numerator is counted from its label
+    row on demand, so equal labels give equal entries, and the module
+    docstring shows the converse.  The constructor checks, in O(N d) per
+    row, that the column exponent differences of the frame reproduce the
+    label rows: on every row up to N = 128, on rows 0, 1, N//2 and N-1
+    beyond.  The N x N coefficient re-derivation from the column inner
+    products and the equal-entry check live in the tests
+    (`oracles.gram_coefficients`).
     """
 
     def __init__(self, frame: FrameMatrix):
         self.generators = frame.generators
         self.modulus = frame.modulus
-        N, d = frame.N, frame.d
+        N = frame.N
         gens = np.array(frame.generators.elems, dtype=np.int64)
         t = np.arange(N, dtype=np.int64)
+        label_rows = (t[:, None] * gens[None, :]) % N  # (N, d): t . [n]
+        self.denominator = frame.d
 
-        diff_exps = (t[:, None] * gens[None, :]) % N  # (N, d): t . [n]
-        coeffs = exponent_counts(diff_exps, N)  # (N, N)
-        self._labels = [tuple(int(x) for x in sorted(row)) for row in diff_exps]
-        self._numerators = [
-            CyclotomicInt(self.modulus, tuple(int(c) for c in row)) for row in coeffs
-        ]
-        self.denominator = d
+        # <phi_k, phi_j> = sum_l w^(E[l, k] - E[l, j]); equal exponent rows
+        # give equal coefficient rows
+        cols = frame.exponents.T
+        rows = t if N <= 128 else t[[0, 1, N // 2, N - 1]]
+        got = (cols[None, :, :] - cols[rows, None, :]) % N  # (rows, N, d)
+        if not np.array_equal(got, label_rows[(t - rows[:, None]) % N]):
+            raise ContractViolationError("Gram matrix is not circulant")
 
-        # re-derive entries directly from <phi_k, phi_j>; exhaustive over all
-        # (j, k) pairs up to N = 128, row-sampled beyond (memory: N^3 ints)
-        E = frame.exponents
-        rows = range(N) if N <= 128 else (0, 1, N // 2, N - 1)
-        for j in rows:
-            row_exps = (E.T[None, :, :] - E.T[j : j + 1, None, :]) % N  # (1, N, d)
-            row = exponent_counts(row_exps, N)[0]  # (N, N)
-            want = coeffs[(t - j) % N]
-            if not np.array_equal(row, want):
-                raise ContractViolationError("Gram matrix is not circulant")
-
-        # equal entries <=> equal labels, across all difference pairs
-        by_coeffs: dict[tuple, tuple] = {}
-        by_label: dict[tuple, tuple] = {}
-        for row, label in zip(coeffs, self._labels):
-            key = tuple(int(c) for c in row)
-            if by_coeffs.setdefault(key, label) != label:
-                raise ContractViolationError("equal Gram entries with distinct labels")
-            if by_label.setdefault(label, key) != key:
-                raise ContractViolationError("equal labels with distinct Gram entries")
+        label_rows.sort(axis=1)
+        label_rows.setflags(write=False)
+        self._label_rows = label_rows
 
     @property
     def N(self) -> int:
         return self.modulus.N
 
     def entry(self, j: int, k: int) -> ScaledCyclotomic:
-        return ScaledCyclotomic(
-            self._numerators[(k - j) % self.N], self.denominator
-        )
+        return ScaledCyclotomic(self.difference_numerator(k - j), self.denominator)
 
     def label(self, j: int, k: int) -> tuple[int, ...]:
-        return self._labels[(k - j) % self.N]
+        return self.difference_label(k - j)
 
     def difference_numerator(self, t: int) -> CyclotomicInt:
-        return self._numerators[t % self.N]
+        counts = exponent_counts(self._label_rows[t % self.N], self.N)
+        return CyclotomicInt(self.modulus, tuple(counts.tolist()))
 
     def difference_label(self, t: int) -> tuple[int, ...]:
-        return self._labels[t % self.N]
+        return tuple(self._label_rows[t % self.N].tolist())
 
 
 def gram(f: FrameMatrix) -> GramMatrix:

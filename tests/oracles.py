@@ -5,10 +5,13 @@ no reuse of the package's enumeration, counting or symmetry paths: plain
 dict/set orbit chasing for subset orbits, all N-1 multipliers for a
 stabilizer, a lex-min image or an equivalence witness, raw streaming over
 ordered tuples for the scaling action, the classical necklace count for the number of subset
-orbits, trial division for divisors, and backtracking over Gram labels plus
-exact unitary reconstruction for symmetry groups.  Slow but obviously
-correct; nothing in the package is trusted beyond basic types (Gram labels
-and the exact cyclotomic coefficient helpers).
+orbits, trial division for divisors, N x N coefficient matrices from the
+frame's column inner products for Gram entries and unit norms, both d x N
+frame matrices for an equivalence witness, and backtracking over Gram
+labels plus exact unitary reconstruction for symmetry groups.  Slow but
+obviously correct; nothing in the package is trusted beyond basic types
+(frame exponents, Gram labels, which the tests check against t . S, and the
+exact cyclotomic coefficient helpers).
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ from harmonic_census import (
     BudgetExceededError,
     CyclotomicInt,
     FrameMatrix,
+    GeneratorSet,
     GramMatrix,
     PrimeModulus,
     ScaledCyclotomic,
+    Witness,
+    build_frame,
     gram,
 )
 from harmonic_census.cyclotomic import canonicalize_array, exponent_counts
@@ -159,6 +165,38 @@ def pi1_orbit_count_via_subsets(N: int, d: int) -> int:
         assert math.factorial(d) % stab == 0
         total += math.factorial(d) // stab
     return total
+
+
+# -- frames, Gram matrices and witnesses on the full matrices -----------------
+
+
+def gram_coefficients(frame: FrameMatrix, j: int = 0) -> np.ndarray:
+    """Row j of the Gram matrix as an (N, N) array: row k is the canonical
+    coefficient vector of <phi_k, phi_j> = sum_l w^(E[l, k] - E[l, j]), the
+    unscaled entry (j, k), from the column inner products."""
+    E = frame.exponents
+    return exponent_counts((E.T - E.T[j]) % frame.N, frame.N)
+
+
+def unit_norm_by_counts(frame: FrameMatrix) -> bool:
+    """Every unscaled column has squared norm d, compared as the N x N
+    canonical coefficient matrix of sum_k w^(m n_k) conj(w^(m n_k))."""
+    N, E = frame.N, frame.exponents
+    col_coeffs = exponent_counts((E + (-E) % N).T % N, N)
+    want_norm = np.zeros((N, N), dtype=np.int64)
+    want_norm[:, 0] = frame.d
+    return bool(np.array_equal(col_coeffs, canonicalize_array(want_norm)))
+
+
+def verify_witness_frames(a: GeneratorSet, b: GeneratorSet, witness: Witness) -> bool:
+    """The witness identity entrywise on both frame matrices:
+    B[perm[k], m*m0 mod N] == A[k, m] for all k, m."""
+    N = a.modulus.N
+    fa, fb = build_frame(a), build_frame(b)
+    perm = np.array(witness.coordinate_perm, dtype=np.int64)
+    cols = (witness.m0 * np.arange(N, dtype=np.int64)) % N
+    transformed = fb.exponents[perm][:, cols]
+    return bool(np.array_equal(transformed, fa.exponents))
 
 
 # -- symmetry groups by search -----------------------------------------------

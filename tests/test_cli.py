@@ -1,5 +1,6 @@
 import cmath
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,16 @@ def test_equivalent_exit_codes(capsys):
     )
     assert code == 1
     assert json.loads(out)["certificate"] == "orbit-mismatch"
+
+
+@pytest.mark.parametrize("b,want", [("2,4,10", 0), ("2,4,11", 1)])
+def test_equivalent_at_range_edge(capsys, b, want):
+    # the witness is checked on the d generators; no d x N frame is built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "equivalent", "--N", "2147483647", "--a", "1,2,5", "--b", b)
+    assert time.perf_counter() - start < 1.0
+    assert code == want
+    assert out.startswith("equivalent m0=1073741824 " if want == 0 else "inequivalent ")
 
 
 def test_malformed_generators(capsys):

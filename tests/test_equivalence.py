@@ -7,6 +7,7 @@ from harmonic_census import (
     GeneratorSet,
     ModulusMismatchError,
     PrimeModulus,
+    Witness,
     act,
     angle_multiset,
     are_equivalent,
@@ -66,6 +67,31 @@ def test_witness_verified_exactly():
         v = are_equivalent(a, b)
         assert v.equivalent
         assert verify_witness(a, b, v.witness)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
+def test_witness_check_matches_frame_oracle(N):
+    """The congruences on the generators accept and reject exactly what the
+    entrywise check on both frame matrices does: every ordered pair in one
+    orbit per d, and up to three tampered witnesses per pair."""
+    m = PrimeModulus(N)
+    for d in range(1, N + 1):
+        rep = enumerate_orbits(m, d)[-1].rep
+        orbit = [GeneratorSet(m, e) for e in sorted({act(u, rep).elems for u in range(1, N)})]
+        for a in orbit:
+            for b in orbit:
+                w = are_equivalent(a, b).witness
+                assert verify_witness(a, b, w)
+                assert oracles.verify_witness_frames(a, b, w)
+                perm = w.coordinate_perm
+                tampered = [Witness(w.m0, perm[:-1])]
+                if N > 2 and any(a.elems):
+                    tampered.append(Witness(w.m0 % (N - 1) + 1, perm))
+                if d >= 2:
+                    tampered.append(Witness(w.m0, (perm[1], perm[0], *perm[2:])))
+                for bad in tampered:
+                    assert not verify_witness(a, b, bad)
+                    assert not oracles.verify_witness_frames(a, b, bad)
 
 
 def test_equivalence_relation_properties():

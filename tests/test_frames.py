@@ -1,11 +1,14 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from harmonic_census import (
+    ContractViolationError,
     CyclotomicInt,
     DomainError,
     GeneratorSet,
@@ -16,6 +19,9 @@ from harmonic_census import (
     root_power,
     verify_funtf,
 )
+from harmonic_census.number_theory import is_prime
+
+import oracles
 
 M2 = PrimeModulus(2)
 M3 = PrimeModulus(3)
@@ -51,15 +57,33 @@ def test_row_orthogonality_directly():
     assert acc.is_zero
 
 
-def test_tightness_random_samples():
+def _tightness_sets():
     rng = random.Random(99)
     primes = [5, 7, 11, 13, 31, 97]
     for _ in range(25):
         N = rng.choice(primes)
         m = PrimeModulus(N)
         d = rng.randint(1, min(N, 9))
-        s = GeneratorSet(m, tuple(rng.sample(range(N), d)))
+        yield GeneratorSet(m, tuple(rng.sample(range(N), d)))
+
+
+def test_tightness_random_samples():
+    for s in _tightness_sets():
         assert verify_funtf(build_frame(s)).ok
+
+
+def test_unit_norm_against_count_matrix():
+    """The exponent test e + (-e) = 0 mod N agrees with the N x N count
+    matrix of the column squared norms."""
+    edges = [
+        GeneratorSet(PrimeModulus(N), elems)
+        for N in (2, 3, 5, 13, 97)
+        for elems in ((0,), (1,), (N - 1,), tuple(range(N)))
+    ]
+    for s in [*_tightness_sets(), *edges]:
+        f = build_frame(s)
+        assert verify_funtf(f).unit_norm
+        assert oracles.unit_norm_by_counts(f)
 
 
 def test_gram_entries_and_labels():
@@ -101,6 +125,63 @@ def test_gram_against_direct_inner_products():
                 direct = direct + f.entry(l, k) * f.entry(l, j).conjugate()
             assert direct == g.entry(j, k).numerator
             assert g.entry(j, k).denominator == 3
+
+
+GRAM_CASES = [
+    (N, d)
+    for N in range(2, 62)
+    if is_prime(N)
+    for d in sorted({1, 2, 3, N // 2, N - 1, N})
+    if 1 <= d <= N
+] + [(97, 6), (1009, 6), (1741, 6)]
+
+
+@pytest.mark.parametrize("N,d", GRAM_CASES)
+def test_gram_against_coefficient_oracle(N, d):
+    """Every difference numerator and label against the N x N coefficients
+    from the column inner products; circulant rows (all rows up to N = 128,
+    rows 0, 1, N//2 and N-1 beyond); equal entries <=> equal labels."""
+    s = GeneratorSet(PrimeModulus(N), tuple(random.Random(N * 101 + d).sample(range(N), d)))
+    f = build_frame(s)
+    g = gram(f)
+    assert g.denominator == d
+    coeffs = oracles.gram_coefficients(f)
+    for t in range(N):
+        assert g.difference_numerator(t).coeffs == tuple(coeffs[t].tolist())
+        assert g.difference_label(t) == tuple(sorted(t * x % N for x in s.elems))
+
+    t = np.arange(N)
+    for j in range(N) if N <= 128 else (0, 1, N // 2, N - 1):
+        assert np.array_equal(oracles.gram_coefficients(f, j), coeffs[(t - j) % N])
+
+    # the partitions of the differences by entry and by label coincide
+    labels = np.array([g.difference_label(t) for t in range(N)])
+    _, by_entry = np.unique(coeffs, axis=0, return_inverse=True)
+    _, by_label = np.unique(labels, axis=0, return_inverse=True)
+    by_entry, by_label = by_entry.ravel(), by_label.ravel()
+    classes = len(set(zip(by_entry.tolist(), by_label.tolist())))
+    assert classes == by_entry.max() + 1 == by_label.max() + 1
+
+
+@pytest.mark.parametrize("N", [7, 1009])
+def test_gram_rejects_inconsistent_frame(N):
+    f = build_frame(GeneratorSet(PrimeModulus(N), (1, 2, 4)))
+    E = f.exponents.copy()
+    E[1, 3] = (E[1, 3] + 1) % N
+    f.exponents = E
+    with pytest.raises(ContractViolationError):
+        gram(f)
+
+
+def test_gram_memory_is_linear():
+    s = GeneratorSet(PrimeModulus(1741), tuple(random.Random(6).sample(range(1741), 6)))
+    tracemalloc.start()
+    try:
+        gram(build_frame(s))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_export_json():
