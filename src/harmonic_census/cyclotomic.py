@@ -13,11 +13,10 @@ package a genuine proof rather than a tolerance check.
 The module also provides vectorized helpers operating on numpy integer
 arrays whose last axis is a coefficient vector.  These carry the same
 canonical-form semantics and exist purely so that the bulk paths stay
-exact without paying Python-object overhead per entry: the d x d x N
-row-Gram identity in `frames.verify_funtf`, one Gram numerator per label
-row in `frames.GramMatrix`, the angle multisets in `equivalence`, and, in
-the test oracles, the N x N Gram and unit-norm coefficient matrices and the
-unitary reconstruction.
+exact without paying Python-object overhead per entry: one Gram numerator
+per label row in `frames.GramMatrix`, the angle multisets in
+`equivalence`, and, in the test oracles, the d x d x N row Gram, the N x N
+Gram and unit-norm coefficient matrices and the unitary reconstruction.
 """
 
 from __future__ import annotations

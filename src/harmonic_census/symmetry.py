@@ -23,13 +23,13 @@ off-diagonal Gram entries equal, so G is constant off 0 and S is {0} (N
 copies of one vector: trivial group), all units (the regular simplex) or
 Z_N (a scaled orthogonal basis); the last two have all N! permutations.
 
-Nothing is searched.  D, Q and their relations are checked exactly;
-gram_automorphisms finds the label-preserving multipliers directly, and
-full_symmetry_group checks that they contain Stab(S) and reports whether
-they equal it.  Groups are listed lazily from the pairs (a, b).  A
-backtracking search with exact unitary reconstruction checks all of this in
-tests/oracles.py.  See also Vale & Waldron, "The symmetry group of a finite
-frame" (2010).
+Nothing is searched.  Entry (k, m) of the frame is w^(m n_k), so each
+relation of D and Q holds on every column iff it holds on the generators
+(m = 1), where it is checked exactly.  Groups, elements and column
+permutations are listed lazily from the pairs (a, b): no step grows with N.
+The label pass over every t and a backtracking search with exact unitary
+reconstruction check all this in tests/oracles.py.  See also Vale &
+Waldron, "The symmetry group of a finite frame" (2010).
 """
 
 from __future__ import annotations
@@ -39,39 +39,13 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cyclotomic import CyclotomicInt, ScaledCyclotomic
 from .errors import BudgetExceededError, ContractViolationError
-from .frames import build_frame
 from .number_theory import PrimeModulus, find_primitive_root
 from .orbits import GeneratorSet, enumerate_orbits, stabilizer
-
-SYMMETRY_MAX_N = 31  # the largest N full_symmetry_group accepts
 
 KIND_DIAGONAL = "diagonal_power"
 KIND_BLOCK_PERM = "block_perm_power"
 KIND_PRODUCT = "product"
-
-
-@dataclass(frozen=True)
-class SymmetryElement:
-    """The unitary realizing m -> a m + b: the monomial matrix whose row k
-    has the single entry w^expo[k] in column src[k].  kind and power name it
-    as D^b (a = 1), Q^power (b = 0) or a product."""
-
-    modulus: PrimeModulus
-    kind: str
-    power: int | None
-    column_perm: tuple[int, ...]
-    src: tuple[int, ...]
-    expo: tuple[int, ...]
-
-    def entry(self, i: int, j: int) -> ScaledCyclotomic:
-        coeffs = [0] * self.modulus.N
-        if self.src[i] == j:
-            coeffs[self.expo[i]] = 1
-        return ScaledCyclotomic(CyclotomicInt(self.modulus, tuple(coeffs)), 1)
 
 
 class _Listing(Sequence):
@@ -83,10 +57,30 @@ class _Listing(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i: int):
-        if not -self._n <= i < self._n:
-            raise IndexError(i)
-        return self._item(i % self._n)
+    def __getitem__(self, i):
+        j = range(self._n)[i]  # IndexError past the end; a range for a slice
+        return tuple(map(self._item, j)) if isinstance(j, range) else self._item(j)
+
+
+@dataclass(frozen=True)
+class SymmetryElement:
+    """The unitary realizing m -> a m + b: the monomial matrix whose row k
+    has the single entry w^expo[k] in column src[k].  kind and power name it
+    as D^b (a = 1), Q^power (b = 0) or a product."""
+
+    modulus: PrimeModulus
+    kind: str
+    power: int | None
+    a: int
+    b: int
+    src: tuple[int, ...]
+    expo: tuple[int, ...]
+
+    @property
+    def column_perm(self) -> Sequence[int]:
+        """m -> a m + b, listed lazily over m = 0, ..., N-1."""
+        N, a, b = self.modulus.N, self.a, self.b
+        return _Listing(N, lambda m: (a * m + b) % N)
 
 
 class AffinePermutations(_Listing):
@@ -124,54 +118,39 @@ class SymmetryReport:
 
 
 def _check_generators(s: GeneratorSet, h: int, c: int, stab: list[int]) -> list[int]:
-    """Check exactly, on the exponent matrix E[k, m] = m n_k mod N, that D
-    advances every column by one, that h maps S onto itself and so defines
-    Q, that Q^k induces m -> h^k m for k = 1..c, that Q^c = I, and that the
-    powers of h are Stab(S).  Returns Q as a slot permutation."""
-    N, d = s.modulus.N, s.d
-    E = build_frame(s).exponents
-    gens = np.array(s.elems, dtype=np.int64)
-    m, ident = np.arange(N, dtype=np.int64), np.arange(d)
-    ok = np.array_equal((E + gens[:, None]) % N, E[:, (m + 1) % N])
-    q = ident
-    if c > 1:
-        slot = np.full(N, -1, dtype=np.int64)
-        slot[gens] = ident
-        q = slot[h * gens % N]
-        ok = ok and bool((q >= 0).all())
-        P = [q]  # slot permutations of Q^1, ..., Q^c
-        while len(P) < c:
-            P.append(q[P[-1]])
-        hk = np.array([pow(h, k, N) for k in range(1, c + 1)], dtype=np.int64)
-        moved = E[:, hk[:, None] * m % N].transpose(1, 0, 2)
-        # at Q^1 this reads n_q[k] = h n_k for every slot k: Q D Q^{-1} = D^h
-        ok = ok and np.array_equal(E[np.stack(P)], moved)
-        ok = ok and np.array_equal(P[-1], ident)
-    if not ok or sorted(pow(h, k, N) for k in range(c)) != stab:
+    """Check exactly, on the generators and so on every column, that h maps
+    S onto itself, which defines the slot permutation Q with n_q[k] = h n_k
+    and Q D Q^{-1} = D^h, that Q^c = I, and that the powers of h are
+    Stab(S): O(c d).  D holds as m n_k + n_k = (m + 1) n_k.  Returns Q."""
+    N = s.modulus.N
+    slot = {x: k for k, x in enumerate(s.elems)}
+    q = [slot.get(h * x % N, -1) for x in s.elems]  # -1: h x is not in S
+    qc = list(range(s.d))
+    for _ in range(c):
+        qc = [q[k] for k in qc]
+    powers = sorted(pow(h, k, N) for k in range(c))
+    if -1 in q or qc != list(range(s.d)) or powers != stab:
         raise ContractViolationError(f"D, Q or their relations fail for {s}")
-    return q.tolist()
+    return q
 
 
 def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
     """The subgroup <D, Q> = {m -> a m + b : a in Stab(S)} of order N*c,
     with D, Q (only when c > 1) and their relations verified exactly.  For
-    S = {0} all columns coincide, D = Q = I and the group is trivial."""
+    S = {0} all columns coincide, D = Q = I, the group is trivial; c = N-1."""
     N = s.modulus.N
-    stab = sorted(stabilizer(s))
-    c = len(stab)
     if set(s.elems) == {0}:
-        identity = tuple(range(N))
         return SymmetryReport(
             generators_found=({"kind": "diagonal", "exponents": [0]},),
-            stabilizer_order=c,
+            stabilizer_order=N - 1,
             subgroup_order=1,
-            subgroup_permutations=(identity,),
-            elements=(
-                SymmetryElement(s.modulus, KIND_DIAGONAL, 0, identity, (0,), (0,)),
-            ),
+            subgroup_permutations=_Listing(1, lambda i: tuple(range(N))),
+            elements=(SymmetryElement(s.modulus, KIND_DIAGONAL, 0, 1, 0, (0,), (0,)),),
             note="degenerate generator set {0}: D = Q = I",
         )
 
+    stab = sorted(stabilizer(s))
+    c = len(stab)
     h = pow(find_primitive_root(s.modulus).g, (N - 1) // c, N)
     q = _check_generators(s, h, c, stab)
     generators = [{"kind": "diagonal", "exponents": list(s.elems)}]
@@ -192,14 +171,9 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
             kind, power = KIND_DIAGONAL, b
         elif b == 0:
             kind, power = KIND_BLOCK_PERM, log_h[a]
-        return SymmetryElement(
-            s.modulus,
-            kind,
-            power,
-            column_perm=tuple((a * m + b) % N for m in range(N)),
-            src=tuple(slot[a * x % N] for x in s.elems),
-            expo=tuple(b * x % N for x in s.elems),
-        )
+        src = tuple(slot[a * x % N] for x in s.elems)
+        expo = tuple(b * x % N for x in s.elems)
+        return SymmetryElement(s.modulus, kind, power, a, b, src, expo)
 
     return SymmetryReport(
         generators_found=tuple(generators),
@@ -211,41 +185,32 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
 
 
 def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
-    """The column permutations preserving the Gram matrix of the frame of
-    s: the maps m -> a m + b whose multiplier a preserves every label, in
-    lexicographic order.  When all off-diagonal labels coincide every
-    permutation preserves them, and S_N is not listed."""
+    """The Gram-preserving column permutations of the frame of s: the maps
+    m -> a m + b whose a keeps every label, that is a in Stab(S), in
+    lexicographic order.  For {0}, the simplex and the basis every
+    permutation does; S_N is not listed, and N! not computed (required -1)."""
     N = s.modulus.N
-    t = np.arange(N, dtype=np.int64)
-    labels = np.sort(t[:, None] * np.array(s.elems, dtype=np.int64) % N, axis=1)
-    if N > 2 and (labels[1:] == labels[1]).all():
+    nonzero = sum(1 for x in s.elems if x)
+    if nonzero == 0 or (N > 2 and nonzero == N - 1):
         raise BudgetExceededError(
             "all off-diagonal labels coincide; the automorphism group is all "
             f"of S_{N} and is not listed",
-            required=math.factorial(N),
+            required=-1,
             budget=N * (N - 1),
         )
-    units = t[1:]
-    keep = (labels[units[:, None] * t % N] == labels).all(axis=(1, 2))
-    return AffinePermutations(N, units[keep].tolist())
+    return AffinePermutations(N, stabilizer(s))
 
 
 def full_symmetry_group(s: GeneratorSet) -> SymmetryReport:
     """<D, Q> and the full group: the Gram automorphisms, which by the module
     docstring are <D, Q> itself but for {0} (trivial) and the simplex and
-    the basis (N!).  Refuses N > SYMMETRY_MAX_N."""
+    the basis (N!)."""
     N = s.modulus.N
-    if N > SYMMETRY_MAX_N:
-        raise BudgetExceededError(
-            f"symmetry group for N={N} exceeds limit {SYMMETRY_MAX_N}",
-            required=N,
-            budget=SYMMETRY_MAX_N,
-        )
     report = guaranteed_subgroup(s)
     nonzero = sum(1 for x in s.elems if x)
     if nonzero == 0:
         report.full_group_order = 1
-        report.full_permutations = (tuple(range(N)),)
+        report.full_permutations = report.subgroup_permutations
         report.note = "degenerate frame {0}: N copies of one vector"
     elif N > 2 and nonzero == N - 1:
         report.full_group_order = math.factorial(N)
@@ -256,11 +221,6 @@ def full_symmetry_group(s: GeneratorSet) -> SymmetryReport:
         )
     else:
         autos = gram_automorphisms(s)
-        stab = report.subgroup_permutations.multipliers
-        if not set(stab) <= set(autos.multipliers):
-            raise ContractViolationError(
-                f"guaranteed subgroup not contained in full group for {s}"
-            )
         report.full_group_order = len(autos)
         report.full_permutations = autos
     report.conjecture_holds = report.full_group_order == report.subgroup_order
@@ -296,8 +256,8 @@ def conjecture_scan(
 ) -> ScanReport:
     """Compare the full group with <D, Q> for every orbit representative, in
     enumeration order; a False row is a counterexample, never suppressed.
-    max_subsets is the enumeration budget of enumerate_orbits, and N is
-    capped by SYMMETRY_MAX_N as in full_symmetry_group."""
+    max_subsets is the enumeration budget of enumerate_orbits, the only
+    limit: each row costs O(d^2) whatever N is."""
     rows = []
     for rec in enumerate_orbits(modulus, d, max_subsets=max_subsets):
         r = full_symmetry_group(rec.rep)

@@ -6,9 +6,11 @@ dict/set orbit chasing for subset orbits, all N-1 multipliers for a
 stabilizer, a lex-min image or an equivalence witness, raw streaming over
 ordered tuples for the scaling action, the classical necklace count for the number of subset
 orbits, trial division for divisors, N x N coefficient matrices from the
-frame's column inner products for Gram entries and unit norms, both d x N
-frame matrices for an equivalence witness, and backtracking over Gram
-labels plus exact unitary reconstruction for symmetry groups.  Slow but
+frame's column inner products for Gram entries and unit norms, the
+d x d x N coefficient tensor for the row Gram, both d x N frame matrices
+for an equivalence witness, every label t . S for the label-preserving
+multipliers, and backtracking over Gram labels plus exact unitary
+reconstruction for symmetry groups.  Slow but
 obviously correct; nothing in the package is trusted beyond basic types
 (frame exponents, Gram labels, which the tests check against t . S, and the
 exact cyclotomic coefficient helpers).
@@ -30,6 +32,7 @@ from harmonic_census import (
     GramMatrix,
     PrimeModulus,
     ScaledCyclotomic,
+    SymmetryElement,
     Witness,
     build_frame,
     gram,
@@ -178,6 +181,18 @@ def gram_coefficients(frame: FrameMatrix, j: int = 0) -> np.ndarray:
     return exponent_counts((E.T - E.T[j]) % frame.N, frame.N)
 
 
+def row_gram_by_counts(frame: FrameMatrix) -> bool:
+    """Phi Phi^* = N I_d, compared as the (d, d, N) canonical coefficient
+    tensor of (Phi Phi^*)[k, l] = sum_m w^(m (n_k - n_l))."""
+    N, d = frame.N, frame.d
+    gens = np.array(frame.generators.elems, dtype=np.int64)
+    diff = (gens[:, None] - gens[None, :]) % N  # (d, d)
+    exps = (diff[:, :, None] * np.arange(N, dtype=np.int64)) % N  # (d, d, N)
+    expected = np.zeros((d, d, N), dtype=np.int64)
+    expected[np.arange(d), np.arange(d), 0] = N
+    return bool(np.array_equal(exponent_counts(exps, N), canonicalize_array(expected)))
+
+
 def unit_norm_by_counts(frame: FrameMatrix) -> bool:
     """Every unscaled column has squared norm d, compared as the N x N
     canonical coefficient matrix of sum_k w^(m n_k) conj(w^(m n_k))."""
@@ -269,6 +284,17 @@ def gram_automorphisms(g: GramMatrix, *, max_N: int = 31) -> list[tuple[int, ...
     return out
 
 
+def label_multipliers(s: GeneratorSet) -> tuple[int, ...]:
+    """The units a that keep every Gram label, sorted(t S) = sorted(a t S)
+    for all t in Z_N, from the (N-1, N, d) array of all labels."""
+    N = s.modulus.N
+    t = np.arange(N, dtype=np.int64)
+    labels = np.sort(t[:, None] * np.array(s.elems, dtype=np.int64) % N, axis=1)
+    units = t[1:]
+    keep = (labels[units[:, None] * t % N] == labels).all(axis=(1, 2))
+    return tuple(units[keep].tolist())
+
+
 def verify_permutations(frame: FrameMatrix, sigmas: np.ndarray) -> np.ndarray:
     """For each candidate column permutation, reconstruct the unique unitary
     candidate U = (1/N) Phi P_sigma Phi^* and test, exactly,
@@ -334,6 +360,15 @@ class ReconstructedElement:
     def entry(self, i: int, j: int) -> ScaledCyclotomic:
         coeffs = tuple(int(c) for c in self.dense[i, j])
         return ScaledCyclotomic(CyclotomicInt(self.modulus, coeffs), self.denominator)
+
+
+def element_entry(e: SymmetryElement, i: int, j: int) -> ScaledCyclotomic:
+    """Entry (i, j) of the monomial unitary of a symmetry element: w^expo[i]
+    in column src[i], zero elsewhere."""
+    coeffs = [0] * e.modulus.N
+    if e.src[i] == j:
+        coeffs[e.expo[i]] = 1
+    return ScaledCyclotomic(CyclotomicInt(e.modulus, tuple(coeffs)), 1)
 
 
 def reconstructed_element(frame: FrameMatrix, sigma: tuple[int, ...]) -> ReconstructedElement:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -160,6 +161,33 @@ def test_equivalent_at_range_edge(capsys, b, want):
     assert time.perf_counter() - start < 1.0
     assert code == want
     assert out.startswith("equivalent m0=1073741824 " if want == 0 else "inequivalent ")
+
+
+P = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (f"symmetry --N {P} --gens 1,2,3", f" c=1 subgroup_order={P} full_order={P} "),
+        (f"symmetry --N {P} --gens 0", f" c={P - 1} subgroup_order=1 full_order=1 "),
+        (f"symmetry --N {P} --gens 1,{P - 1}", f" c=2 subgroup_order={2 * P} full_order="),
+        ("scan --N 37 --d 2", "N=37 d=2 orbits=19\n"),
+    ],
+)
+def test_symmetry_at_range_edge(capsys, argv, want):
+    # the group is read off Stab(S) and the d generators; nothing of size N
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv.split())
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and want in out
+    assert "conjecture_holds=True" in out or argv.startswith("scan")
+    assert elapsed < 1.0 and peak < 2**20
 
 
 def test_malformed_generators(capsys):

@@ -10,6 +10,8 @@ error wins when several apply), `--threads`, `--out` and `--seed-check`.
 Regenerate the data file only when an output change is intended:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints every case whose digest changes before it writes the file.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ _ERROR_CASES: list[tuple[str | None, list[str]]] = [
     (None, ["equivalent", "--N", "5", "--a", "1,6", "--b", "1,2"]),
     (None, ["equivalent", "--N", "5", "--a", "1,2", "--b", "3,8"]),
     (None, ["equivalent", "--N", "5", "--a", "1,2"]),
-    # symmetry and scan refuse N > 31
+    # symmetry and scan at N > 31, bounded only by the enumeration budget
     (None, ["symmetry", "--N", "37", "--gens", "1,2"]),
     (None, ["symmetry", "--N", "41", "--gens", "0"]),
     (None, ["scan", "--N", "37", "--d", "2"]),
@@ -230,5 +232,13 @@ def test_cli_output_matches_golden(group, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         data = {g: _digests(g, Path(tmp) / "out") for g in golden_cases()}
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    changed = 0
+    for group, cases in golden_cases().items():
+        before = old.get(group, [])
+        for i, (env, argv) in enumerate(cases):
+            if i >= len(before) or before[i] != data[group][i]:
+                changed += 1
+                print(f"changed: {group} HC_MAX_SUBSETS={env} {' '.join(argv)}")
     DATA.write_text(json.dumps(data, indent=0) + "\n")
-    print(f"wrote {sum(map(len, data.values()))} digests to {DATA}")
+    print(f"wrote {sum(map(len, data.values()))} digests to {DATA}, {changed} changed")

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,18 +73,33 @@ def test_tightness_random_samples():
         assert verify_funtf(build_frame(s)).ok
 
 
+def _edge_sets():
+    """d = 1 and d = N at small and mid primes."""
+    for N in (2, 3, 5, 13, 97):
+        for elems in ((0,), (1,), (N - 1,), tuple(range(N))):
+            yield GeneratorSet(PrimeModulus(N), elems)
+
+
 def test_unit_norm_against_count_matrix():
     """The exponent test e + (-e) = 0 mod N agrees with the N x N count
     matrix of the column squared norms."""
-    edges = [
-        GeneratorSet(PrimeModulus(N), elems)
-        for N in (2, 3, 5, 13, 97)
-        for elems in ((0,), (1,), (N - 1,), tuple(range(N)))
-    ]
-    for s in [*_tightness_sets(), *edges]:
+    for s in [*_tightness_sets(), *_edge_sets()]:
         f = build_frame(s)
         assert verify_funtf(f).unit_norm
         assert oracles.unit_norm_by_counts(f)
+
+
+def test_row_gram_against_count_tensor():
+    """The distinct-generator test agrees with the d x d x N count tensor of
+    Phi Phi^*, on tight frames and on one with a repeated generator."""
+    for s in [*_tightness_sets(), *_edge_sets()]:
+        f = build_frame(s)
+        assert verify_funtf(f).tight
+        assert oracles.row_gram_by_counts(f)
+    f = build_frame(GeneratorSet(M5, (1, 2)))
+    f.generators = SimpleNamespace(modulus=M5, elems=(1, 6), d=2)  # 6 = 1 mod 5
+    assert not verify_funtf(f).tight
+    assert not oracles.row_gram_by_counts(f)
 
 
 def test_gram_entries_and_labels():

@@ -22,7 +22,6 @@ from harmonic_census import (
     root_power,
     stabilizer,
 )
-from harmonic_census import symmetry
 from harmonic_census.symmetry import (
     KIND_BLOCK_PERM,
     KIND_DIAGONAL,
@@ -63,9 +62,9 @@ def test_guaranteed_subgroup_matrices_exact():
     d_elem = next(
         e for e in r.elements if e.kind == KIND_DIAGONAL and e.power == 1
     )
-    assert d_elem.entry(0, 0) == ScaledCyclotomic(root_power(M5, 1), 1)
-    assert d_elem.entry(1, 1) == ScaledCyclotomic(root_power(M5, 4), 1)
-    assert d_elem.entry(0, 1).numerator.is_zero
+    assert oracles.element_entry(d_elem, 0, 0) == ScaledCyclotomic(root_power(M5, 1), 1)
+    assert oracles.element_entry(d_elem, 1, 1) == ScaledCyclotomic(root_power(M5, 4), 1)
+    assert oracles.element_entry(d_elem, 0, 1).numerator.is_zero
 
 
 def test_degenerate_zero_set():
@@ -75,6 +74,9 @@ def test_degenerate_zero_set():
     full = full_symmetry_group(GeneratorSet(M5, (0,)))
     assert full.full_group_order == 1
     assert full.conjecture_holds is True
+    # every permutation preserves the Gram; S_N is refused, not listed
+    with pytest.raises(BudgetExceededError):
+        gram_automorphisms(GeneratorSet(PrimeModulus(2**31 - 1), (0,)))
 
 
 def test_gram_automorphisms_trivial_stabilizer():
@@ -225,15 +227,12 @@ def test_conjecture_scan():
     assert report.counterexamples[0].rep.elems == (1, 2, 3, 4)
 
 
-def test_symmetry_budget():
-    with pytest.raises(BudgetExceededError):
-        full_symmetry_group(GeneratorSet(PrimeModulus(37), (1, 2)))
-
-
 def _check_against_search(s: GeneratorSet, max_N: int = 31) -> None:
-    """The closed form against the brute-force oracle: Gram automorphisms by
-    backtracking, each realized by an exact unitary reconstruction."""
+    """The closed form against the brute-force oracles: the multipliers that
+    keep every label, and the Gram automorphisms by backtracking, each
+    realized by an exact unitary reconstruction."""
     N = s.modulus.N
+    assert oracles.label_multipliers(s) == stabilizer(s)
     r = full_symmetry_group(s)
     frame = build_frame(s)
     c = len(stabilizer(s))
@@ -257,7 +256,6 @@ def _check_against_search(s: GeneratorSet, max_N: int = 31) -> None:
         return
     autos = gram_automorphisms(s)
     assert list(autos) == oracles.gram_automorphisms(gram(frame), max_N=max_N)
-    assert autos.multipliers == tuple(sorted(stabilizer(s)))
     search = oracles.symmetry_permutations(frame, max_N=max_N)
     assert set(r.full_permutations) == search
     assert subgroup == search
@@ -274,13 +272,14 @@ def test_closed_form_matches_search_oracle(N, ds):
     for d in ds:
         for rec in enumerate_orbits(m, d):
             if set(rec.rep.elems) == {0}:
-                continue  # N copies of one vector, see test_degenerate_zero_set
+                # N copies of one vector, see test_degenerate_zero_set
+                assert oracles.label_multipliers(rec.rep) == stabilizer(rec.rep)
+                continue
             _check_against_search(rec.rep)
 
 
-def test_closed_form_past_default_cap(monkeypatch):
+def test_closed_form_past_default_cap():
     for N, elems in [(37, (1, 10, 26)), (37, (0, 1, 6, 31, 36)), (41, (1, 2, 3))]:
-        monkeypatch.setattr(symmetry, "SYMMETRY_MAX_N", N)
         _check_against_search(GeneratorSet(PrimeModulus(N), elems), max_N=N)
 
 
@@ -295,7 +294,7 @@ def test_listings_are_lazy_and_ordered():
         perms[39]
     keys = [(e.src, e.expo) for e in elements]
     assert keys == sorted(keys) and len(set(keys)) == 39
-    assert {e.column_perm for e in elements} == set(perms)
+    assert {tuple(e.column_perm) for e in elements} == set(perms)
     # every element maps the frame's columns as its permutation says
     E = build_frame(s).exponents
     for e in elements:
@@ -316,13 +315,23 @@ def test_generator_checks_reject_a_wrong_unit():
             _check_generators(s, h, 3, stab)
 
 
-def test_full_group_must_contain_the_subgroup(monkeypatch):
-    s = GeneratorSet(M7, (1, 2, 4))  # c = 3
-    monkeypatch.setattr(
-        symmetry, "gram_automorphisms", lambda s: symmetry.AffinePermutations(7, [1])
-    )
-    with pytest.raises(ContractViolationError):
-        full_symmetry_group(s)
+def test_elements_at_range_edge():
+    N = 2**31 - 1
+    r = full_symmetry_group(GeneratorSet(PrimeModulus(N), (1, N - 1)))  # c = 2
+    assert (r.stabilizer_order, r.full_group_order) == (2, 2 * N)
+    assert len(r.elements) == len(r.full_permutations) == 2 * N
+    assert r.full_permutations.multipliers == (1, N - 1)
+    e = r.elements[5]  # D^5
+    assert (e.kind, e.power, e.src, e.expo) == (KIND_DIAGONAL, 5, (0, 1), (5, N - 5))
+    assert e.column_perm[:3] == (5, 6, 7) and e.column_perm[-1] == 4
+    e = r.elements[N]  # Q
+    assert (e.kind, e.power, e.src, e.expo) == (KIND_BLOCK_PERM, 1, (1, 0), (0, 0))
+    assert e.column_perm[:3] == (0, N - 1, N - 2)
+    e = r.elements[N + 3]  # m -> 3 - m
+    assert (e.kind, e.src, e.expo) == (KIND_PRODUCT, (1, 0), (3, N - 3))
+    assert e.column_perm[:3] == (3, 2, 1) and e.column_perm[-1] == 4
+    with pytest.raises(IndexError):
+        e.column_perm[N]
 
 
 def test_scan_n17_d5_is_fast():
