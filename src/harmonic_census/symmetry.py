@@ -26,10 +26,12 @@ Z_N (a scaled orthogonal basis); the last two have all N! permutations.
 Nothing is searched.  Entry (k, m) of the frame is w^(m n_k), so each
 relation of D and Q holds on every column iff it holds on the generators
 (m = 1), where it is checked exactly.  Groups, elements and column
-permutations are listed lazily from the pairs (a, b): no step grows with N.
-The label pass over every t and a backtracking search with exact unitary
-reconstruction check all this in tests/oracles.py.  See also Vale &
-Waldron, "The symmetry group of a finite frame" (2010).
+permutations are listed lazily from the pairs (a, b), so nothing of size N
+is built and all of it costs O(d^2).  The order N! of the simplex and the
+basis is computed only up to N = FACTORIAL_MAX_N.  The label pass over
+every t and a backtracking search with exact unitary reconstruction check
+all this in tests/oracles.py.  See also Vale & Waldron, "The symmetry
+group of a finite frame" (2010).
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, ContractViolationError
 from .number_theory import PrimeModulus, find_primitive_root
 from .orbits import GeneratorSet, enumerate_orbits, stabilizer
+
+# the largest N whose N! has at most 4300 digits, the default limit of
+# Python's int-to-str conversion; 1553 is the largest prime below it
+FACTORIAL_MAX_N = 1558
 
 KIND_DIAGONAL = "diagonal_power"
 KIND_BLOCK_PERM = "block_perm_power"
@@ -120,16 +126,15 @@ class SymmetryReport:
 def _check_generators(s: GeneratorSet, h: int, c: int, stab: list[int]) -> list[int]:
     """Check exactly, on the generators and so on every column, that h maps
     S onto itself, which defines the slot permutation Q with n_q[k] = h n_k
-    and Q D Q^{-1} = D^h, that Q^c = I, and that the powers of h are
-    Stab(S): O(c d).  D holds as m n_k + n_k = (m + 1) n_k.  Returns Q."""
+    and Q D Q^{-1} = D^h, that Q^c = I (h^c n_k = n_k), and that the powers
+    of h are Stab(S): O(c + d).  D holds as m n_k + n_k = (m + 1) n_k.
+    Returns Q."""
     N = s.modulus.N
     slot = {x: k for k, x in enumerate(s.elems)}
     q = [slot.get(h * x % N, -1) for x in s.elems]  # -1: h x is not in S
-    qc = list(range(s.d))
-    for _ in range(c):
-        qc = [q[k] for k in qc]
+    hc = pow(h, c, N)
     powers = sorted(pow(h, k, N) for k in range(c))
-    if -1 in q or qc != list(range(s.d)) or powers != stab:
+    if -1 in q or any(hc * x % N != x for x in s.elems) or powers != stab:
         raise ContractViolationError(f"D, Q or their relations fail for {s}")
     return q
 
@@ -139,7 +144,7 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
     with D, Q (only when c > 1) and their relations verified exactly.  For
     S = {0} all columns coincide, D = Q = I, the group is trivial; c = N-1."""
     N = s.modulus.N
-    if set(s.elems) == {0}:
+    if not any(s.elems):
         return SymmetryReport(
             generators_found=({"kind": "diagonal", "exponents": [0]},),
             stabilizer_order=N - 1,
@@ -158,8 +163,11 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
         generators.append({"kind": "block_perm", "slot_perm": q, "unit": h})
     log_h = {pow(h, k, N): k for k in range(1, c + 1)}
     slot = {x: k for k, x in enumerate(s.elems)}
-    by_src = sorted(stab, key=lambda a: [slot[a * x % N] for x in s.elems])
-    first_inv = pow(next(x for x in s.elems if x), -1, N)
+    # src starts with slot[a 0] = 0 when 0 is in S, then slot[a x0] for the
+    # first nonzero generator x0, which differs for each a
+    x0 = next(x for x in s.elems if x)
+    by_src = sorted(stab, key=lambda a: slot[a * x0 % N])
+    first_inv = pow(x0, -1, N)
 
     def element(i: int) -> SymmetryElement:
         # by src (fixed by a), then by expo, which orders the shifts b by
@@ -184,18 +192,37 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
     )
 
 
+def _every_permutation(s: GeneratorSet) -> bool:
+    """True when N > 2 and all off-diagonal Gram labels coincide, so that
+    every column permutation preserves the Gram: S is {0}, all units (the
+    regular simplex) or Z_N (the basis).  At N = 2, S_2 is AGL(1, 2)."""
+    N = s.modulus.N
+    return N > 2 and sum(1 for x in s.elems if x) in (0, N - 1)
+
+
+def _symmetric_group_order(N: int) -> int:
+    """N!, refused past FACTORIAL_MAX_N."""
+    if N > FACTORIAL_MAX_N:
+        raise BudgetExceededError(
+            f"the order {N}! of S_{N} has more than 4300 digits and is not "
+            f"computed past N = {FACTORIAL_MAX_N}",
+            required=N,
+            budget=FACTORIAL_MAX_N,
+        )
+    return math.factorial(N)
+
+
 def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
     """The Gram-preserving column permutations of the frame of s: the maps
     m -> a m + b whose a keeps every label, that is a in Stab(S), in
     lexicographic order.  For {0}, the simplex and the basis every
-    permutation does; S_N is not listed, and N! not computed (required -1)."""
+    permutation does, and S_N is not listed."""
     N = s.modulus.N
-    nonzero = sum(1 for x in s.elems if x)
-    if nonzero == 0 or (N > 2 and nonzero == N - 1):
+    if _every_permutation(s):
         raise BudgetExceededError(
             "all off-diagonal labels coincide; the automorphism group is all "
             f"of S_{N} and is not listed",
-            required=-1,
+            required=_symmetric_group_order(N),
             budget=N * (N - 1),
         )
     return AffinePermutations(N, stabilizer(s))
@@ -204,16 +231,17 @@ def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
 def full_symmetry_group(s: GeneratorSet) -> SymmetryReport:
     """<D, Q> and the full group: the Gram automorphisms, which by the module
     docstring are <D, Q> itself but for {0} (trivial) and the simplex and
-    the basis (N!)."""
+    the basis (N!, refused before any other work past FACTORIAL_MAX_N)."""
     N = s.modulus.N
+    simplex_or_basis = any(s.elems) and _every_permutation(s)
+    order = _symmetric_group_order(N) if simplex_or_basis else None
     report = guaranteed_subgroup(s)
-    nonzero = sum(1 for x in s.elems if x)
-    if nonzero == 0:
+    if not any(s.elems):
         report.full_group_order = 1
         report.full_permutations = report.subgroup_permutations
         report.note = "degenerate frame {0}: N copies of one vector"
-    elif N > 2 and nonzero == N - 1:
-        report.full_group_order = math.factorial(N)
+    elif simplex_or_basis:
+        report.full_group_order = order
         family = "scaled orthogonal basis" if 0 in s.elems else "regular simplex"
         report.note = (
             f"all off-diagonal Gram entries equal ({family}); "
@@ -256,8 +284,11 @@ def conjecture_scan(
 ) -> ScanReport:
     """Compare the full group with <D, Q> for every orbit representative, in
     enumeration order; a False row is a counterexample, never suppressed.
-    max_subsets is the enumeration budget of enumerate_orbits, the only
-    limit: each row costs O(d^2) whatever N is."""
+    max_subsets is the enumeration budget of enumerate_orbits, and each row
+    costs O(d^2).  At d >= N - 1 the orbits include the simplex or the
+    basis, so past FACTORIAL_MAX_N the scan is refused before enumerating."""
+    if d >= modulus.N - 1 > 1:
+        _symmetric_group_order(modulus.N)
     rows = []
     for rec in enumerate_orbits(modulus, d, max_subsets=max_subsets):
         r = full_symmetry_group(rec.rep)

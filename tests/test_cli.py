@@ -190,6 +190,43 @@ def test_symmetry_at_range_edge(capsys, argv, want):
     assert elapsed < 1.0 and peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "N, gens, argv",
+    [
+        (1999, range(1999), "symmetry --N 1999 --gens {}"),  # the basis
+        (1999, range(1, 1999), "symmetry --N 1999 --gens {}"),  # the simplex
+        (1999, (), "scan --N 1999 --d 1999"),
+        (1999, (), "scan --N 1999 --d 1998"),
+        (20011, (), "scan --N 20011 --d 20011"),  # enumerating takes seconds
+        (1000003, (), "scan --N 1000003 --d 1000003"),
+    ],
+)
+def test_simplex_and_basis_refused_past_factorial_bound(capsys, N, gens, argv):
+    # N! has more than 4300 digits; refused before any O(N^2) work
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.format(",".join(map(str, gens))).split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert f"the order {N}! of S_{N} has more than 4300 digits" in err
+
+
+def test_simplex_and_basis_at_factorial_bound(capsys):
+    N = 1553  # the largest prime with N! of at most 4300 digits
+    fact = 1
+    for k in range(2, N + 1):
+        fact *= k
+    for gens in (range(N), range(1, N)):
+        argv = ["symmetry", "--N", str(N), "--gens", ",".join(map(str, gens))]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["stabilizer_order"], obj["subgroup_order"]) == (N - 1, N * (N - 1))
+        assert obj["full_group_order"] == str(fact)
+        assert obj["conjecture_holds"] is False
+    code, out, _ = run(capsys, "scan", "--N", str(N), "--d", str(N))
+    assert code == 4 and f" full={fact} holds=NO" in out
+
+
 def test_malformed_generators(capsys):
     code, _, err = run(capsys, "equivalent", "--N", "5", "--a", "1,x", "--b", "1,2")
     assert code == 2

@@ -75,8 +75,16 @@ def test_degenerate_zero_set():
     assert full.full_group_order == 1
     assert full.conjecture_holds is True
     # every permutation preserves the Gram; S_N is refused, not listed
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
+        gram_automorphisms(GeneratorSet(M5, (0,)))
+    assert (exc.value.required, exc.value.budget) == (120, 20)
+    with pytest.raises(BudgetExceededError) as exc:
         gram_automorphisms(GeneratorSet(PrimeModulus(2**31 - 1), (0,)))
+    assert exc.value.required == 2**31 - 1
+    # at N = 2, S_2 is AGL(1, 2) and is listed for every set
+    m2 = PrimeModulus(2)
+    for elems in ((0,), (1,), (0, 1)):
+        assert list(gram_automorphisms(GeneratorSet(m2, elems))) == [(0, 1), (1, 0)]
 
 
 def test_gram_automorphisms_trivial_stabilizer():
