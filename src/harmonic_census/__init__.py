@@ -1,27 +1,19 @@
 """Exact enumeration, counting, and symmetry analysis of prime-order
-harmonic frames, with brute-force oracles cross-validating every closed
-form."""
+harmonic frames.  The brute-force oracles that check every closed form live
+with the tests, in tests/oracles.py."""
 
 from .census import (
     Census,
     alpha,
     beta,
     count_harmonic_frames,
-    count_harmonic_frames_alpha,
     count_unordered_dft,
     full_census,
     gamma,
     growth_ratio,
 )
-from .cyclotomic import CyclotomicInt, ScaledCyclotomic, is_zero, root_power
-from .equivalence import (
-    CrossValidationReport,
-    EquivalenceVerdict,
-    Witness,
-    angle_multiset,
-    are_equivalent,
-    cross_validate_equivalence,
-)
+from .cyclotomic import CyclotomicInt, ScaledCyclotomic, root_power
+from .equivalence import EquivalenceVerdict, Witness, are_equivalent
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -51,14 +43,10 @@ from .orbits import (
     DEFAULT_MAX_SUBSETS,
     GeneratorSet,
     OrbitRecord,
-    StructuredForm,
     act,
     canonical_rep,
-    coset_blocks,
     enumerate_orbits,
-    primitive_root_independence_check,
     stabilizer,
-    structured_form,
     unit_subgroup,
 )
 from .symmetry import (

@@ -21,9 +21,9 @@ divisor search, whatever the size of N.  gamma_1 then follows from mass
 balance against C(N, d).
 
 A second, independently coded recursion computes the same counts directly
-at orbit level (the alpha_* functions); the two are asserted equal in the
-test suite.  All arithmetic is exact (Fraction / int); any non-integral
-gamma aborts loudly instead of rounding.
+at orbit level (alpha); the two are asserted equal in the test suite.  All
+arithmetic is exact (Fraction / int); any non-integral gamma aborts loudly
+instead of rounding.
 """
 
 from __future__ import annotations
@@ -247,12 +247,3 @@ def alpha(modulus: PrimeModulus, d: int, c: int) -> Fraction:
         return _alpha_1(N, d, _nontrivial_alphas(N, d))
     _check_beta_pre(N, d, c)
     return _alphas(N, _case_target(d, c), divisors(N - 1))[c]
-
-
-def count_harmonic_frames_alpha(modulus: PrimeModulus, d: int) -> Fraction:
-    """Total orbit count summed from the alpha recursion (1 < d < N)."""
-    N = modulus.N
-    if not 1 < d < N:
-        raise DomainError(f"alpha total needs 1 < d < N, got d={d}, N={N}")
-    alphas = _nontrivial_alphas(N, d)
-    return _alpha_1(N, d, alphas) + sum(alphas.values(), Fraction(0))

@@ -2,15 +2,17 @@
 decisions, and symmetry analysis with stable machine-readable output.
 
 Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
-2 usage error, 3 enumeration budget exceeded, 4 symmetry-conjecture
+2 usage error, 3 a budget exceeded, 4 symmetry-conjecture
 counterexample discovered (notable, not fatal), 5 internal contract
 violated (a library bug, reported on one stderr line).
 
 All output is UTF-8 with newline-terminated records, and identical
 invocations produce byte-identical output regardless of --threads.
 Integers too large for a double are emitted as decimal strings in JSON.
-The HC_MAX_SUBSETS environment variable overrides the default enumeration
-budget; an explicit --max-subsets beats both.
+The HC_MAX_SUBSETS environment variable overrides the default budget, which
+counts the C(N, d) subsets an enumeration covers and the d x N entries of a
+frame; an explicit --max-subsets beats both.  Exit 3 also reports an N! too
+long to print.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .frames import build_frame, export_frame
 from .number_theory import PrimeModulus, is_prime
-from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits, structured_form
+from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits
 from .symmetry import conjecture_scan, full_symmetry_group
 
 EXIT_OK = 0
@@ -145,7 +147,7 @@ def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     return lines, EXIT_OK
 
 
-def _record_json(N: int, d: int, rec, form) -> dict:
+def _record_json(N: int, d: int, rec) -> dict:
     return {
         "N": N,
         "d": d,
@@ -154,9 +156,9 @@ def _record_json(N: int, d: int, rec, form) -> dict:
         "stab_order": rec.stab_order,
         "stabilizer": list(rec.stabilizer),
         "structured_form": {
-            "kind": form.kind,
-            "c": form.c,
-            "block_leaders": list(form.block_leaders),
+            "kind": rec.kind,
+            "c": rec.stab_order,
+            "block_leaders": list(rec.block_leaders),
         },
     }
 
@@ -167,20 +169,19 @@ def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     if args.output_format == "csv":
         lines.append("generators,size,stab_order,stabilizer,kind,block_leaders")
     for rec in records:
-        form = structured_form(rec.rep, rec.stabilizer)
         if args.output_format == "json":
-            lines.append(_dumps(_record_json(modulus.N, args.d, rec, form)))
+            lines.append(_dumps(_record_json(modulus.N, args.d, rec)))
         elif args.output_format == "csv":
             lines.append(
                 f"{_join(rec.rep.elems, '|')},{rec.size},{rec.stab_order},"
-                f"{_join(rec.stabilizer, '|')},{form.kind},"
-                f"{_join(form.block_leaders, '|')}"
+                f"{_join(rec.stabilizer, '|')},{rec.kind},"
+                f"{_join(rec.block_leaders, '|')}"
             )
         else:
             lines.append(
                 f"rep=[{_join(rec.rep.elems)}] size={rec.size} c={rec.stab_order} "
-                f"stabilizer=[{_join(rec.stabilizer)}] kind={form.kind} "
-                f"leaders=[{_join(form.block_leaders)}]"
+                f"stabilizer=[{_join(rec.stabilizer)}] kind={rec.kind} "
+                f"leaders=[{_join(rec.block_leaders)}]"
             )
     return lines, EXIT_OK
 
@@ -233,6 +234,14 @@ def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     if not args.gens:
         raise DomainError("frame requires --gens")
     s = GeneratorSet(modulus, args.gens)
+    entries = s.d * modulus.N
+    if entries > args.max_subsets:
+        raise BudgetExceededError(
+            f"frame of {s.d} x {modulus.N} = {entries} entries exceeds budget "
+            f"{args.max_subsets}",
+            required=entries,
+            budget=args.max_subsets,
+        )
     f = build_frame(s)
     if args.output_format in ("json", "csv"):
         return export_frame(f, args.output_format), EXIT_OK

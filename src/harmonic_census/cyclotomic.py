@@ -14,9 +14,9 @@ The module also provides vectorized helpers operating on numpy integer
 arrays whose last axis is a coefficient vector.  These carry the same
 canonical-form semantics and exist purely so that the bulk paths stay
 exact without paying Python-object overhead per entry: one Gram numerator
-per label row in `frames.GramMatrix`, the angle multisets in
-`equivalence`, and, in the test oracles, the d x d x N row Gram, the N x N
-Gram and unit-norm coefficient matrices and the unitary reconstruction.
+per label row in `frames.GramMatrix` and, in the test oracles, the angle
+multisets, the d x d x N row Gram, the N x N Gram and unit-norm coefficient
+matrices and the unitary reconstruction.
 """
 
 from __future__ import annotations
@@ -58,16 +58,6 @@ class CyclotomicInt:
     def zero(cls, modulus: PrimeModulus) -> "CyclotomicInt":
         return cls(modulus, (0,) * modulus.N)
 
-    @classmethod
-    def one(cls, modulus: PrimeModulus) -> "CyclotomicInt":
-        return root_power(modulus, 0)
-
-    @classmethod
-    def from_integer(cls, modulus: PrimeModulus, value: int) -> "CyclotomicInt":
-        coeffs = [0] * modulus.N
-        coeffs[0] = value
-        return cls(modulus, tuple(coeffs))
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "CyclotomicInt") -> None:
@@ -88,30 +78,9 @@ class CyclotomicInt:
     def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
         return self + (-other)
 
-    def __mul__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        N = self.modulus.N
-        out = [0] * N
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    k = i + j
-                    out[k - N if k >= N else k] += a * b
-        return CyclotomicInt(self.modulus, tuple(out))
-
     def scale(self, k: int) -> "CyclotomicInt":
         """Multiply by an ordinary integer."""
         return CyclotomicInt(self.modulus, tuple(k * a for a in self.coeffs))
-
-    def conjugate(self) -> "CyclotomicInt":
-        """Complex conjugation, w^k -> w^{N-k}."""
-        N = self.modulus.N
-        out = [0] * N
-        for k, a in enumerate(self.coeffs):
-            out[(-k) % N] = a
-        return CyclotomicInt(self.modulus, tuple(out))
 
     # -- predicates and views ----------------------------------------------
 
@@ -138,11 +107,6 @@ def root_power(modulus: PrimeModulus, e: int) -> CyclotomicInt:
     coeffs = [0] * N
     coeffs[e % N] = 1
     return CyclotomicInt(modulus, tuple(coeffs))
-
-
-def is_zero(a: CyclotomicInt) -> bool:
-    """Exact zero test; decides equality of sums of roots of unity."""
-    return a.is_zero
 
 
 @dataclass(frozen=True)

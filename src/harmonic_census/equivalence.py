@@ -13,28 +13,19 @@ d x N frame matrices lives in the test oracles.
 
 For inequivalent pairs are_equivalent returns the certificate tag
 orbit-mismatch: the canonical representatives differ.  It computes no
-further invariant, which would add O(N d) work to every decision.  The
-multiset of unscaled inner products against the all-ones vector,
-{ sum_k w^(m n_k) : m = 1, ..., N-1 },
-is a unitary invariant that usually separates orbits, and
-cross_validate_equivalence tallies, for each pair of distinct orbits,
-whether it does (angle-multiset-mismatch) or the multisets collide
-(orbit-mismatch).  It is only a necessary condition, so a collision is
-logged, never treated as equivalence.
+further invariant, which would add O(N d) work to every decision; the test
+oracles tally how often the angle multiset, a necessary condition only,
+separates the orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cyclotomic import CyclotomicInt, exponent_counts
 from .errors import ContractViolationError, ModulusMismatchError
-from .orbits import GeneratorSet, act, canonical_rep, enumerate_orbits
+from .orbits import GeneratorSet, canonical_rep
 
 CERT_ORBIT_MISMATCH = "orbit-mismatch"
-CERT_ANGLE_MISMATCH = "angle-multiset-mismatch"
 
 
 @dataclass(frozen=True)
@@ -54,17 +45,6 @@ class EquivalenceVerdict:
     certificate: str | None = None
 
 
-def angle_multiset(s: GeneratorSet) -> tuple[CyclotomicInt, ...]:
-    """The multiset {sum_k w^(m n_k) : m = 1..N-1}, canonicalized and sorted
-    by coefficient vector.  Invariant under the unit-group action."""
-    N = s.modulus.N
-    gens = np.array(s.elems, dtype=np.int64)
-    m = np.arange(1, N, dtype=np.int64)
-    coeffs = exponent_counts((m[:, None] * gens[None, :]) % N, N)
-    rows = sorted(tuple(int(c) for c in row) for row in coeffs)
-    return tuple(CyclotomicInt(s.modulus, row) for row in rows)
-
-
 def verify_witness(a: GeneratorSet, b: GeneratorSet, witness: Witness) -> bool:
     """Exact check of the witness identity B[perm[k], m*m0 mod N] == A[k, m]
     for all k, m, on the generators: m0 * b[perm[k]] == a[k] (mod N)."""
@@ -77,8 +57,7 @@ def verify_witness(a: GeneratorSet, b: GeneratorSet, witness: Witness) -> bool:
 def are_equivalent(a: GeneratorSet, b: GeneratorSet) -> EquivalenceVerdict:
     """Orbit-identity decision.  Equivalent pairs carry a constructive
     witness, verified exactly; inequivalent pairs always carry the
-    certificate orbit-mismatch (the angle-multiset certificate is tallied
-    only by cross_validate_equivalence)."""
+    certificate orbit-mismatch."""
     if a.modulus != b.modulus:
         raise ModulusMismatchError(
             f"mixed moduli {a.modulus.N} and {b.modulus.N}"
@@ -106,71 +85,3 @@ def are_equivalent(a: GeneratorSet, b: GeneratorSet) -> EquivalenceVerdict:
     if not verify_witness(a, b, witness):
         raise ContractViolationError(f"witness {witness} failed for {a}, {b}")
     return EquivalenceVerdict(equivalent=True, witness=witness)
-
-
-@dataclass(frozen=True)
-class CrossValidationReport:
-    """Pairwise certification of all orbits at one (N, d).
-
-    Cross pairs separated by the angle invariant carry the
-    angle-multiset-mismatch certificate; pairs whose angle multisets collide
-    fall back to orbit-mismatch and are logged in collisions.  Collisions
-    are legitimate (the invariant is only necessary) and are recorded, never
-    escalated.
-    """
-
-    n_orbits: int
-    cross_pairs_checked: int
-    within_pairs_checked: int
-    collisions: tuple[tuple[GeneratorSet, GeneratorSet], ...]
-    certificates: dict[str, int]
-
-
-def cross_validate_equivalence(
-    modulus, d: int, *, max_subsets: int | None = None
-) -> CrossValidationReport:
-    """For every pair of orbit representatives assert inequivalence and
-    compare angle multisets; for every pair within an orbit verify the
-    constructive witness.  Witness failures raise; collisions are logged."""
-    records = enumerate_orbits(modulus, d, max_subsets=max_subsets)
-    reps = [r.rep for r in records]
-    angles = [angle_multiset(r) for r in reps]
-
-    collisions = []
-    cross_pairs = 0
-    certificates = {CERT_ANGLE_MISMATCH: 0, CERT_ORBIT_MISMATCH: 0}
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            cross_pairs += 1
-            verdict = are_equivalent(reps[i], reps[j])
-            if verdict.equivalent:
-                raise ContractViolationError(
-                    f"distinct representatives {reps[i]}, {reps[j]} judged equivalent"
-                )
-            if angles[i] != angles[j]:
-                certificates[CERT_ANGLE_MISMATCH] += 1
-            else:
-                certificates[CERT_ORBIT_MISMATCH] += 1
-                collisions.append((reps[i], reps[j]))
-
-    within_pairs = 0
-    N = modulus.N
-    for rec in records:
-        members = sorted({act(m, rec.rep).elems for m in range(1, N)})
-        sets = [GeneratorSet(modulus, e) for e in members]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                within_pairs += 1
-                verdict = are_equivalent(sets[i], sets[j])
-                if not verdict.equivalent:
-                    raise ContractViolationError(
-                        f"orbit members {sets[i]}, {sets[j]} judged inequivalent"
-                    )
-
-    return CrossValidationReport(
-        n_orbits=len(reps),
-        cross_pairs_checked=cross_pairs,
-        within_pairs_checked=within_pairs,
-        collisions=tuple(collisions),
-        certificates=certificates,
-    )

@@ -71,9 +71,6 @@ class FrameMatrix:
     def entry(self, k: int, m: int) -> CyclotomicInt:
         return root_power(self.modulus, int(self.exponents[k, m]))
 
-    def column_exponents(self, m: int) -> tuple[int, ...]:
-        return tuple(int(e) for e in self.exponents[:, m])
-
     def __repr__(self) -> str:
         return f"FrameMatrix(N={self.N}, generators={list(self.generators.elems)})"
 

@@ -4,8 +4,8 @@ Everything downstream (orbit enumeration, counting recursions, cyclotomic
 reduction) leans on N being prime, so primality is checked deterministically
 at construction time and never assumed.  The multiplicative group Z_N^x is
 cyclic of order N-1; we pick the smallest primitive root as the canonical
-generator so that every derived object (subgroups of units, structured orbit
-forms, symmetry generators) is reproducible run to run.
+generator so that every derived object (subgroups of units, symmetry
+generators) is reproducible run to run.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _factorisation(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A verified prime modulus N.  units_order is |Z_N^x| = N - 1."""
+    """A verified prime modulus N."""
 
     N: int
 
@@ -106,14 +106,6 @@ class PrimeModulus:
             raise DomainError(f"modulus {self.N} exceeds supported range < 2^31")
         if not is_prime(self.N):
             raise DomainError(f"modulus must be prime, got {self.N}")
-
-    @property
-    def units_order(self) -> int:
-        return self.N - 1
-
-    def units(self) -> range:
-        """The units 1, ..., N-1 (all nonzero residues, N prime)."""
-        return range(1, self.N)
 
 
 @dataclass(frozen=True)

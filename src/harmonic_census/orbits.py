@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, ContractViolationError, DomainError
-from .number_theory import PrimeModulus, find_primitive_root, multiplicative_order
+from .number_theory import PrimeModulus, find_primitive_root
 
 DEFAULT_MAX_SUBSETS = 10**7
 
@@ -105,40 +105,26 @@ def canonical_rep(s: GeneratorSet) -> GeneratorSet:
     return GeneratorSet(s.modulus, min(images, default=s.elems))
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """One orbit: canonical representative, size (N-1)/c, stabilizer."""
-
-    rep: GeneratorSet
-    size: int
-    stab_order: int
-    stabilizer: tuple[int, ...]
-
-
 KIND_BLOCKS = "blocks_divide_d"
 KIND_ZERO_BLOCKS = "zero_plus_blocks_divide_d_minus_1"
 
 
 @dataclass(frozen=True)
-class StructuredForm:
-    """Decomposition of a generator set into multiplicative coset blocks.
+class OrbitRecord:
+    """One orbit: canonical representative, size (N-1)/c, stabilizer, and
+    the block form of the representative: its nonzero elements are the
+    cosets x H of the stabilizer H, one per block leader x (the smallest
+    element of its coset), and 0 rides along when kind says so."""
 
-    Expanding each leader x against the order-c subgroup of units (plus 0
-    for the second kind) reproduces the set exactly.
-    """
-
-    modulus: PrimeModulus
-    kind: str
-    c: int
+    rep: GeneratorSet
+    size: int
+    stab_order: int
+    stabilizer: tuple[int, ...]
     block_leaders: tuple[int, ...]
 
-    def expand(self) -> GeneratorSet:
-        H = unit_subgroup(self.modulus, self.c)
-        N = self.modulus.N
-        elems = [(x * h) % N for x in self.block_leaders for h in H]
-        if self.kind == KIND_ZERO_BLOCKS:
-            elems.append(0)
-        return GeneratorSet(self.modulus, tuple(elems))
+    @property
+    def kind(self) -> str:
+        return KIND_ZERO_BLOCKS if self.rep.elems[0] == 0 else KIND_BLOCKS
 
 
 def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
@@ -149,71 +135,6 @@ def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
     g = find_primitive_root(modulus).g
     h = pow(g, (N - 1) // c, N)
     return tuple(sorted(pow(h, j, N) for j in range(c)))
-
-
-def coset_blocks(s: GeneratorSet, c: int) -> tuple[int, ...]:
-    """Partition the nonzero elements of s into cosets of the order-c unit
-    subgroup, returning the smallest member of each coset.  Valid whenever
-    c divides the stabilizer order of s."""
-    return _coset_leaders(s, unit_subgroup(s.modulus, c))
-
-
-def _coset_leaders(s: GeneratorSet, H: tuple[int, ...]) -> tuple[int, ...]:
-    N = s.modulus.N
-    remaining = set(x for x in s.elems if x != 0)
-    leaders = []
-    for x in s.elems:  # ascending, so x is the smallest element left
-        if x not in remaining:
-            continue
-        coset = {(x * h) % N for h in H}
-        if not coset <= remaining:
-            raise ContractViolationError(
-                f"elements of {s} do not split into cosets of order {len(H)}"
-            )
-        leaders.append(x)
-        remaining -= coset
-    return tuple(leaders)
-
-
-def structured_form(s: GeneratorSet, stab: tuple[int, ...] | None = None) -> StructuredForm:
-    """Write s in block form: the stabilizer has some order c, and the
-    nonzero elements are a disjoint union of c-element cosets (with 0 kept
-    aside when present).  stab, when given, must be the stabilizer of s
-    (as in OrbitRecord.stabilizer), which is the order-c unit subgroup; it
-    spares recomputing it.  The expansion is checked against s either way."""
-    H = stabilizer(s) if stab is None else stab
-    c = len(H)
-    has_zero = 0 in s.elems
-    kind = KIND_ZERO_BLOCKS if has_zero else KIND_BLOCKS
-    nonzero_count = s.d - (1 if has_zero else 0)
-    if nonzero_count % c != 0:
-        raise ContractViolationError(
-            f"stabilizer order {c} does not divide the nonzero count of {s}"
-        )
-    form = StructuredForm(s.modulus, kind, c, _coset_leaders(s, H))
-    if form.expand() != s:
-        raise ContractViolationError(f"block expansion does not reproduce {s}")
-    return form
-
-
-def primitive_root_independence_check(
-    modulus: PrimeModulus, c: int, n1: int, g1: int, g2: int
-) -> bool:
-    """Whether the coset {n1 * g^(j(N-1)/c)} is the same for both primitive
-    roots g1 and g2.  Always true: either subgroup of order c is the full
-    solution set of x^c = 1."""
-    N = modulus.N
-    if (N - 1) % c != 0:
-        raise DomainError(f"{c} does not divide N-1 = {N - 1}")
-    if n1 % N == 0:
-        raise DomainError("n1 must be nonzero mod N")
-    for g in (g1, g2):
-        if multiplicative_order(g, modulus) != N - 1:
-            raise DomainError(f"{g} is not a primitive root mod {N}")
-    step = (N - 1) // c
-    set1 = {(n1 * pow(g1, j * step, N)) % N for j in range(c)}
-    set2 = {(n1 * pow(g2, j * step, N)) % N for j in range(c)}
-    return set1 == set2
 
 
 # -- orbit enumeration -------------------------------------------------------
@@ -259,14 +180,33 @@ def _scan_candidates(
     return rows, fixes
 
 
-def _record(modulus: PrimeModulus, rep: tuple[int, ...], stab: tuple[int, ...]) -> OrbitRecord:
+def _record(
+    modulus: PrimeModulus,
+    rep: tuple[int, ...],
+    stab: tuple[int, ...],
+    subgroups: dict[int, tuple[int, ...]],
+) -> OrbitRecord:
+    """The record of rep with stabilizer stab, its block leaders read off
+    stab: x is a leader iff x <= x h mod N for every h in stab.  Checked
+    exactly: stab is the order-c unit subgroup (memoized in subgroups, one
+    per c), and the leaders' cosets, with 0 when rep holds it, give rep."""
     N = modulus.N
     c = len(stab)
     if (N - 1) % c != 0:
         raise ContractViolationError(f"stabilizer order {c} does not divide {N - 1}")
-    return OrbitRecord(
-        rep=GeneratorSet(modulus, rep), size=(N - 1) // c, stab_order=c, stabilizer=stab
-    )
+    if c not in subgroups:
+        subgroups[c] = unit_subgroup(modulus, c)
+    if stab != subgroups[c]:
+        raise ContractViolationError(
+            f"stabilizer {stab} of {rep} is not the unit subgroup of order {c}"
+        )
+    nonzero = rep[1:] if rep[0] == 0 else rep
+    leaders = nonzero  # at c = 1 each coset is one element
+    if c > 1:
+        leaders = tuple(x for x in nonzero if all(x <= x * h % N for h in stab))
+        if tuple(sorted(x * h % N for x in leaders for h in stab)) != nonzero:
+            raise ContractViolationError(f"block expansion does not reproduce {rep}")
+    return OrbitRecord(GeneratorSet(modulus, rep), (N - 1) // c, c, stab, leaders)
 
 
 def enumerate_orbits(
@@ -292,14 +232,15 @@ def enumerate_orbits(
         )
 
     # {0} is the one set with no nonzero element; every unit fixes it
-    records = [_record(modulus, (0,), tuple(range(1, N)))] if d == 1 else []
+    subgroups: dict[int, tuple[int, ...]] = {}
+    records = [_record(modulus, (0,), tuple(range(1, N)), subgroups)] if d == 1 else []
     # x^-1 mod N by lookup; d = 1 runs no multiplier pass, so N may be large
     inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
     for chunk in _candidate_chunks(N, d, _CHUNK_ROWS):
         reps, fixes = _scan_candidates(chunk, N, inverse)
         for row, mask in zip(reps.tolist(), fixes.tolist()):
             stab = tuple(x for x, fixed in zip(row, mask) if fixed)
-            records.append(_record(modulus, tuple(row), stab))
+            records.append(_record(modulus, tuple(row), stab, subgroups))
 
     covered = sum(r.size for r in records)
     if covered != total:

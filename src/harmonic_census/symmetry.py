@@ -28,7 +28,8 @@ relation of D and Q holds on every column iff it holds on the generators
 (m = 1), where it is checked exactly.  Groups, elements and column
 permutations are listed lazily from the pairs (a, b), so nothing of size N
 is built and all of it costs O(d^2).  The order N! of the simplex and the
-basis is computed only up to N = FACTORIAL_MAX_N.  The label pass over
+basis is computed only up to N = FACTORIAL_MAX_N, and only while it has
+no more digits than the interpreter's int-to-str limit.  The label pass over
 every t and a backtracking search with exact unitary reconstruction check
 all this in tests/oracles.py.  See also Vale & Waldron, "The symmetry
 group of a finite frame" (2010).
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -201,7 +203,9 @@ def _every_permutation(s: GeneratorSet) -> bool:
 
 
 def _symmetric_group_order(N: int) -> int:
-    """N!, refused past FACTORIAL_MAX_N."""
+    """N!, refused past FACTORIAL_MAX_N and when it has more digits than
+    the live int-to-str limit (PYTHONINTMAXSTRDIGITS; 0 means none) lets
+    the CLI print."""
     if N > FACTORIAL_MAX_N:
         raise BudgetExceededError(
             f"the order {N}! of S_{N} has more than 4300 digits and is not "
@@ -209,7 +213,17 @@ def _symmetric_group_order(N: int) -> int:
             required=N,
             budget=FACTORIAL_MAX_N,
         )
-    return math.factorial(N)
+    order = math.factorial(N)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^(3 limit) < 10^limit, so only a longer order needs the exact test
+    if limit and order.bit_length() > 3 * limit and order >= 10**limit:
+        raise BudgetExceededError(
+            f"the order {N}! of S_{N} has more than {limit} digits, the "
+            "int-to-str limit of this interpreter",
+            required=limit + 1,
+            budget=limit,
+        )
+    return order
 
 
 def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:

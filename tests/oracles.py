@@ -9,17 +9,21 @@ orbits, trial division for divisors, N x N coefficient matrices from the
 frame's column inner products for Gram entries and unit norms, the
 d x d x N coefficient tensor for the row Gram, both d x N frame matrices
 for an equivalence witness, every label t . S for the label-preserving
-multipliers, and backtracking over Gram labels plus exact unitary
-reconstruction for symmetry groups.  Slow but
-obviously correct; nothing in the package is trusted beyond basic types
-(frame exponents, Gram labels, which the tests check against t . S, and the
-exact cyclotomic coefficient helpers).
+multipliers, backtracking over Gram labels plus exact unitary
+reconstruction for symmetry groups, every unit with x^c = 1 for coset
+blocks, and schoolbook products for Z[w].  Slow but obviously correct;
+nothing in the package is trusted beyond basic types (frame exponents, Gram
+labels, which the tests check against t . S, and the exact cyclotomic
+coefficient helpers).  Two harnesses also drive the library over every
+orbit: the total of its alpha recursion, and are_equivalent on all pairs of
+sets, tallied against the angle multisets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -27,17 +31,22 @@ import numpy as np
 from harmonic_census import (
     BudgetExceededError,
     CyclotomicInt,
+    DomainError,
     FrameMatrix,
     GeneratorSet,
     GramMatrix,
+    ModulusMismatchError,
     PrimeModulus,
     ScaledCyclotomic,
     SymmetryElement,
     Witness,
+    alpha,
+    are_equivalent,
     build_frame,
     gram,
 )
 from harmonic_census.cyclotomic import canonicalize_array, exponent_counts
+from harmonic_census.equivalence import CERT_ORBIT_MISMATCH
 
 AUTOMORPHISM_CAP = 500_000
 
@@ -168,6 +177,119 @@ def pi1_orbit_count_via_subsets(N: int, d: int) -> int:
         assert math.factorial(d) % stab == 0
         total += math.factorial(d) // stab
     return total
+
+
+def count_harmonic_frames_alpha(modulus: PrimeModulus, d: int) -> Fraction:
+    """Total orbit count summed from the library's alpha recursion, over
+    every c | N-1 with c | d or c | d-1 (1 < d < N)."""
+    N = modulus.N
+    orders = [c for c in divisors_trial(N - 1) if d % c == 0 or (d - 1) % c == 0]
+    return sum((alpha(modulus, d, c) for c in orders), Fraction(0))
+
+
+# -- block forms -------------------------------------------------------------
+
+
+def coset_leaders(N: int, elems: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """The smallest member of each coset x H, x a nonzero element of elems,
+    with H = {x : x^c = 1 mod N} found by trying every unit."""
+    H = [x for x in range(1, N) if pow(x, c, N) == 1]
+    return tuple(sorted({min(x * h % N for h in H) for x in elems if x}))
+
+
+def primitive_root_independence_check(
+    modulus: PrimeModulus, c: int, n1: int, g1: int, g2: int
+) -> bool:
+    """Whether the coset {n1 * g^(j(N-1)/c)} is the same for both primitive
+    roots g1 and g2.  Always true: either subgroup of order c is the full
+    solution set of x^c = 1."""
+    N = modulus.N
+    if (N - 1) % c != 0:
+        raise DomainError(f"{c} does not divide N-1 = {N - 1}")
+    if n1 % N == 0:
+        raise DomainError("n1 must be nonzero mod N")
+    for g in (g1, g2):
+        if len({pow(g, k, N) for k in range(N - 1)}) != N - 1:
+            raise DomainError(f"{g} is not a primitive root mod {N}")
+    step = (N - 1) // c
+    set1 = {(n1 * pow(g1, j * step, N)) % N for j in range(c)}
+    set2 = {(n1 * pow(g2, j * step, N)) % N for j in range(c)}
+    return set1 == set2
+
+
+# -- exact cyclotomic products -----------------------------------------------
+
+
+def multiply(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
+    """a * b in Z[w], by the schoolbook product of coefficient vectors."""
+    if a.modulus != b.modulus:
+        raise ModulusMismatchError(f"mixed moduli {a.modulus.N} and {b.modulus.N}")
+    N = a.modulus.N
+    out = [0] * N
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[(i + j) % N] += x * y
+    return CyclotomicInt(a.modulus, tuple(out))
+
+
+def conjugate(a: CyclotomicInt) -> CyclotomicInt:
+    """Complex conjugation, w^k -> w^(N-k)."""
+    return CyclotomicInt(a.modulus, a.coeffs[:1] + a.coeffs[:0:-1])
+
+
+# -- equivalence across all orbits -------------------------------------------
+
+CERT_ANGLE_MISMATCH = "angle-multiset-mismatch"
+
+
+def angle_multiset(s: GeneratorSet) -> tuple[CyclotomicInt, ...]:
+    """The multiset {sum_k w^(m n_k) : m = 1..N-1}, canonicalized and sorted
+    by coefficient vector.  Invariant under the unit-group action."""
+    N = s.modulus.N
+    gens = np.array(s.elems, dtype=np.int64)
+    m = np.arange(1, N, dtype=np.int64)
+    coeffs = exponent_counts((m[:, None] * gens[None, :]) % N, N)
+    rows = sorted(tuple(int(c) for c in row) for row in coeffs)
+    return tuple(CyclotomicInt(s.modulus, row) for row in rows)
+
+
+@dataclass(frozen=True)
+class CrossValidationReport:
+    """Pairs of orbits separated by the angle multisets count as
+    angle-multiset-mismatch; the rest, logged in collisions, as
+    orbit-mismatch.  Collisions are legitimate: the invariant is only
+    necessary."""
+
+    n_orbits: int
+    cross_pairs_checked: int
+    collisions: tuple[tuple[GeneratorSet, GeneratorSet], ...]
+    certificates: dict[str, int]
+
+
+def cross_validate_equivalence(modulus: PrimeModulus, d: int) -> CrossValidationReport:
+    """are_equivalent on every pair of orbit representatives, which must be
+    inequivalent, with their angle multisets compared, and on every pair
+    within an orbit, which must be equivalent with a verified witness.
+    The orbits come from subset_orbit_census."""
+    N = modulus.N
+    reps = [GeneratorSet(modulus, r) for r in sorted(subset_orbit_census(N, d))]
+    angles = [angle_multiset(r) for r in reps]
+
+    collisions = []
+    certificates = {CERT_ANGLE_MISMATCH: 0, CERT_ORBIT_MISMATCH: 0}
+    pairs = list(combinations(range(len(reps)), 2))
+    for i, j in pairs:
+        assert not are_equivalent(reps[i], reps[j]).equivalent
+        if angles[i] != angles[j]:
+            certificates[CERT_ANGLE_MISMATCH] += 1
+        else:
+            certificates[CERT_ORBIT_MISMATCH] += 1
+            collisions.append((reps[i], reps[j]))
+    for rep in reps:
+        members = sorted({tuple(sorted(m * x % N for x in rep)) for m in range(1, N)})
+        sets = [GeneratorSet(modulus, e) for e in members]
+        assert all(are_equivalent(a, b).equivalent for a, b in combinations(sets, 2))
+    return CrossValidationReport(len(reps), len(pairs), tuple(collisions), certificates)
 
 
 # -- frames, Gram matrices and witnesses on the full matrices -----------------

@@ -1,5 +1,8 @@
 import cmath
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -225,6 +228,41 @@ def test_simplex_and_basis_at_factorial_bound(capsys):
         assert obj["conjecture_holds"] is False
     code, out, _ = run(capsys, "scan", "--N", str(N), "--d", str(N))
     assert code == 4 and f" full={fact} holds=NO" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symmetry", "--N", "1009", "--gens", ",".join(map(str, range(1009)))],
+        ["scan", "--N", "1009", "--d", "1009"],
+    ],
+)
+def test_factorial_refused_past_int_to_str_limit(argv, fmt):
+    # 1009! has 2,595 digits: printable by default, not under a 640 limit
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmonic_census", *argv, "--format", fmt],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: the order 1009! of S_1009 has more than 640")
+
+
+def test_frame_budget(capsys):
+    # d x N entries against the enumeration budget, before any allocation
+    start = time.perf_counter()
+    code, out, err = run(capsys, "frame", "--N", "2147483647", "--gens", "1,2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert "frame of 2 x 2147483647 = 4294967294 entries exceeds budget 10000000" in err
+    argv = ["frame", "--N", "13", "--gens", "1,2,4", "--max-subsets"]
+    assert run(capsys, *argv, "39")[0] == 0  # 3 x 13 entries
+    assert run(capsys, *argv, "38")[0] == 3
 
 
 def test_malformed_generators(capsys):

