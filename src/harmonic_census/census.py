@@ -4,25 +4,24 @@ For prime N and a d-subset orbit census, write gamma_c for the number of
 orbits whose stabilizer has order c (orbit size (N-1)/c) and beta_c for the
 cumulative number of subsets those orbits contain, so gamma_c =
 c * beta_c / (N-1).  A subset with stabilizer of order c splits into
-multiplicative cosets of the order-c unit subgroup, which yields a product
-formula for the number of subsets expressible in that block shape; since a
+multiplicative cosets of the order-c unit subgroup, so choosing q of the
+(N-1)/c cosets gives every subset expressible in that block shape; since a
 subset with a larger stabilizer of order b (c | b) is also expressible in
 c-blocks, the recursion runs backwards over the divisor lattice:
 
-    beta_c = (N-1)(N-1-c)...(N-1-(q-1)c) / (c^q q!) - sum_{c<b, b|N-1, c|b, b|t} beta_b
+    beta_c = C((N-1)/c, q) - sum_{c<b, c|b, b|gcd(N-1, t)} beta_b
 
 with t = d and q = d/c when c | d, and t = d-1, q = (d-1)/c when c | d-1
-(the two cases are exclusive for c > 1; t = 0, the d = 1 case, is divisible
-by every b).  Only b | N-1 appear: for any other b no unit of order b
-exists, so no orbit of size (N-1)/b exists and beta_b = 0.  The divisors of
-N-1 are listed once and each target's beta_c is computed from the largest c
-down, so a census costs O(tau(N-1)^2) exact operations after the O(sqrt N)
-divisor search, whatever the size of N.  gamma_1 then follows from mass
-balance against C(N, d).
+(the two cases are exclusive for c > 1).  Only b | N-1 appear: for any
+other b no unit of order b exists, so beta_b = 0.  A census thus costs
+O(tau(g)^2) int operations and one binomial per divisor of g = gcd(N-1, t),
+after a trial division up to sqrt(g).  For 2 <= d <= N-2, g <= d; only
+d = 1 (t = 0), N-1 and N factor N-1 itself.  beta_1 and gamma_1 follow from
+mass balance against C(N, d).
 
 A second, independently coded recursion computes the same counts directly
-at orbit level (alpha); the two are asserted equal in the test suite.  All
-arithmetic is exact (Fraction / int); any non-integral gamma aborts loudly
+at orbit level (alpha, in Fractions over the divisors of N-1); the two are
+asserted equal in the test suite.  Any non-integral gamma aborts loudly
 instead of rounding.
 """
 
@@ -36,59 +35,44 @@ from .errors import ContractViolationError, DomainError
 from .number_theory import PrimeModulus, divisors
 
 
-def _case_target(d: int, c: int) -> int:
-    """Which of d or d-1 the block recursion for c applies to."""
-    if d % c == 0:
-        return d
-    if (d - 1) % c == 0:
-        return d - 1
-    raise DomainError(f"c={c} divides neither d={d} nor d-1")
-
-
-def _check_beta_pre(N: int, d: int, c: int) -> None:
+def _target(N: int, d: int, c: int) -> int:
+    """The one of d and d-1 that c divides, for a block order c > 1 that
+    divides N-1."""
     if c <= 1:
         raise DomainError(f"block recursion needs c > 1, got c={c}")
     if (N - 1) % c != 0:
         raise DomainError(f"c={c} does not divide N-1={N - 1}")
-    if d % c != 0 and (d - 1) % c != 0:
-        raise DomainError(f"c={c} divides neither d={d} nor d-1={d - 1}")
+    if d % c == 0:
+        return d
+    if (d - 1) % c == 0:
+        return d - 1
+    raise DomainError(f"c={c} divides neither d={d} nor d-1={d - 1}")
 
 
-def _betas(N: int, target: int, divs: list[int]) -> dict[int, Fraction]:
-    """beta_c for every c > 1 in divs (the divisors of N-1, ascending) with
-    c | target, keyed by c in descending order.  Each beta_c subtracts the
-    beta_b already computed for the multiples b of c."""
-    out: dict[int, Fraction] = {}
-    for c in reversed(divs):
-        if c == 1 or target % c:
-            continue
-        q = target // c
-        num = 1
-        for i in range(q):
-            num *= N - 1 - i * c
-        first = Fraction(num, c**q * math.factorial(q))
-        out[c] = first - sum((v for b, v in out.items() if b % c == 0), Fraction(0))
+def _betas(N: int, target: int) -> dict[int, int]:
+    """beta_c for every c > 1 dividing gcd(N-1, target), keyed by c in
+    descending order.  Each beta_c subtracts the beta_b already computed for
+    the multiples b of c."""
+    out: dict[int, int] = {}
+    for c in reversed(divisors(math.gcd(N - 1, target))[1:]):
+        first = math.comb((N - 1) // c, target // c)
+        out[c] = first - sum(v for b, v in out.items() if b % c == 0)
     return out
 
 
-def _nontrivial_betas(N: int, d: int) -> dict[int, Fraction]:
-    """beta_c for all c > 1 with c | N-1 and (c | d or c | d-1), ascending."""
-    divs = divisors(N - 1)
-    return dict(sorted({**_betas(N, d, divs), **_betas(N, d - 1, divs)}.items()))
-
-
-def beta(modulus: PrimeModulus, d: int, c: int) -> Fraction:
+def beta(modulus: PrimeModulus, d: int, c: int) -> int:
     """beta_c for dimension d (c > 1, c | N-1, c | d or c | d-1)."""
     N = modulus.N
-    _check_beta_pre(N, d, c)
-    return _betas(N, _case_target(d, c), divisors(N - 1))[c]
+    return _betas(N, _target(N, d, c))[c]
 
 
-def _gamma(N: int, d: int, c: int, beta_c: Fraction) -> int:
-    value = Fraction(c) * beta_c / (N - 1)
-    if value.denominator != 1:
-        raise ContractViolationError(f"gamma_{c}({N},{d}) = {value} is not integral")
-    return int(value)
+def _gamma(N: int, d: int, c: int, beta_c: int) -> int:
+    value, rem = divmod(c * beta_c, N - 1)
+    if rem:
+        raise ContractViolationError(
+            f"gamma_{c}({N},{d}) = {c * beta_c}/{N - 1} is not integral"
+        )
+    return value
 
 
 def gamma(modulus: PrimeModulus, d: int, c: int) -> int:
@@ -102,12 +86,12 @@ def gamma(modulus: PrimeModulus, d: int, c: int) -> int:
 class Census:
     """Per-stabilizer-order orbit counts for one (N, d) pair.
 
-    beta[1] is derived as gamma_1 * (N-1) so that sum_c beta_c = C(N, d).
+    beta[1] is C(N, d) less the other beta_c, so sum_c beta_c = C(N, d).
     """
 
     modulus: PrimeModulus
     d: int
-    beta: dict[int, Fraction]
+    beta: dict[int, int]
     gamma: dict[int, int]
     total: int
 
@@ -121,22 +105,21 @@ def full_census(modulus: PrimeModulus, d: int) -> Census:
     N = modulus.N
     if not 1 <= d <= N:
         raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
-    betas = _nontrivial_betas(N, d)
+    subsets = math.comb(N, d)
+    # c > 1 divides N-1 and one of d and d-1, ascending
+    betas = dict(sorted({**_betas(N, d), **_betas(N, d - 1)}.items()))
     gammas = {c: _gamma(N, d, c, v) for c, v in betas.items()}
-    gamma_1 = Fraction(math.comb(N, d), N - 1)
-    for c, g in gammas.items():
-        gamma_1 -= Fraction(g, c)
-    if gamma_1.denominator != 1 or gamma_1 < 0:
+    beta_1 = subsets - sum(betas.values())
+    gamma_1, rem = divmod(beta_1, N - 1)
+    if rem or gamma_1 < 0:
         raise ContractViolationError(
-            f"gamma_1({N},{d}) = {gamma_1} is not a nonnegative integer"
+            f"gamma_1({N},{d}) = {beta_1}/{N - 1} is not a nonnegative integer"
         )
-    gammas = {1: int(gamma_1), **gammas}
-    betas = {1: Fraction(gammas[1] * (N - 1)), **betas}
-    mass = sum(Fraction(g * (N - 1), c) for c, g in gammas.items())
-    if mass != math.comb(N, d):
-        raise ContractViolationError(
-            f"census mass {mass} != C({N},{d}) = {math.comb(N, d)}"
-        )
+    gammas = {1: gamma_1, **gammas}
+    betas = {1: beta_1, **betas}
+    mass = sum(g * ((N - 1) // c) for c, g in gammas.items())
+    if mass != subsets:
+        raise ContractViolationError(f"census mass {mass} != C({N},{d}) = {subsets}")
     return Census(
         modulus=modulus,
         d=d,
@@ -147,19 +130,8 @@ def full_census(modulus: PrimeModulus, d: int) -> Census:
 
 
 def count_harmonic_frames(modulus: PrimeModulus, d: int) -> int:
-    """Number of d-subset orbits, i.e. of inequivalent harmonic frames.
-
-    The recursion targets 1 < d < N; d = 1 has exactly two orbits ([0] and
-    the orbit of any nonzero singleton) and d = N exactly one, returned as
-    documented special cases (both also agree with the recursion).
-    """
-    N = modulus.N
-    if not 1 <= d <= N:
-        raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
-    if d == 1:
-        return 2
-    if d == N:
-        return 1
+    """Number of d-subset orbits, i.e. of inequivalent harmonic frames: 2 at
+    d = 1 ([0] and the orbit of any nonzero singleton) and 1 at d = N."""
     return full_census(modulus, d).total
 
 
@@ -194,7 +166,7 @@ def growth_ratio(modulus: PrimeModulus, d: int) -> float:
     if not 1 < d < N:
         raise DomainError(f"growth diagnostic needs 1 < d < N, got d={d}, N={N}")
     count = count_harmonic_frames(modulus, d)
-    return float(Fraction(count * math.factorial(d), N ** (d - 1)))
+    return count * math.factorial(d) / N ** (d - 1)
 
 
 # -- independent orbit-level recursion ---------------------------------------
@@ -245,5 +217,4 @@ def alpha(modulus: PrimeModulus, d: int, c: int) -> Fraction:
         raise DomainError(f"alpha recursion needs d >= 2, got d={d}")
     if c == 1:
         return _alpha_1(N, d, _nontrivial_alphas(N, d))
-    _check_beta_pre(N, d, c)
-    return _alphas(N, _case_target(d, c), divisors(N - 1))[c]
+    return _alphas(N, _target(N, d, c), divisors(N - 1))[c]

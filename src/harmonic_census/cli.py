@@ -11,8 +11,9 @@ invocations produce byte-identical output regardless of --threads.
 Integers too large for a double are emitted as decimal strings in JSON.
 The HC_MAX_SUBSETS environment variable overrides the default budget, which
 counts the C(N, d) subsets an enumeration covers and the d x N entries of a
-frame; an explicit --max-subsets beats both.  Exit 3 also reports an N! too
-long to print.
+frame; an explicit --max-subsets beats both.  Exit 3 also reports a number
+too long to print, one with more digits than the interpreter's int-to-str
+limit: C(N, d) for count, enumerate, verify and scan, or an N!.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .census import count_harmonic_frames, count_unordered_dft, full_census
 from .equivalence import are_equivalent
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .frames import build_frame, export_frame
 from .number_theory import PrimeModulus, is_prime
-from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits
+from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits, subset_count
 from .symmetry import conjecture_scan, full_symmetry_group
 
 EXIT_OK = 0
@@ -49,12 +49,6 @@ _JSON_SAFE_BOUND = 2**53
 
 def _json_int(v: int):
     return v if abs(v) < _JSON_SAFE_BOUND else str(v)
-
-
-def _fraction_json(fr: Fraction):
-    if fr.denominator == 1:
-        return _json_int(int(fr))
-    return f"{fr.numerator}/{fr.denominator}"
 
 
 def _dumps(obj) -> str:
@@ -105,9 +99,8 @@ Output = tuple[list[str] | bytes, int]
 
 def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     N, d = modulus.N, args.d
+    subset_count(N, d)  # bounds every number printed below
     census = full_census(modulus, d)
-    # the census total is also 2 for d = 1 and 1 for d = N, the documented
-    # special cases of count_harmonic_frames
     note = None
     if d == 1:
         note = "d=1: two orbits, one of them the degenerate single-vector frame"
@@ -118,7 +111,7 @@ def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         rows = [
             {
                 "c": c,
-                "beta": _fraction_json(census.beta[c]),
+                "beta": _json_int(census.beta[c]),
                 "gamma": _json_int(census.gamma[c]),
                 "orbit_size": census.orbit_size(c),
             }
@@ -188,8 +181,8 @@ def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 
 def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     N, d = modulus.N, args.d
-    census = full_census(modulus, d)
     records = enumerate_orbits(modulus, d, max_subsets=args.max_subsets)
+    census = full_census(modulus, d)
     hist: dict[int, int] = {}
     for rec in records:
         hist[rec.stab_order] = hist.get(rec.stab_order, 0) + 1
@@ -368,8 +361,8 @@ def seed_check() -> int:
         cen = full_census(PrimeModulus(N), 3)
         check(
             f"worked example N={N} d=3",
-            cen.beta[3] == Fraction(N - 1, 3)
-            and cen.beta[2] == Fraction(N - 1, 2)
+            cen.beta[3] == (N - 1) // 3
+            and cen.beta[2] == (N - 1) // 2
             and cen.gamma[3] == 1
             and cen.gamma[2] == 1
             and cen.gamma[1] == (N * N - 2 * N - 5) // 6,

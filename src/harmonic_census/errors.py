@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class HarmonicCensusError(Exception):
     """Base class for all library errors."""
@@ -29,3 +31,20 @@ class BudgetExceededError(HarmonicCensusError, RuntimeError):
         super().__init__(message)
         self.required = required
         self.budget = budget
+
+
+def check_printable(what: str, value: int = 0, *, min_bits: int = 0) -> None:
+    """Raise BudgetExceededError when an integer has more decimal digits
+    than the live int-to-str limit (PYTHONINTMAXSTRDIGITS; 0 means none)
+    lets str() print.  An integer too costly to compute is passed as a lower
+    bound min_bits on its bit length instead.  2^(3 limit) < 10^limit <
+    2^(4 limit), so only a bit length in between needs the exact test."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = max(value.bit_length(), min_bits)
+    if limit and bits > 3 * limit and (bits > 4 * limit or value >= 10**limit):
+        raise BudgetExceededError(
+            f"{what} has more than {limit} digits, the int-to-str limit of "
+            "this interpreter",
+            required=limit + 1,
+            budget=limit,
+        )

@@ -33,7 +33,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError, ContractViolationError, DomainError
+from .errors import (
+    BudgetExceededError,
+    ContractViolationError,
+    DomainError,
+    check_printable,
+)
 from .number_theory import PrimeModulus, find_primitive_root
 
 DEFAULT_MAX_SUBSETS = 10**7
@@ -209,6 +214,15 @@ def _record(
     return OrbitRecord(GeneratorSet(modulus, rep), (N - 1) // c, c, stab, leaders)
 
 
+def subset_count(N: int, d: int) -> int:
+    """C(N, d), refused with BudgetExceededError when too long to print;
+    C(N, d) >= 2^min(d, N-d), so a huge d is refused before it is computed."""
+    check_printable(f"C({N},{d})", min_bits=min(d, N - d) + 1)
+    total = math.comb(N, d)
+    check_printable(f"C({N},{d})", total)
+    return total
+
+
 def enumerate_orbits(
     modulus: PrimeModulus,
     d: int,
@@ -223,7 +237,7 @@ def enumerate_orbits(
     if not 1 <= d <= N:
         raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
     budget = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
-    total = math.comb(N, d)
+    total = subset_count(N, d)
     if total > budget:
         raise BudgetExceededError(
             f"C({N},{d}) = {total} subsets exceeds budget {budget}",

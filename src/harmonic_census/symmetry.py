@@ -28,22 +28,21 @@ relation of D and Q holds on every column iff it holds on the generators
 (m = 1), where it is checked exactly.  Groups, elements and column
 permutations are listed lazily from the pairs (a, b), so nothing of size N
 is built and all of it costs O(d^2).  The order N! of the simplex and the
-basis is computed only up to N = FACTORIAL_MAX_N, and only while it has
-no more digits than the interpreter's int-to-str limit.  The label pass over
-every t and a backtracking search with exact unitary reconstruction check
-all this in tests/oracles.py.  See also Vale & Waldron, "The symmetry
-group of a finite frame" (2010).
+basis is computed only up to N = FACTORIAL_MAX_N, and is refused by
+errors.check_printable when it has more digits than the interpreter's
+int-to-str limit.  The label pass over every t and a backtracking search
+with exact unitary reconstruction check all this in tests/oracles.py.  See
+also Vale & Waldron, "The symmetry group of a finite frame" (2010).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, ContractViolationError
+from .errors import BudgetExceededError, ContractViolationError, check_printable
 from .number_theory import PrimeModulus, find_primitive_root
 from .orbits import GeneratorSet, enumerate_orbits, stabilizer
 
@@ -214,15 +213,7 @@ def _symmetric_group_order(N: int) -> int:
             budget=FACTORIAL_MAX_N,
         )
     order = math.factorial(N)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 2^(3 limit) < 10^limit, so only a longer order needs the exact test
-    if limit and order.bit_length() > 3 * limit and order >= 10**limit:
-        raise BudgetExceededError(
-            f"the order {N}! of S_{N} has more than {limit} digits, the "
-            "int-to-str limit of this interpreter",
-            required=limit + 1,
-            budget=limit,
-        )
+    check_printable(f"the order {N}! of S_{N}", order)
     return order
 
 

@@ -28,6 +28,7 @@ def test_beta_examples(m7, m13):
     # N=13, d=4: beta_4 = 12/4 = 3, beta_2 = (12*10)/(4*2) - 3 = 12
     assert beta(m13, 4, 4) == Fraction(3)
     assert beta(m13, 4, 2) == Fraction(12)
+    assert type(beta(m13, 4, 2)) is int
 
 
 def test_beta_zero_extension():
@@ -76,6 +77,7 @@ def test_count_special_cases(m5, m7):
 def test_census_mass_balance_and_keys(m13):
     for d in range(1, 14):
         cen = full_census(m13, d)
+        assert all(type(v) is int for v in cen.beta.values())
         assert sum(g * (13 - 1) // c for c, g in cen.gamma.items()) == math.comb(13, d)
         assert cen.total == sum(cen.gamma.values())
         assert sum(cen.beta.values()) == math.comb(13, d)
@@ -127,14 +129,21 @@ def test_count_against_necklaces_near_range_edge(N):
 
 
 def test_census_at_range_edge_is_fast():
-    # the recursion visits only divisors of N-1; a loop over the multiples
-    # of c below N would take far longer than this bound at N = 2^31 - 1
-    m = PrimeModulus(2**31 - 1)
+    # the recursion visits only divisors of gcd(N-1, d) or gcd(N-1, d-1),
+    # with one binomial each; a product of q factors per divisor would take
+    # far longer than this bound at d >= N - 2 and N = 2^31 - 1
+    N = 2**31 - 1
+    m = PrimeModulus(N)
+    ds = [*range(2, 9), 616, N - 2, N - 1, N]
     start = time.perf_counter()
-    for d in range(2, 9):
-        cen = full_census(m, d)
-        assert cen.total == count_harmonic_frames(m, d)
+    totals = {}
+    for d in ds:
+        totals[d] = full_census(m, d).total
+        assert totals[d] == count_harmonic_frames(m, d)
     assert time.perf_counter() - start < 2.0
+    for d in (616, N - 2):
+        assert totals[d] == oracles.subset_orbit_count_via_necklaces(N, d)
+    assert (totals[N - 1], totals[N]) == (2, 1)
 
 
 def test_alpha_equals_gamma():

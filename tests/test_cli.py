@@ -193,6 +193,49 @@ def test_symmetry_at_range_edge(capsys, argv, want):
     assert elapsed < 1.0 and peak < 2**20
 
 
+@pytest.mark.parametrize("d", [616, P - 2, P - 1, P])
+def test_count_at_range_edge(capsys, d):
+    # one binomial per divisor of gcd(N-1, d) or gcd(N-1, d-1)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--N", str(P), "--d", str(d))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    if d >= P - 1:
+        assert out.startswith(f"N={P} d={d} total={P - d + 1}\n")
+
+
+@pytest.mark.parametrize(
+    "limit, argv",
+    [
+        (4300, f"count --N {P} --d 617"),  # the first d with C(N, d) too long
+        (4300, f"count --N {P} --d 700"),
+        (4300, f"count --N {P} --d 1000000"),  # refused before C(N, d)
+        (640, f"count --N {P} --d 100 --format json"),
+        (4300, f"enumerate --N {P} --d 2000"),
+        (4300, f"verify --N {P} --d 2000"),
+        (4300, f"verify --N {P} --d 100000"),
+        (4300, "scan --N 20011 --d 10000"),
+        (4300, "enumerate --N 20011 --d 5000"),
+    ],
+)
+def test_numbers_too_long_to_print_refused(capsys, limit, argv):
+    # C(N, d) bounds every number count prints and is in the budget message
+    # of enumerate, verify and scan
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert elapsed < 1.0
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    _, _, N, _, d, *_ = argv.split()
+    assert err.startswith(f"error: C({N},{d}) has more than {limit} digits")
+
+
 @pytest.mark.parametrize(
     "N, gens, argv",
     [
