@@ -46,6 +46,7 @@ from .orbits import (
     act,
     canonical_rep,
     enumerate_orbits,
+    multipliers,
     stabilizer,
     unit_subgroup,
 )

@@ -140,8 +140,8 @@ def count_unordered_dft(modulus: PrimeModulus, d: int) -> int:
     (frames counted as unordered vector sets, before unitary equivalence).
 
     Two closed forms exist for d >= 2, N > 2: the product
-    N (N-2)(N-3)...(N-d+1) and N! / ((N-d)! (N-1)); both are computed and
-    must agree.
+    N (N-2)(N-3)...(N-d+1) and N! / ((N-d)! (N-1)), the latter taken as
+    perm(N, d) / (N-1); both cost O(d) products and must agree.
     """
     N = modulus.N
     if not 1 <= d <= N:
@@ -151,7 +151,7 @@ def count_unordered_dft(modulus: PrimeModulus, d: int) -> int:
     product = N
     for k in range(2, d):
         product *= N - k
-    ratio = math.factorial(N) // (math.factorial(N - d) * (N - 1))
+    ratio = math.perm(N, d) // (N - 1)
     if product != ratio:
         raise ContractViolationError(
             f"ordered-count forms disagree: {product} vs {ratio}"

@@ -2,9 +2,10 @@
 decisions, and symmetry analysis with stable machine-readable output.
 
 Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
-2 usage error, 3 a budget exceeded, 4 symmetry-conjecture
-counterexample discovered (notable, not fatal), 5 internal contract
-violated (a library bug, reported on one stderr line).
+2 usage error (including an --out path that cannot be written), 3 a budget
+exceeded, 4 symmetry-conjecture counterexample discovered (notable, not
+fatal), 5 internal contract violated (a library bug, reported on one stderr
+line).
 
 All output is UTF-8 with newline-terminated records, and identical
 invocations produce byte-identical output regardless of --threads.
@@ -33,7 +34,7 @@ from .errors import (
     ModulusMismatchError,
 )
 from .frames import build_frame, export_frame
-from .number_theory import PrimeModulus, is_prime
+from .number_theory import PrimeModulus
 from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits, subset_count
 from .symmetry import conjecture_scan, full_symmetry_group
 
@@ -68,26 +69,28 @@ def _join(xs, sep: str = ",") -> str:
 
 def _emit(payload: list[str] | bytes, path: str | None) -> None:
     """Write a command's output lines, or its exported bytes, to stdout or
-    to path."""
+    to path; a path that cannot be written is a usage error."""
     if isinstance(payload, list):
         payload = ("\n".join(payload) + "\n").encode("utf-8")
     if path is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
-    else:
+        return
+    try:
         with open(path, "wb") as fh:
             fh.write(payload)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _checked_modulus(args: argparse.Namespace) -> PrimeModulus:
-    """The modulus N, which must be prime; for the commands that take a
-    dimension d, also 1 <= d <= N."""
-    if args.N < 2 or not is_prime(args.N):
-        raise DomainError("N must be prime")
+    """The modulus N, which must be a prime below 2^31; for the commands
+    that take a dimension d, also 1 <= d <= N."""
+    modulus = PrimeModulus(args.N)
     d = getattr(args, "d", None)
     if d is not None and not 1 <= d <= args.N:
         raise DomainError(f"need 1 <= d <= N, got d={d}")
-    return PrimeModulus(args.N)
+    return modulus
 
 
 # -- commands ----------------------------------------------------------------
@@ -479,14 +482,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         # the errors are checked in this order: generator lists, budget, N
-        # and d, then the command's own.  A list may hold any residues;
-        # GeneratorSet reduces them mod N, sorts them and rejects
-        # duplicates, and outputs echo that normalized form.
+        # and d, the command's own, then the --out path.  A list may hold
+        # any residues; GeneratorSet reduces them mod N, sorts them and
+        # rejects duplicates, and outputs echo that normalized form.
         for name in ("gens", "a", "b"):
             if getattr(args, name, None):
                 setattr(args, name, _parse_gens(getattr(args, name)))
         args.max_subsets = _resolve_budget(args)
         payload, code = _DISPATCH[args.command](args, _checked_modulus(args))
+        _emit(payload, args.out)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -496,7 +500,6 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolationError as exc:
         print(f"error: internal contract violated: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    _emit(payload, args.out)
     return code
 
 

@@ -185,18 +185,15 @@ def _round12(x: float) -> float:
     return 0.0 if v == 0.0 else v
 
 
-def _complex_entries(f: FrameMatrix) -> tuple[list[list[float]], list[list[float]]]:
-    """The entries w^(m n_k) / sqrt(d), rounded, looked up by exponent in one
-    table of the N roots of unity.  Each root is a single cmath.exp; through
-    CyclotomicInt.to_complex, w^(N-1), stored as -(1 + w + ... + w^(N-2)),
-    would sum N-1 floats and lose digits."""
-    N, scale = f.N, 1.0 / math.sqrt(f.d)
+def _scaled_roots(N: int, d: int) -> list[tuple[float, float]]:
+    """w^k / sqrt(d) for k = 0, ..., N-1 as rounded (real, imag) pairs.
+    Each root is a single cmath.exp; through CyclotomicInt.to_complex,
+    w^(N-1), stored as -(1 + w + ... + w^(N-2)), would sum N-1 floats and
+    lose digits."""
+    scale = 1.0 / math.sqrt(d)
     # w = -1 at N = 2, where cmath.exp(1j * pi) keeps an imaginary 1.2e-16
     roots = [1, -1] if N == 2 else [cmath.exp(2j * cmath.pi * k / N) for k in range(N)]
-    re = [_round12((z * scale).real) for z in roots]
-    im = [_round12((z * scale).imag) for z in roots]
-    rows = f.exponents.tolist()
-    return [[re[e] for e in r] for r in rows], [[im[e] for e in r] for r in rows]
+    return [(_round12((z * scale).real), _round12((z * scale).imag)) for z in roots]
 
 
 def export_frame(f: FrameMatrix, format: str) -> bytes:
@@ -205,26 +202,22 @@ def export_frame(f: FrameMatrix, format: str) -> bytes:
     json: N, d, generators, the exact exponent matrix, and 1/sqrt(d)-scaled
     floating entries rounded to 12 significant digits.
     csv: d rows x N columns of "re+imi" cells.
+    Only the N roots w^k / sqrt(d) occur, so each is formatted once, as its
+    repr (which json.dumps writes for a float) or as its cell, and each row
+    joins those texts by exponent.
     """
+    roots, rows = _scaled_roots(f.N, f.d), f.exponents.tolist()
+
+    def joined(texts: list[str], sep: str) -> str:
+        return sep.join(",".join(map(texts.__getitem__, row)) for row in rows)
+
     if format == "json":
-        real, imag = _complex_entries(f)
-        obj = {
-            "N": f.N,
-            "d": f.d,
-            "generators": list(f.generators.elems),
-            "exponents": f.exponents.tolist(),
-            "real": real,
-            "imag": imag,
-        }
-        return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+        meta = {"N": f.N, "d": f.d, "generators": list(f.generators.elems)}
+        head = json.dumps({**meta, "exponents": rows}, separators=(",", ":"))
+        real = joined([repr(re) for re, _ in roots], "],[")
+        imag = joined([repr(im) for _, im in roots], "],[")
+        return f'{head[:-1]},"real":[[{real}]],"imag":[[{imag}]]}}\n'.encode("utf-8")
     if format == "csv":
-        real, imag = _complex_entries(f)
-        lines = []
-        for re_row, im_row in zip(real, imag):
-            cells = []
-            for re, im in zip(re_row, im_row):
-                sign = "-" if im < 0 else "+"
-                cells.append(f"{re:.12g}{sign}{abs(im):.12g}i")
-            lines.append(",".join(cells))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        cells = [f"{re:.12g}{'-' if im < 0 else '+'}{abs(im):.12g}i" for re, im in roots]
+        return (joined(cells, "\n") + "\n").encode("utf-8")
     raise DomainError(f"unsupported export format {format!r}")

@@ -104,8 +104,8 @@ class PrimeModulus:
             raise DomainError(f"modulus must be an integer, got {self.N!r}")
         if self.N >= MAX_MODULUS:
             raise DomainError(f"modulus {self.N} exceeds supported range < 2^31")
-        if not is_prime(self.N):
-            raise DomainError(f"modulus must be prime, got {self.N}")
+        if self.N < 2 or not is_prime(self.N):
+            raise DomainError("N must be prime")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .errors import (
     BudgetExceededError,
     ContractViolationError,
     DomainError,
+    ModulusMismatchError,
     check_printable,
 )
 from .number_theory import PrimeModulus, find_primitive_root
@@ -84,19 +85,27 @@ def act(m: int, s: GeneratorSet) -> GeneratorSet:
     return GeneratorSet(s.modulus, tuple((m * x) % N for x in s.elems))
 
 
+def multipliers(a: GeneratorSet, b: GeneratorSet) -> tuple[int, ...]:
+    """All units m with m . b = a as sets, sorted; empty when there are none.
+    Such an m maps the smallest nonzero y0 of b to some nonzero x of a, so
+    only the at most d multipliers x y0^-1 are tried, with one modular
+    inverse.  {0} is fixed by every unit, sets of different sizes have no
+    such m, and sets over different moduli raise ModulusMismatchError."""
+    N = a.modulus.N
+    if b.modulus.N != N:
+        raise ModulusMismatchError(f"mixed moduli {N} and {b.modulus.N}")
+    nonzero = b.elems[1:] if b.elems[0] == 0 else b.elems
+    if not nonzero or a.d != b.d:
+        return tuple(range(1, N)) if a.elems == b.elems else ()
+    target = set(a.elems)
+    y0_inv = pow(nonzero[0], -1, N)
+    candidates = sorted(x * y0_inv % N for x in a.elems if x)
+    return tuple(m for m in candidates if all(m * y % N in target for y in b.elems))
+
+
 def stabilizer(s: GeneratorSet) -> tuple[int, ...]:
-    """All units fixing s as a set, sorted; always contains 1.  A unit m
-    fixing s maps the smallest nonzero x0 of s to some nonzero y of s, so
-    only the at most d multipliers y x0^-1 are tried; s = {0} is fixed by
-    every unit."""
-    N = s.modulus.N
-    nonzero = [x for x in s.elems if x]
-    if not nonzero:
-        return tuple(range(1, N))
-    base = set(s.elems)
-    x0_inv = pow(nonzero[0], -1, N)
-    candidates = sorted(y * x0_inv % N for y in nonzero)
-    return tuple(m for m in candidates if all(m * x % N in base for x in s.elems))
+    """All units fixing s as a set, sorted; always contains 1."""
+    return multipliers(s, s)
 
 
 def canonical_rep(s: GeneratorSet) -> GeneratorSet:
@@ -104,9 +113,8 @@ def canonical_rep(s: GeneratorSet) -> GeneratorSet:
     the module docstring it contains 1, so only the images x^-1 . s for
     nonzero x in s are tried; s = {0} is its own orbit."""
     N = s.modulus.N
-    images = [
-        tuple(sorted(pow(x, -1, N) * y % N for y in s.elems)) for x in s.elems if x
-    ]
+    inverses = [pow(x, -1, N) for x in s.elems if x]
+    images = [tuple(sorted(u * y % N for y in s.elems)) for u in inverses]
     return GeneratorSet(s.modulus, min(images, default=s.elems))
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written against the definitions only, with
 no reuse of the package's enumeration, counting or symmetry paths: plain
 dict/set orbit chasing for subset orbits, all N-1 multipliers for a
-stabilizer, a lex-min image or an equivalence witness, raw streaming over
+stabilizer, a lex-min image, the units mapping one set onto another or an
+equivalence witness, per-entry floats for a frame export, raw streaming over
 ordered tuples for the scaling action, the classical necklace count for the number of subset
 orbits, trial division for divisors, N x N coefficient matrices from the
 frame's column inner products for Gram entries and unit norms, the
@@ -21,6 +22,8 @@ sets, tallied against the angle multisets.
 
 from __future__ import annotations
 
+import cmath
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,13 +84,16 @@ def lexmin_image(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
     return min(tuple(sorted((m * x) % N for x in elems)) for m in range(1, N))
 
 
+def multiplier_scan(N: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Every unit m with m . b = a as sets, by trying all N-1 of them."""
+    target = sorted(a)
+    return tuple(m for m in range(1, N) if sorted((m * x) % N for x in b) == target)
+
+
 def witness_multiplier(N: int, a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
     """Smallest unit m with m . b = a as sets, scanning every m; None if
     there is none."""
-    target = sorted(a)
-    return next(
-        (m for m in range(1, N) if sorted((m * x) % N for x in b) == target), None
-    )
+    return next(iter(multiplier_scan(N, a, b)), None)
 
 
 def divisors_trial(n: int) -> list[int]:
@@ -334,6 +340,40 @@ def verify_witness_frames(a: GeneratorSet, b: GeneratorSet, witness: Witness) ->
     cols = (witness.m0 * np.arange(N, dtype=np.int64)) % N
     transformed = fb.exponents[perm][:, cols]
     return bool(np.array_equal(transformed, fa.exponents))
+
+
+def export_frame_entries(frame: FrameMatrix, format: str) -> bytes:
+    """export_frame entry by entry: each of the 2 d N floats of w^e / sqrt(d)
+    from its own cmath.exp (w = -1 at N = 2), rounded to 12 significant
+    digits, then json.dumps of the whole object, or a per-cell f-string for
+    csv."""
+    N = frame.N
+    scale = 1.0 / math.sqrt(frame.d)
+
+    def rounded(x: float) -> float:
+        v = float(f"{x:.12g}")
+        return 0.0 if v == 0.0 else v
+
+    def entry(e: int) -> tuple[float, float]:
+        z = (-1 if e else 1) if N == 2 else cmath.exp(2j * cmath.pi * e / N)
+        return rounded((z * scale).real), rounded((z * scale).imag)
+
+    entries = [[entry(e) for e in row] for row in frame.exponents.tolist()]
+    if format == "json":
+        obj = {
+            "N": N,
+            "d": frame.d,
+            "generators": list(frame.generators.elems),
+            "exponents": frame.exponents.tolist(),
+            "real": [[re for re, _ in row] for row in entries],
+            "imag": [[im for _, im in row] for row in entries],
+        }
+        return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    lines = [
+        ",".join(f"{re:.12g}{'-' if im < 0 else '+'}{abs(im):.12g}i" for re, im in row)
+        for row in entries
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # -- symmetry groups by search -----------------------------------------------

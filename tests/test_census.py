@@ -183,6 +183,15 @@ def test_count_unordered_dft_against_oracle_small():
             assert raw is not None and raw == formula
 
 
+@pytest.mark.parametrize("N,d", [(1000003, 3), (2**31 - 1, 8)])
+def test_count_unordered_dft_at_range_edge(N, d):
+    # both closed forms cost O(d) products, not O(N)
+    start = time.perf_counter()
+    got = count_unordered_dft(PrimeModulus(N), d)
+    assert time.perf_counter() - start < 1.0
+    assert got == N * math.prod(N - k for k in range(2, d))
+
+
 def test_growth_ratio(m5, m7):
     assert growth_ratio(m7, 3) == pytest.approx(7 / (49 / 6))
     assert growth_ratio(m5, 2) == pytest.approx(1.2)

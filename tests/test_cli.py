@@ -8,8 +8,9 @@ import tracemalloc
 
 import pytest
 
-from harmonic_census import ContractViolationError, cli
+from harmonic_census import ContractViolationError, cli, number_theory
 from harmonic_census.cli import main
+from harmonic_census.number_theory import is_prime
 
 
 def run(capsys, *args):
@@ -39,6 +40,30 @@ def test_count_requires_prime(capsys):
     code, _, err = run(capsys, "count", "--N", "9", "--d", "2")
     assert code == 2
     assert "N must be prime" in err
+
+
+@pytest.mark.parametrize("N,d", [("2147483659", "0"), ("4294967296", "2")])
+def test_modulus_past_range(capsys, N, d):
+    # the range is checked before d and before primality (4294967296 = 2^32)
+    code, out, err = run(capsys, "count", "--N", N, "--d", d)
+    assert code == 2 and out == ""
+    assert err == f"error: modulus {N} exceeds supported range < 2^31\n"
+
+
+def test_one_primality_test_per_command(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        number_theory, "is_prime", lambda n: calls.append(n) or is_prime(n)
+    )
+    assert not hasattr(cli, "is_prime")
+    for argv in (
+        ["count", "--N", "7", "--d", "3"],
+        ["equivalent", "--N", "13", "--a", "1,2", "--b", "2,4"],
+        ["frame", "--N", "5", "--gens", "1,2", "--format", "csv"],
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [int(argv[2])]
 
 
 def test_count_d_range(capsys):
@@ -377,6 +402,15 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["total"] == 7
+
+
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_output_file_unwritable(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run(capsys, "count", "--N", "7", "--d", "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_big_integers_as_strings(capsys):

@@ -11,6 +11,7 @@ from harmonic_census import (
     act,
     are_equivalent,
     enumerate_orbits,
+    multipliers,
 )
 from harmonic_census.equivalence import CERT_ORBIT_MISMATCH, verify_witness
 
@@ -40,8 +41,8 @@ def test_witness_smallest_unit():
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
 def test_witness_is_full_scan_minimum(N):
-    """The witness tries only m = a0 / y (a0 the smallest nonzero element of
-    a, y nonzero in b); it must still be the smallest unit of all N-1."""
+    """The witness tries only m = x / y0 (y0 the smallest nonzero element of
+    b, x nonzero in a); it must still be the smallest unit of all N-1."""
     m = PrimeModulus(N)
     for d in range(1, N + 1):
         for rec in enumerate_orbits(m, d):
@@ -133,6 +134,8 @@ def test_mismatch_errors():
         are_equivalent(GeneratorSet(M5, (1, 2)), GeneratorSet(M7, (1, 2)))
     with pytest.raises(ModulusMismatchError):
         are_equivalent(GeneratorSet(M5, (1, 2)), GeneratorSet(M5, (1, 2, 3)))
+    with pytest.raises(ModulusMismatchError):
+        multipliers(GeneratorSet(M5, (1, 2)), GeneratorSet(M7, (1, 2)))
 
 
 def test_angle_multiset_full_dimension():

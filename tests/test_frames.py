@@ -234,6 +234,20 @@ def test_export_floating_matches_exact():
             assert abs(exact.imag - obj["imag"][k][m]) < 1e-10
 
 
+EXPORT_CASES = [(N, d) for N in (97, 1009, 1999) for d in (1, 3, 16)]
+EXPORT_CASES += [(97, 96), (97, 97)]
+
+
+@pytest.mark.parametrize("N,d", EXPORT_CASES)
+def test_export_against_entrywise_reference(N, d):
+    """Both formats byte for byte against per-entry floats and json.dumps or
+    per-cell formatting, at N past the golden cases."""
+    gens = tuple(random.Random(N * 31 + d).sample(range(N), d))
+    f = build_frame(GeneratorSet(PrimeModulus(N), gens))
+    for fmt in ("json", "csv"):
+        assert export_frame(f, fmt) == oracles.export_frame_entries(f, fmt)
+
+
 def test_export_unknown_format():
     f = build_frame(GeneratorSet(M3, (0, 1)))
     with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ from harmonic_census import (
     canonical_rep,
     enumerate_orbits,
     full_census,
+    multipliers,
     stabilizer,
     unit_subgroup,
 )
@@ -66,6 +67,27 @@ def test_stabilizer_against_unit_scan(N):
         for elems in itertools.combinations(range(N), d):
             s = GeneratorSet(m, elems)
             assert stabilizer(s) == oracles.stabilizer_scan(N, elems)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11])
+def test_multipliers_against_unit_scan(N):
+    """Every unit m with m . b = a, against all N-1 units, over pairs in one
+    orbit, in different orbits, with {0} and {0, ..., N-1}, and of different
+    sizes."""
+    m = PrimeModulus(N)
+    rng = random.Random(N)
+    sets = [GeneratorSet(m, (0,)), GeneratorSet(m, tuple(range(N)))]
+    for d in [*range(1, N + 1)] * 2:
+        s = GeneratorSet(m, tuple(rng.sample(range(N), d)))
+        sets += [s, act(rng.randint(1, N - 1), s)]
+    split = set()  # same-size pairs, by whether some unit maps b onto a
+    for a in sets:
+        for b in sets:
+            units = multipliers(a, b)
+            assert units == oracles.multiplier_scan(N, a.elems, b.elems)
+            if a.d == b.d:
+                split.add(bool(units))
+    assert split == {True, False}
 
 
 def test_stabilizer_is_cyclic_subgroup(m13):
