@@ -43,10 +43,9 @@ from .orbits import (
     DEFAULT_MAX_SUBSETS,
     GeneratorSet,
     OrbitRecord,
-    act,
-    canonical_rep,
     enumerate_orbits,
     multipliers,
+    orbit_chunks,
     stabilizer,
     unit_subgroup,
 )

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+from itertools import compress
 import json
 import os
 import sys
+
+import numpy as np
 
 from .census import count_harmonic_frames, count_unordered_dft, full_census
 from .equivalence import are_equivalent
@@ -35,7 +38,15 @@ from .errors import (
 )
 from .frames import build_frame, export_frame
 from .number_theory import PrimeModulus
-from .orbits import DEFAULT_MAX_SUBSETS, GeneratorSet, enumerate_orbits, subset_count
+from .orbits import (
+    DEFAULT_MAX_SUBSETS,
+    KIND_BLOCKS,
+    KIND_ZERO_BLOCKS,
+    GeneratorSet,
+    orbit_chunks,
+    subset_count,
+    unit_subgroup,
+)
 from .symmetry import conjecture_scan, full_symmetry_group
 
 EXIT_OK = 0
@@ -64,7 +75,7 @@ def _parse_gens(text: str) -> tuple[int, ...]:
 
 
 def _join(xs, sep: str = ",") -> str:
-    return sep.join(str(x) for x in xs)
+    return sep.join(map(str, xs))
 
 
 def _emit(payload: list[str] | bytes, path: str | None) -> None:
@@ -143,52 +154,58 @@ def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     return lines, EXIT_OK
 
 
-def _record_json(N: int, d: int, rec) -> dict:
-    return {
-        "N": N,
-        "d": d,
-        "generators": list(rec.rep.elems),
-        "size": rec.size,
-        "stab_order": rec.stab_order,
-        "stabilizer": list(rec.stabilizer),
-        "structured_form": {
-            "kind": rec.kind,
-            "c": rec.stab_order,
-            "block_leaders": list(rec.block_leaders),
-        },
-    }
-
-
 def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
-    records = enumerate_orbits(modulus, args.d, max_subsets=args.max_subsets)
+    """One line per orbit, joined from texts: the representative, then a
+    fragment that depends only on c and the kind (memoized), then the block
+    leaders.  At c = 1 the leaders are the nonzero elements."""
+    N, d, fmt = modulus.N, args.d, args.output_format
+    sep = "|" if fmt == "csv" else ","
+    head, tail = {
+        "json": (f'{{"N":{N},"d":{d},"generators":[', "]}}"),
+        "csv": ("", ""),
+        "table": ("rep=[", "]"),
+    }[fmt]
+
+    def middle(c: int, kind: str) -> str:
+        size, stab = (N - 1) // c, _join(unit_subgroup(modulus, c), sep)
+        if fmt == "json":
+            return (
+                f'],"size":{size},"stab_order":{c},"stabilizer":[{stab}],'
+                f'"structured_form":{{"kind":"{kind}","c":{c},"block_leaders":['
+            )
+        if fmt == "csv":
+            return f",{size},{c},{stab},{kind},"
+        return f"] size={size} c={c} stabilizer=[{stab}] kind={kind} leaders=["
+
     lines = []
-    if args.output_format == "csv":
+    if fmt == "csv":
         lines.append("generators,size,stab_order,stabilizer,kind,block_leaders")
-    for rec in records:
-        if args.output_format == "json":
-            lines.append(_dumps(_record_json(modulus.N, args.d, rec)))
-        elif args.output_format == "csv":
-            lines.append(
-                f"{_join(rec.rep.elems, '|')},{rec.size},{rec.stab_order},"
-                f"{_join(rec.stabilizer, '|')},{rec.kind},"
-                f"{_join(rec.block_leaders, '|')}"
-            )
-        else:
-            lines.append(
-                f"rep=[{_join(rec.rep.elems)}] size={rec.size} c={rec.stab_order} "
-                f"stabilizer=[{_join(rec.stabilizer)}] kind={rec.kind} "
-                f"leaders=[{_join(rec.block_leaders)}]"
-            )
+    middles: dict[tuple[int, str], str] = {}
+    for reps, c, leaders in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
+        zero = reps[0, 0] == 0  # one head per chunk
+        kind = KIND_ZERO_BLOCKS if zero else KIND_BLOCKS
+        skip = 2 if zero else 0  # the text "0" and its separator
+        for i, (row, order) in enumerate(zip(reps.tolist(), c.tolist())):
+            gens = _join(row, sep)
+            if (order, kind) not in middles:
+                middles[order, kind] = middle(order, kind)
+            if order == 1:
+                lead = gens[skip:]
+            else:
+                lead = _join(compress(row, leaders[i].tolist()), sep)
+            lines.append(head + gens + middles[order, kind] + lead + tail)
     return lines, EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     N, d = modulus.N, args.d
-    records = enumerate_orbits(modulus, d, max_subsets=args.max_subsets)
-    census = full_census(modulus, d)
     hist: dict[int, int] = {}
-    for rec in records:
-        hist[rec.stab_order] = hist.get(rec.stab_order, 0) + 1
+    for _, c, _ in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
+        orders, counts = np.unique(c, return_counts=True)
+        for order, count in zip(orders.tolist(), counts.tolist()):
+            hist[order] = hist.get(order, 0) + count
+    orbits = sum(hist.values())
+    census = full_census(modulus, d)
     orders = sorted(set(census.gamma) | set(hist))
     rows = []
     all_match = True
@@ -198,7 +215,7 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         match = formula == brute
         all_match &= match
         rows.append({"c": c, "formula": formula, "bruteforce": brute, "match": match})
-    all_match &= census.total == len(records)
+    all_match &= census.total == orbits
     code = EXIT_OK if all_match else EXIT_MISMATCH
 
     if args.output_format == "json":
@@ -208,14 +225,14 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
             "N": N,
             "d": d,
             "total_formula": _json_int(census.total),
-            "total_bruteforce": len(records),
+            "total_bruteforce": orbits,
             "match": all_match,
             "rows": rows,
         }
         return [_dumps(obj)], code
     lines = [
         f"N={N} d={d} formula_total={census.total} "
-        f"bruteforce_total={len(records)} match={'yes' if all_match else 'NO'}"
+        f"bruteforce_total={orbits} match={'yes' if all_match else 'NO'}"
     ]
     lines.append(f"{'c':>8} {'formula':>16} {'bruteforce':>16} {'match':>8}")
     for r in rows:

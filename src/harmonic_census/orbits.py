@@ -19,16 +19,24 @@ representative iff T <= x^-1 . T for those at most d-1 multipliers, and the
 multipliers with x^-1 . T = T make up its whole stabilizer (x fixes T iff
 x^-1 does).  Candidates are tested in chunks, one numpy pass over sorted
 rows per multiplier column.  Those containing 0 come first, each group in
-combination order, so the records come out sorted by representative with no
+combination order, so the orbits come out sorted by representative with no
 visited-set memory.  The single set with no nonzero element, {0}, is its
 own orbit.
+
+orbit_chunks yields the orbits as numpy chunks: the representatives, the
+stabilizer order c of each and the mask of its block leaders.  Each chunk is
+checked in numpy as it is scanned (_check_chunk): c divides N-1; the fixed
+elements are the order-c unit subgroup; and the leaders' cosets under that
+subgroup give back the row.  After the last chunk the orbit sizes must sum
+to C(N, d).  The CLI formats and counts the chunks directly;
+enumerate_orbits turns them into OrbitRecord objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Iterator
 
 import numpy as np
@@ -77,14 +85,6 @@ class GeneratorSet:
         return f"GeneratorSet(N={self.modulus.N}, {list(self.elems)})"
 
 
-def act(m: int, s: GeneratorSet) -> GeneratorSet:
-    """m . [n] = [m n_1, ..., m n_d], re-sorted."""
-    N = s.modulus.N
-    if m % N == 0:
-        raise DomainError(f"{m} is not a unit mod {N}")
-    return GeneratorSet(s.modulus, tuple((m * x) % N for x in s.elems))
-
-
 def multipliers(a: GeneratorSet, b: GeneratorSet) -> tuple[int, ...]:
     """All units m with m . b = a as sets, sorted; empty when there are none.
     Such an m maps the smallest nonzero y0 of b to some nonzero x of a, so
@@ -106,16 +106,6 @@ def multipliers(a: GeneratorSet, b: GeneratorSet) -> tuple[int, ...]:
 def stabilizer(s: GeneratorSet) -> tuple[int, ...]:
     """All units fixing s as a set, sorted; always contains 1."""
     return multipliers(s, s)
-
-
-def canonical_rep(s: GeneratorSet) -> GeneratorSet:
-    """Lexicographically smallest member of the orbit of s.  By the lemma in
-    the module docstring it contains 1, so only the images x^-1 . s for
-    nonzero x in s are tried; s = {0} is its own orbit."""
-    N = s.modulus.N
-    inverses = [pow(x, -1, N) for x in s.elems if x]
-    images = [tuple(sorted(u * y % N for y in s.elems)) for u in inverses]
-    return GeneratorSet(s.modulus, min(images, default=s.elems))
 
 
 KIND_BLOCKS = "blocks_divide_d"
@@ -145,6 +135,8 @@ def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
     N = modulus.N
     if c < 1 or (N - 1) % c != 0:
         raise DomainError(f"no subgroup of order {c} in a group of order {N - 1}")
+    if c == N - 1:
+        return tuple(range(1, N))  # all of Z_N^x
     g = find_primitive_root(modulus).g
     h = pow(g, (N - 1) // c, N)
     return tuple(sorted(pow(h, j, N) for j in range(c)))
@@ -193,33 +185,54 @@ def _scan_candidates(
     return rows, fixes
 
 
-def _record(
+def _check_chunk(
     modulus: PrimeModulus,
-    rep: tuple[int, ...],
-    stab: tuple[int, ...],
-    subgroups: dict[int, tuple[int, ...]],
-) -> OrbitRecord:
-    """The record of rep with stabilizer stab, its block leaders read off
-    stab: x is a leader iff x <= x h mod N for every h in stab.  Checked
-    exactly: stab is the order-c unit subgroup (memoized in subgroups, one
-    per c), and the leaders' cosets, with 0 when rep holds it, give rep."""
+    rows: np.ndarray,
+    fixes: np.ndarray,
+    subgroups: dict[int, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stabilizer order c of each scanned row (its number of fixed
+    elements) and the mask of its block leaders, checked exactly: c divides
+    N-1, and the fixed elements are the order-c unit subgroup H (memoized in
+    subgroups, one per c).  x is a leader iff x <= x h mod N for every h in
+    H, and the leaders' cosets x H give back the nonzero part of the row.
+    All rows share their head."""
     N = modulus.N
-    c = len(stab)
-    if (N - 1) % c != 0:
-        raise ContractViolationError(f"stabilizer order {c} does not divide {N - 1}")
-    if c not in subgroups:
-        subgroups[c] = unit_subgroup(modulus, c)
-    if stab != subgroups[c]:
-        raise ContractViolationError(
-            f"stabilizer {stab} of {rep} is not the unit subgroup of order {c}"
-        )
-    nonzero = rep[1:] if rep[0] == 0 else rep
-    leaders = nonzero  # at c = 1 each coset is one element
-    if c > 1:
-        leaders = tuple(x for x in nonzero if all(x <= x * h % N for h in stab))
-        if tuple(sorted(x * h % N for x in leaders for h in stab)) != nonzero:
-            raise ContractViolationError(f"block expansion does not reproduce {rep}")
-    return OrbitRecord(GeneratorSet(modulus, rep), (N - 1) // c, c, stab, leaders)
+    c = fixes.sum(axis=1)
+    nonzero = rows[:, int(rows[0, 0] == 0) :]
+    leaders = rows != 0  # at c = 1 each coset is one element
+    for order in np.flatnonzero(np.bincount(c)).tolist():  # c <= d bins
+        at = c == order
+        block = rows[at]
+        if math.gcd(order, N - 1) != order:
+            raise ContractViolationError(
+                f"stabilizer order {order} of {block[0].tolist()} does not divide {N - 1}"
+            )
+        if order not in subgroups:
+            subgroups[order] = np.array(unit_subgroup(modulus, order))
+        H = subgroups[order]
+        bad = (block[fixes[at]].reshape(len(block), order) != H).any(axis=1)
+        if bad.any():
+            raise ContractViolationError(
+                f"the elements fixing {block[bad.argmax()].tolist()} are not the "
+                f"unit subgroup of order {order}"
+            )
+        if order == 1:
+            continue
+        lead = leaders[at]
+        for h in H[1:].tolist():
+            lead &= block <= block * h % N
+        leaders[at] = lead
+        bad = lead.sum(axis=1) * order != nonzero.shape[1]
+        if not bad.any():
+            cosets = block[lead].reshape(len(block), -1, 1) * H % N
+            cosets = np.sort(cosets.reshape(len(block), -1), axis=1)
+            bad = (cosets != nonzero[at]).any(axis=1)
+        if bad.any():
+            raise ContractViolationError(
+                f"block expansion does not reproduce {block[bad.argmax()].tolist()}"
+            )
+    return c, leaders
 
 
 def subset_count(N: int, d: int) -> int:
@@ -231,16 +244,20 @@ def subset_count(N: int, d: int) -> int:
     return total
 
 
-def enumerate_orbits(
+def orbit_chunks(
     modulus: PrimeModulus,
     d: int,
     *,
     max_subsets: int | None = None,
-) -> list[OrbitRecord]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """All orbits of unordered d-subsets under the unit-group action, sorted
-    by representative.  Visits the C(N-1, d-1) sets whose smallest nonzero
-    element is 1, in chunks of _CHUNK_ROWS candidates.  The budget, by
-    default DEFAULT_MAX_SUBSETS, is counted in subsets covered, C(N, d)."""
+    by representative, as chunks (reps, c, leaders): the representatives as
+    rows, the stabilizer order of each, and the mask of its block leaders.
+    Visits the C(N-1, d-1) sets whose smallest nonzero element is 1, in
+    chunks of _CHUNK_ROWS candidates, and checks each chunk with
+    _check_chunk.  The budget, by default DEFAULT_MAX_SUBSETS, is counted in
+    subsets covered, C(N, d), and checked before the first chunk; after the
+    last, the orbit sizes (N-1)/c must sum to C(N, d)."""
     N = modulus.N
     if not 1 <= d <= N:
         raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
@@ -253,20 +270,44 @@ def enumerate_orbits(
             budget=budget,
         )
 
-    # {0} is the one set with no nonzero element; every unit fixes it
-    subgroups: dict[int, tuple[int, ...]] = {}
-    records = [_record(modulus, (0,), tuple(range(1, N)), subgroups)] if d == 1 else []
+    covered = int(d == 1)
+    if d == 1:  # {0} has no nonzero element, so no block; every unit fixes it
+        yield np.zeros((1, 1), np.int64), np.array([N - 1]), np.zeros((1, 1), bool)
+    subgroups: dict[int, np.ndarray] = {}
     # x^-1 mod N by lookup; d = 1 runs no multiplier pass, so N may be large
     inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
     for chunk in _candidate_chunks(N, d, _CHUNK_ROWS):
         reps, fixes = _scan_candidates(chunk, N, inverse)
-        for row, mask in zip(reps.tolist(), fixes.tolist()):
-            stab = tuple(x for x, fixed in zip(row, mask) if fixed)
-            records.append(_record(modulus, tuple(row), stab, subgroups))
+        if len(reps):
+            c, leaders = _check_chunk(modulus, reps, fixes, subgroups)
+            covered += int(((N - 1) // c).sum())
+            yield reps, c, leaders
 
-    covered = sum(r.size for r in records)
     if covered != total:
         raise ContractViolationError(
             f"orbit sizes sum to {covered}, expected C({N},{d}) = {total}"
         )
+
+
+def enumerate_orbits(
+    modulus: PrimeModulus,
+    d: int,
+    *,
+    max_subsets: int | None = None,
+) -> list[OrbitRecord]:
+    """The orbits of orbit_chunks as a list of records.  Each stabilizer is
+    the order-c unit subgroup, which the chunk check proved equal to the
+    elements the scan found fixed."""
+    N = modulus.N
+    subgroups: dict[int, tuple[int, ...]] = {}
+    records = []
+    for reps, c, masks in orbit_chunks(modulus, d, max_subsets=max_subsets):
+        skip = int(reps[0, 0] == 0)  # one head per chunk
+        for i, (row, order) in enumerate(zip(reps.tolist(), c.tolist())):
+            if order not in subgroups:
+                subgroups[order] = unit_subgroup(modulus, order)
+            rep, stab = GeneratorSet(modulus, tuple(row)), subgroups[order]
+            # at c = 1 the leaders are the nonzero elements
+            leaders = tuple(row[skip:] if order == 1 else compress(row, masks[i].tolist()))
+            records.append(OrbitRecord(rep, (N - 1) // order, order, stab, leaders))
     return records

@@ -3,10 +3,12 @@
 Everything here is deliberately written against the definitions only, with
 no reuse of the package's enumeration, counting or symmetry paths: plain
 dict/set orbit chasing for subset orbits, all N-1 multipliers for a
-stabilizer, a lex-min image, the units mapping one set onto another or an
-equivalence witness, per-entry floats for a frame export, raw streaming over
-ordered tuples for the scaling action, the classical necklace count for the number of subset
-orbits, trial division for divisors, N x N coefficient matrices from the
+stabilizer, a lex-min image (and the at most d images x^-1 . S that
+the representative lemma leaves to try), the unit action m . S, the units
+mapping one set onto another or an equivalence witness, per-entry floats
+for a frame export, raw streaming over ordered tuples for the scaling
+action, the classical necklace count for the number of subset orbits,
+trial division for divisors, N x N coefficient matrices from the
 frame's column inner products for Gram entries and unit norms, the
 d x d x N coefficient tensor for the row Gram, both d x N frame matrices
 for an equivalence witness, every label t . S for the label-preserving
@@ -82,6 +84,24 @@ def stabilizer_scan(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
 def lexmin_image(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically smallest m . elems over every unit m."""
     return min(tuple(sorted((m * x) % N for x in elems)) for m in range(1, N))
+
+
+def act(m: int, s: GeneratorSet) -> GeneratorSet:
+    """m . [n] = [m n_1, ..., m n_d], re-sorted."""
+    N = s.modulus.N
+    if m % N == 0:
+        raise DomainError(f"{m} is not a unit mod {N}")
+    return GeneratorSet(s.modulus, tuple((m * x) % N for x in s.elems))
+
+
+def canonical_rep(s: GeneratorSet) -> GeneratorSet:
+    """Lexicographically smallest member of the orbit of s.  It contains 1,
+    so only the images x^-1 . s for nonzero x in s are tried (lexmin_image
+    tries every unit); s = {0} is its own orbit."""
+    N = s.modulus.N
+    inverses = [pow(x, -1, N) for x in s.elems if x]
+    images = [tuple(sorted(u * y % N for y in s.elems)) for u in inverses]
+    return GeneratorSet(s.modulus, min(images, default=s.elems))
 
 
 def multiplier_scan(N: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

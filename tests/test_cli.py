@@ -12,6 +12,8 @@ from harmonic_census import ContractViolationError, cli, number_theory
 from harmonic_census.cli import main
 from harmonic_census.number_theory import is_prime
 
+import oracles
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -88,6 +90,56 @@ def test_enumerate_records(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["generators"] for r in records] == [[0, 1], [1, 2], [1, 4]]
     assert records[2]["size"] == 2 and records[2]["stab_order"] == 2
+
+
+def test_enumerate_json_lines_against_oracle_records(capsys):
+    # each line is joined from texts; it must be the compact json.dumps of
+    # the record, here built from the brute-force orbit census
+    for N in (2, 3, 5, 7, 11, 13):
+        for d in range(1, N + 1):
+            code, out, _ = run(
+                capsys, "enumerate", "--N", str(N), "--d", str(d), "--format", "json"
+            )
+            census = oracles.subset_orbit_census(N, d)
+            want = []
+            for rep, (size, c) in sorted(census.items()):
+                kind = "blocks_divide_d"
+                if rep[0] == 0:
+                    kind = "zero_plus_blocks_divide_d_minus_1"
+                leaders = list(oracles.coset_leaders(N, rep, c))
+                record = {
+                    "N": N,
+                    "d": d,
+                    "generators": list(rep),
+                    "size": size,
+                    "stab_order": c,
+                    "stabilizer": [x for x in range(1, N) if pow(x, c, N) == 1],
+                    "structured_form": {"kind": kind, "c": c, "block_leaders": leaders},
+                }
+                want.append(json.dumps(record, separators=(",", ":")))
+            assert code == 0 and out.splitlines() == want
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("verify --N 9999991 --d 1 --format json", '"total_bruteforce":2,"match":true,'),
+        ("enumerate --N 1000003 --d 1", "rep=[0] size=1 c=1000002 stabilizer=[1,2,3,"),
+    ],
+)
+def test_d1_at_large_N(capsys, argv, want):
+    # {0} is fixed by all of Z_N^x: verify needs no stabilizer, and
+    # enumerate prints 1..N-1 without computing N-1 modular powers
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and want in out
+    if argv.startswith("enumerate"):
+        zero, one = out.splitlines()
+        assert zero.endswith(",1000002] kind=zero_plus_blocks_divide_d_minus_1 leaders=[]")
+        assert one == (
+            "rep=[1] size=1000002 c=1 stabilizer=[1] kind=blocks_divide_d leaders=[1]"
+        )
 
 
 def test_enumerate_roundtrip_to_frame(capsys):

@@ -8,7 +8,6 @@ from harmonic_census import (
     ModulusMismatchError,
     PrimeModulus,
     Witness,
-    act,
     are_equivalent,
     enumerate_orbits,
     multipliers,
@@ -16,7 +15,7 @@ from harmonic_census import (
 from harmonic_census.equivalence import CERT_ORBIT_MISMATCH, verify_witness
 
 import oracles
-from oracles import CERT_ANGLE_MISMATCH, angle_multiset, cross_validate_equivalence
+from oracles import CERT_ANGLE_MISMATCH, act, angle_multiset, cross_validate_equivalence
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)

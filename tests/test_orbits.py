@@ -2,25 +2,26 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from harmonic_census import (
+    OrbitRecord,
     BudgetExceededError,
     ContractViolationError,
     DomainError,
     GeneratorSet,
     PrimeModulus,
-    act,
-    canonical_rep,
     enumerate_orbits,
     full_census,
     multipliers,
     stabilizer,
     unit_subgroup,
 )
-from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _record
+from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _check_chunk
 
 import oracles
+from oracles import act, canonical_rep
 
 
 def test_generator_set_normalization():
@@ -130,11 +131,15 @@ def test_canonical_rep_against_all_multipliers():
 
 
 def _block_form(m, elems, stab=None):
-    """The record that enumeration would build for elems, with its
-    stabilizer computed unless given."""
+    """The record that enumeration would build for elems, checked as a
+    one-row chunk whose fixes mask marks stab (by default the stabilizer)."""
     if stab is None:
         stab = stabilizer(GeneratorSet(m, elems))
-    return _record(m, elems, stab, {})
+    rows = np.array([elems], dtype=np.int64)
+    c, leaders = _check_chunk(m, rows, np.isin(rows, stab), {})
+    c, leaders = int(c[0]), tuple(rows[leaders].tolist())
+    stab = unit_subgroup(m, c)
+    return OrbitRecord(GeneratorSet(m, elems), (m.N - 1) // c, c, stab, leaders)
 
 
 def _expand(N, rec):
@@ -167,19 +172,76 @@ def test_structured_form_expansion_roundtrip(m13):
     for _ in range(30):
         d = rng.randint(1, 8)
         s = GeneratorSet(m13, tuple(rng.sample(range(13), d)))
+        # scanned rows hold 1, so x^-1 . s, for x its smallest nonzero element
+        s = act(pow(next(x for x in s if x), -1, 13), s)
         assert _expand(13, _block_form(m13, s.elems)) == s.elems
 
 
 def test_structured_form_from_record_stabilizer(m7, m13):
     for d in range(1, 14):
         for rec in enumerate_orbits(m13, d):
-            assert rec == _block_form(m13, rec.rep.elems)
-    for wrong in ((1, 6), (1, 3, 5)):
-        with pytest.raises(ContractViolationError):
+            if rec.rep.elems != (0,):  # no nonzero element: never scanned
+                assert rec == _block_form(m13, rec.rep.elems)
+    # a mask marks elements of the row only, and 1, 2, 4 fix {1, 2, 4}
+    for wrong in ((1, 2), (1, 4)):
+        with pytest.raises(ContractViolationError, match="unit subgroup of order 2"):
             _block_form(m7, (1, 2, 4), wrong)
     # {1, 3} . {1, 2} gives back {1, 2, 3, 6}, but {1, 3} is no subgroup
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"fixing \[1, 2, 3, 6\] are not"):
         _block_form(m7, (1, 2, 3, 6), (1, 3))
+
+
+# One planted fault per check of a scanned chunk; each test fails when its
+# check is deleted.
+
+
+def test_check_chunk_order_divides_N_minus_1(m7):
+    rows = np.array([[0, 1, 2, 5, 6], [0, 1, 2, 3, 4]])
+    fixes = np.array([[0, 1, 0, 0, 1], [0, 1, 1, 1, 1]], dtype=bool)
+    with pytest.raises(ContractViolationError, match=r"4 of \[0, 1, 2, 3, 4\] does not"):
+        _check_chunk(m7, rows, fixes, {})
+    fixes[1] = [0, 1, 0, 0, 0]
+    c, _ = _check_chunk(m7, rows, fixes, {})
+    assert c.tolist() == [2, 1]
+
+
+def test_check_chunk_fixed_elements_are_subgroup(m13):
+    # 1 and 12 are the order-2 subgroup; 1 and 5 are not
+    rows = np.array([[1, 5, 8, 12], [1, 5, 8, 12]])
+    fixes = np.array([[1, 0, 0, 1], [1, 1, 0, 0]], dtype=bool)
+    with pytest.raises(ContractViolationError, match=r"fixing \[1, 5, 8, 12\] are not"):
+        _check_chunk(m13, rows, fixes, {})
+
+
+def test_check_chunk_cosets_rebuild_row(m7, m13):
+    # {1, 6} is the order-2 subgroup, but {1, 2, 3, 6} is not a union of
+    # its cosets {1, 6}, {2, 5}, {3, 4}
+    rows = np.array([[1, 2, 5, 6], [1, 2, 3, 6]])
+    fixes = np.array([[1, 0, 0, 1], [1, 0, 0, 1]], dtype=bool)
+    with pytest.raises(ContractViolationError, match=r"not reproduce \[1, 2, 3, 6\]"):
+        _check_chunk(m7, rows, fixes, {})
+    c, leaders = _check_chunk(m7, rows[:1], fixes[:1], {})
+    assert c.tolist() == [2] and rows[:1][leaders].tolist() == [1, 2]
+    # two leaders, 1 and 2, as 8 nonzero elements need, but the row holds
+    # 6 and 7 in place of 3 and 10 from the coset 2 . {1, 5, 8, 12}
+    rows = np.array([[0, 1, 2, 5, 6, 7, 8, 11, 12]])
+    fixes = np.isin(rows, (1, 5, 8, 12))
+    with pytest.raises(ContractViolationError, match="block expansion"):
+        _check_chunk(m13, rows, fixes, {})
+
+
+def test_orbit_sizes_cover_all_subsets(m13, monkeypatch):
+    import harmonic_census.orbits as orbits_mod
+
+    scan = orbits_mod._scan_candidates
+
+    def drop_last(rows, N, inverse):
+        reps, fixes = scan(rows, N, inverse)
+        return reps[:-1], fixes[:-1]
+
+    monkeypatch.setattr(orbits_mod, "_scan_candidates", drop_last)
+    with pytest.raises(ContractViolationError, match="orbit sizes sum to"):
+        enumerate_orbits(m13, 4)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
@@ -312,13 +374,37 @@ def test_enumerate_budget():
     assert exc.value.required == math.comb(31, 15)
 
 
-def test_enumerate_chunk_size_invariant(m13, monkeypatch):
+def test_enumerate_chunk_size_invariant(m13, monkeypatch, capsys):
     import harmonic_census.orbits as orbits_mod
+    from harmonic_census import cli
 
-    base = enumerate_orbits(m13, 6)
+    # each (N, d) is enumerated once per chunk size; the nine command and
+    # format runs of a pair replay its chunks
+    chunks, replays = orbits_mod.orbit_chunks, {}
+
+    def replay(modulus, d, **kw):
+        key = modulus.N, d, orbits_mod._CHUNK_ROWS
+        if key not in replays:
+            replays[key] = list(chunks(modulus, d, **kw))
+        return iter(replays[key])
+
+    monkeypatch.setattr(orbits_mod, "orbit_chunks", replay)
+    monkeypatch.setattr(cli, "orbit_chunks", replay)
+
+    def cli_outputs():
+        out = {}
+        for N, d in ((13, 1), (13, 6), (13, 13), (17, 8), (2, 1)):
+            for cmd in ("enumerate", "verify", "scan"):
+                for fmt in ("json", "csv", "table"):
+                    code = cli.main([cmd, "--N", str(N), "--d", str(d), "--format", fmt])
+                    out[cmd, N, d, fmt] = code, capsys.readouterr().out
+        return out
+
+    base, base_out = enumerate_orbits(m13, 6), cli_outputs()
     for rows in (1, 64):
         monkeypatch.setattr(orbits_mod, "_CHUNK_ROWS", rows)
         assert enumerate_orbits(m13, 6) == base
+        assert cli_outputs() == base_out
 
 
 def test_enumerate_large_smoke():
