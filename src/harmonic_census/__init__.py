@@ -42,19 +42,13 @@ from .number_theory import (
 from .orbits import (
     DEFAULT_MAX_SUBSETS,
     GeneratorSet,
-    OrbitRecord,
-    enumerate_orbits,
     multipliers,
     orbit_chunks,
     stabilizer,
     unit_subgroup,
 )
 from .symmetry import (
-    ScanReport,
-    ScanRow,
-    SymmetryElement,
     SymmetryReport,
-    conjecture_scan,
     full_symmetry_group,
     gram_automorphisms,
     guaranteed_subgroup,

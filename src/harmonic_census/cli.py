@@ -15,6 +15,11 @@ counts the C(N, d) subsets an enumeration covers and the d x N entries of a
 frame; an explicit --max-subsets beats both.  Exit 3 also reports a number
 too long to print, one with more digits than the interpreter's int-to-str
 limit: C(N, d) for count, enumerate, verify and scan, or an N!.
+
+enumerate, verify and scan read the orbits as the checked numpy chunks of
+orbits.orbit_chunks and build no per-orbit object: scan takes each row's
+stabilizer order c from its chunk, and both group orders are N*c but for the
+sets that symmetry.exceptional_orders names.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .orbits import (
     subset_count,
     unit_subgroup,
 )
-from .symmetry import conjecture_scan, full_symmetry_group
+from .symmetry import exceptional_orders, full_symmetry_group
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -331,32 +336,41 @@ def cmd_symmetry(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 
 
 def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    """One row per orbit, in enumeration order: the orders of <D, Q> and of
+    the full group are N*c, with c read off the chunk, but for the sets of
+    exceptional_orders.  All rows of a chunk share their head, so they are
+    all exceptional or all not.  A row whose full group is larger is a
+    counterexample, listed and never suppressed (exit 4)."""
     N, d = modulus.N, args.d
-    report = conjecture_scan(modulus, d, max_subsets=args.max_subsets)
-    code = EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
+    if d >= N - 1:
+        # range(N - d, N) is then the simplex or the basis, whose N! is
+        # refused past FACTORIAL_MAX_N before enumerating
+        exceptional_orders(N, range(N - d, N))
+    rows = []
+    for reps, c, _ in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
+        exception = exceptional_orders(N, reps[0].tolist())
+        for rep, order in zip(reps.tolist(), c.tolist()):
+            rows.append((rep, order, *(exception or (N * order, N * order, None))))
+    counterexamples = [rep for rep, _, sub, full, _ in rows if full != sub]
+    code = EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
     if args.output_format == "json":
         rows = [
             {
-                "rep": list(r.rep.elems),
-                "c": r.stabilizer_order,
-                "subgroup_order": _json_int(r.subgroup_order),
-                "full_group_order": _json_int(r.full_group_order),
-                "conjecture_holds": r.conjecture_holds,
-                "note": r.note,
+                "rep": rep,
+                "c": c,
+                "subgroup_order": _json_int(sub),
+                "full_group_order": _json_int(full),
+                "conjecture_holds": full == sub,
+                "note": note,
             }
-            for r in report.rows
+            for rep, c, sub, full, note in rows
         ]
-        counterexamples = [list(r.rep.elems) for r in report.counterexamples]
         obj = {"N": N, "d": d, "rows": rows, "counterexamples": counterexamples}
         return [_dumps(obj)], code
-    lines = [f"N={N} d={d} orbits={len(report.rows)}"]
-    for r in report.rows:
-        mark = "" if r.conjecture_holds else "  <-- counterexample"
-        lines.append(
-            f"rep=[{_join(r.rep.elems)}] c={r.stabilizer_order} "
-            f"subgroup={r.subgroup_order} full={r.full_group_order} "
-            f"holds={'yes' if r.conjecture_holds else 'NO'}{mark}"
-        )
+    lines = [f"N={N} d={d} orbits={len(rows)}"]
+    for rep, c, sub, full, _ in rows:
+        mark = "holds=yes" if full == sub else "holds=NO  <-- counterexample"
+        lines.append(f"rep=[{_join(rep)}] c={c} subgroup={sub} full={full} {mark}")
     return lines, code
 
 

@@ -28,15 +28,15 @@ stabilizer order c of each and the mask of its block leaders.  Each chunk is
 checked in numpy as it is scanned (_check_chunk): c divides N-1; the fixed
 elements are the order-c unit subgroup; and the leaders' cosets under that
 subgroup give back the row.  After the last chunk the orbit sizes must sum
-to C(N, d).  The CLI formats and counts the chunks directly;
-enumerate_orbits turns them into OrbitRecord objects.
+to C(N, d).  The CLI's enumerate, verify and scan read the chunks directly,
+and build no per-orbit object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import Iterator
 
 import numpy as np
@@ -108,26 +108,11 @@ def stabilizer(s: GeneratorSet) -> tuple[int, ...]:
     return multipliers(s, s)
 
 
+# the block form of a representative: its nonzero elements are the cosets
+# x H of its stabilizer H, one per block leader x (the smallest element of
+# its coset), and 0 rides along in the second kind
 KIND_BLOCKS = "blocks_divide_d"
 KIND_ZERO_BLOCKS = "zero_plus_blocks_divide_d_minus_1"
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    """One orbit: canonical representative, size (N-1)/c, stabilizer, and
-    the block form of the representative: its nonzero elements are the
-    cosets x H of the stabilizer H, one per block leader x (the smallest
-    element of its coset), and 0 rides along when kind says so."""
-
-    rep: GeneratorSet
-    size: int
-    stab_order: int
-    stabilizer: tuple[int, ...]
-    block_leaders: tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return KIND_ZERO_BLOCKS if self.rep.elems[0] == 0 else KIND_BLOCKS
 
 
 def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
@@ -288,26 +273,3 @@ def orbit_chunks(
             f"orbit sizes sum to {covered}, expected C({N},{d}) = {total}"
         )
 
-
-def enumerate_orbits(
-    modulus: PrimeModulus,
-    d: int,
-    *,
-    max_subsets: int | None = None,
-) -> list[OrbitRecord]:
-    """The orbits of orbit_chunks as a list of records.  Each stabilizer is
-    the order-c unit subgroup, which the chunk check proved equal to the
-    elements the scan found fixed."""
-    N = modulus.N
-    subgroups: dict[int, tuple[int, ...]] = {}
-    records = []
-    for reps, c, masks in orbit_chunks(modulus, d, max_subsets=max_subsets):
-        skip = int(reps[0, 0] == 0)  # one head per chunk
-        for i, (row, order) in enumerate(zip(reps.tolist(), c.tolist())):
-            if order not in subgroups:
-                subgroups[order] = unit_subgroup(modulus, order)
-            rep, stab = GeneratorSet(modulus, tuple(row)), subgroups[order]
-            # at c = 1 the leaders are the nonzero elements
-            leaders = tuple(row[skip:] if order == 1 else compress(row, masks[i].tolist()))
-            records.append(OrbitRecord(rep, (N - 1) // order, order, stab, leaders))
-    return records

@@ -25,9 +25,12 @@ Z_N (a scaled orthogonal basis); the last two have all N! permutations.
 
 Nothing is searched.  Entry (k, m) of the frame is w^(m n_k), so each
 relation of D and Q holds on every column iff it holds on the generators
-(m = 1), where it is checked exactly.  Groups, elements and column
-permutations are listed lazily from the pairs (a, b), so nothing of size N
-is built and all of it costs O(d^2).  The order N! of the simplex and the
+(m = 1), where it is checked exactly.  Column permutations are listed lazily
+from the pairs (a, b), so nothing of size N is built, and full_symmetry_group
+costs O(d^2): one computation of Stab(S).  Both orders are N*c, so they
+depend on S only through c, except for the three sets above, which
+exceptional_orders names; the CLI's scan takes c from the enumeration and
+asks exceptional_orders about the rest.  The order N! of the simplex and the
 basis is computed only up to N = FACTORIAL_MAX_N, and is refused by
 errors.check_printable when it has more digits than the interpreter's
 int-to-str limit.  The label pass over every t and a backtracking search
@@ -43,16 +46,12 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ContractViolationError, check_printable
-from .number_theory import PrimeModulus, find_primitive_root
-from .orbits import GeneratorSet, enumerate_orbits, stabilizer
+from .number_theory import find_primitive_root
+from .orbits import GeneratorSet, stabilizer
 
 # the largest N whose N! has at most 4300 digits, the default limit of
 # Python's int-to-str conversion; 1553 is the largest prime below it
 FACTORIAL_MAX_N = 1558
-
-KIND_DIAGONAL = "diagonal_power"
-KIND_BLOCK_PERM = "block_perm_power"
-KIND_PRODUCT = "product"
 
 
 class _Listing(Sequence):
@@ -67,27 +66,6 @@ class _Listing(Sequence):
     def __getitem__(self, i):
         j = range(self._n)[i]  # IndexError past the end; a range for a slice
         return tuple(map(self._item, j)) if isinstance(j, range) else self._item(j)
-
-
-@dataclass(frozen=True)
-class SymmetryElement:
-    """The unitary realizing m -> a m + b: the monomial matrix whose row k
-    has the single entry w^expo[k] in column src[k].  kind and power name it
-    as D^b (a = 1), Q^power (b = 0) or a product."""
-
-    modulus: PrimeModulus
-    kind: str
-    power: int | None
-    a: int
-    b: int
-    src: tuple[int, ...]
-    expo: tuple[int, ...]
-
-    @property
-    def column_perm(self) -> Sequence[int]:
-        """m -> a m + b, listed lazily over m = 0, ..., N-1."""
-        N, a, b = self.modulus.N, self.a, self.b
-        return _Listing(N, lambda m: (a * m + b) % N)
 
 
 class AffinePermutations(_Listing):
@@ -110,14 +88,13 @@ class AffinePermutations(_Listing):
 class SymmetryReport:
     """subgroup_* describes <D, Q>, full_* the whole group (full_permutations
     is None for all N! permutations).  Permutations are listed in
-    lexicographic order, elements by (src, expo).  conjecture_holds compares
-    the two orders; a False is a finding, not an error."""
+    lexicographic order.  conjecture_holds compares the two orders; a False
+    is a finding, not an error."""
 
     generators_found: tuple[dict, ...]
     stabilizer_order: int
     subgroup_order: int
     subgroup_permutations: Sequence[tuple[int, ...]]
-    elements: Sequence[SymmetryElement]
     full_group_order: int | None = None
     full_permutations: Sequence[tuple[int, ...]] | None = None
     conjecture_holds: bool | None = None
@@ -151,54 +128,34 @@ def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
             stabilizer_order=N - 1,
             subgroup_order=1,
             subgroup_permutations=_Listing(1, lambda i: tuple(range(N))),
-            elements=(SymmetryElement(s.modulus, KIND_DIAGONAL, 0, 1, 0, (0,), (0,)),),
             note="degenerate generator set {0}: D = Q = I",
         )
+    return _affine_subgroup(s, AffinePermutations(N, stabilizer(s)))
 
-    stab = sorted(stabilizer(s))
+
+def _affine_subgroup(s: GeneratorSet, perms: AffinePermutations) -> SymmetryReport:
+    """<D, Q> for a set s with a nonzero element, whose Stab(S) is
+    perms.multipliers."""
+    N, stab = s.modulus.N, list(perms.multipliers)
     c = len(stab)
     h = pow(find_primitive_root(s.modulus).g, (N - 1) // c, N)
     q = _check_generators(s, h, c, stab)
     generators = [{"kind": "diagonal", "exponents": list(s.elems)}]
     if c > 1:
         generators.append({"kind": "block_perm", "slot_perm": q, "unit": h})
-    log_h = {pow(h, k, N): k for k in range(1, c + 1)}
-    slot = {x: k for k, x in enumerate(s.elems)}
-    # src starts with slot[a 0] = 0 when 0 is in S, then slot[a x0] for the
-    # first nonzero generator x0, which differs for each a
-    x0 = next(x for x in s.elems if x)
-    by_src = sorted(stab, key=lambda a: slot[a * x0 % N])
-    first_inv = pow(x0, -1, N)
-
-    def element(i: int) -> SymmetryElement:
-        # by src (fixed by a), then by expo, which orders the shifts b by
-        # b * n mod N for the first nonzero generator n
-        k, t = divmod(i, N)
-        a, b = by_src[k], t * first_inv % N
-        kind, power = KIND_PRODUCT, None
-        if a == 1:
-            kind, power = KIND_DIAGONAL, b
-        elif b == 0:
-            kind, power = KIND_BLOCK_PERM, log_h[a]
-        src = tuple(slot[a * x % N] for x in s.elems)
-        expo = tuple(b * x % N for x in s.elems)
-        return SymmetryElement(s.modulus, kind, power, a, b, src, expo)
-
     return SymmetryReport(
         generators_found=tuple(generators),
         stabilizer_order=c,
         subgroup_order=N * c,
-        subgroup_permutations=AffinePermutations(N, stab),
-        elements=_Listing(N * c, element),
+        subgroup_permutations=perms,
     )
 
 
-def _every_permutation(s: GeneratorSet) -> bool:
+def _every_permutation(N: int, elems: Sequence[int]) -> bool:
     """True when N > 2 and all off-diagonal Gram labels coincide, so that
     every column permutation preserves the Gram: S is {0}, all units (the
     regular simplex) or Z_N (the basis).  At N = 2, S_2 is AGL(1, 2)."""
-    N = s.modulus.N
-    return N > 2 and sum(1 for x in s.elems if x) in (0, N - 1)
+    return N > 2 and sum(1 for x in elems if x) in (0, N - 1)
 
 
 def _symmetric_group_order(N: int) -> int:
@@ -217,13 +174,31 @@ def _symmetric_group_order(N: int) -> int:
     return order
 
 
+def exceptional_orders(N: int, elems: Sequence[int]) -> tuple[int, int, str] | None:
+    """The order of <D, Q>, the order of the full group and a note for the
+    sets whose full group is not <D, Q> of order N*c: {0} (N copies of one
+    vector, both trivial) and, for N > 2, the simplex and the basis (every
+    unit fixes them, so N*(N-1), and all N! permutations, refused past
+    FACTORIAL_MAX_N).  None for every other set of Z_N."""
+    if not any(elems):
+        return 1, 1, "degenerate frame {0}: N copies of one vector"
+    if not _every_permutation(N, elems):
+        return None
+    family = "scaled orthogonal basis" if 0 in elems else "regular simplex"
+    note = (
+        f"all off-diagonal Gram entries equal ({family}); "
+        "the symmetry group is all column permutations"
+    )
+    return N * (N - 1), _symmetric_group_order(N), note
+
+
 def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
     """The Gram-preserving column permutations of the frame of s: the maps
     m -> a m + b whose a keeps every label, that is a in Stab(S), in
     lexicographic order.  For {0}, the simplex and the basis every
     permutation does, and S_N is not listed."""
     N = s.modulus.N
-    if _every_permutation(s):
+    if _every_permutation(N, s.elems):
         raise BudgetExceededError(
             "all off-diagonal labels coincide; the automorphism group is all "
             f"of S_{N} and is not listed",
@@ -235,76 +210,18 @@ def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
 
 def full_symmetry_group(s: GeneratorSet) -> SymmetryReport:
     """<D, Q> and the full group: the Gram automorphisms, which by the module
-    docstring are <D, Q> itself but for {0} (trivial) and the simplex and
-    the basis (N!, refused before any other work past FACTORIAL_MAX_N)."""
-    N = s.modulus.N
-    simplex_or_basis = any(s.elems) and _every_permutation(s)
-    order = _symmetric_group_order(N) if simplex_or_basis else None
-    report = guaranteed_subgroup(s)
-    if not any(s.elems):
-        report.full_group_order = 1
-        report.full_permutations = report.subgroup_permutations
-        report.note = "degenerate frame {0}: N copies of one vector"
-    elif simplex_or_basis:
-        report.full_group_order = order
-        family = "scaled orthogonal basis" if 0 in s.elems else "regular simplex"
-        report.note = (
-            f"all off-diagonal Gram entries equal ({family}); "
-            "the symmetry group is all column permutations"
-        )
-    else:
+    docstring are <D, Q> itself, built from one Stab(S), but for the sets of
+    exceptional_orders (N! refused before any other work past
+    FACTORIAL_MAX_N)."""
+    exception = exceptional_orders(s.modulus.N, s.elems)
+    if exception is None:
         autos = gram_automorphisms(s)
-        report.full_group_order = len(autos)
-        report.full_permutations = autos
+        report = _affine_subgroup(s, autos)
+        report.full_group_order, report.full_permutations = len(autos), autos
+    else:
+        report = guaranteed_subgroup(s)
+        _, report.full_group_order, report.note = exception
+        if not any(s.elems):
+            report.full_permutations = report.subgroup_permutations
     report.conjecture_holds = report.full_group_order == report.subgroup_order
     return report
-
-
-@dataclass(frozen=True, eq=False)
-class ScanRow:
-    rep: GeneratorSet
-    stabilizer_order: int
-    subgroup_order: int
-    full_group_order: int
-    conjecture_holds: bool
-    note: str | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class ScanReport:
-    modulus: PrimeModulus
-    d: int
-    rows: tuple[ScanRow, ...]
-
-    @property
-    def counterexamples(self) -> tuple[ScanRow, ...]:
-        return tuple(r for r in self.rows if not r.conjecture_holds)
-
-
-def conjecture_scan(
-    modulus: PrimeModulus,
-    d: int,
-    *,
-    max_subsets: int | None = None,
-) -> ScanReport:
-    """Compare the full group with <D, Q> for every orbit representative, in
-    enumeration order; a False row is a counterexample, never suppressed.
-    max_subsets is the enumeration budget of enumerate_orbits, and each row
-    costs O(d^2).  At d >= N - 1 the orbits include the simplex or the
-    basis, so past FACTORIAL_MAX_N the scan is refused before enumerating."""
-    if d >= modulus.N - 1 > 1:
-        _symmetric_group_order(modulus.N)
-    rows = []
-    for rec in enumerate_orbits(modulus, d, max_subsets=max_subsets):
-        r = full_symmetry_group(rec.rep)
-        rows.append(
-            ScanRow(
-                rep=rec.rep,
-                stabilizer_order=r.stabilizer_order,
-                subgroup_order=r.subgroup_order,
-                full_group_order=r.full_group_order,
-                conjecture_holds=r.conjecture_holds,
-                note=r.note,
-            )
-        )
-    return ScanReport(modulus=modulus, d=d, rows=tuple(rows))

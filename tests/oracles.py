@@ -17,9 +17,11 @@ reconstruction for symmetry groups, every unit with x^c = 1 for coset
 blocks, and schoolbook products for Z[w].  Slow but obviously correct;
 nothing in the package is trusted beyond basic types (frame exponents, Gram
 labels, which the tests check against t . S, and the exact cyclotomic
-coefficient helpers).  Two harnesses also drive the library over every
-orbit: the total of its alpha recursion, and are_equivalent on all pairs of
-sets, tallied against the angle multisets.
+coefficient helpers).  Harnesses also drive the library over every orbit:
+enumerate_orbits lists the chunks of orbits.orbit_chunks as one record per
+orbit, for the tests that check orbits one at a time; the total of its alpha
+recursion; and are_equivalent on all pairs of sets, tallied against the
+angle multisets.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, permutations
 
 import numpy as np
 
@@ -43,15 +45,16 @@ from harmonic_census import (
     ModulusMismatchError,
     PrimeModulus,
     ScaledCyclotomic,
-    SymmetryElement,
     Witness,
     alpha,
     are_equivalent,
     build_frame,
     gram,
 )
+from harmonic_census import orbits
 from harmonic_census.cyclotomic import canonicalize_array, exponent_counts
 from harmonic_census.equivalence import CERT_ORBIT_MISMATCH
+from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, unit_subgroup
 
 AUTOMORPHISM_CAP = 500_000
 
@@ -241,6 +244,49 @@ def primitive_root_independence_check(
     set1 = {(n1 * pow(g1, j * step, N)) % N for j in range(c)}
     set2 = {(n1 * pow(g2, j * step, N)) % N for j in range(c)}
     return set1 == set2
+
+
+# -- the library's orbits, one record each -----------------------------------
+
+
+@dataclass(frozen=True)
+class OrbitRecord:
+    """One orbit: canonical representative, size (N-1)/c, stabilizer, and
+    the block form of the representative: its nonzero elements are the
+    cosets x H of the stabilizer H, one per block leader x (the smallest
+    element of its coset), and 0 rides along when kind says so."""
+
+    rep: GeneratorSet
+    size: int
+    stab_order: int
+    stabilizer: tuple[int, ...]
+    block_leaders: tuple[int, ...]
+
+    @property
+    def kind(self) -> str:
+        return KIND_ZERO_BLOCKS if self.rep.elems[0] == 0 else KIND_BLOCKS
+
+
+def enumerate_orbits(
+    modulus: PrimeModulus, d: int, *, max_subsets: int | None = None
+) -> list[OrbitRecord]:
+    """The orbits of orbits.orbit_chunks, looked up on the module so that a
+    patched orbit_chunks is used, as a list of records.  Each stabilizer is
+    the order-c unit subgroup, which the chunk check proved equal to the
+    elements the scan found fixed."""
+    N = modulus.N
+    subgroups: dict[int, tuple[int, ...]] = {}
+    records = []
+    for reps, c, masks in orbits.orbit_chunks(modulus, d, max_subsets=max_subsets):
+        skip = int(reps[0, 0] == 0)  # one head per chunk
+        for i, (row, order) in enumerate(zip(reps.tolist(), c.tolist())):
+            if order not in subgroups:
+                subgroups[order] = unit_subgroup(modulus, order)
+            rep, stab = GeneratorSet(modulus, tuple(row)), subgroups[order]
+            # at c = 1 the leaders are the nonzero elements
+            leaders = tuple(row[skip:] if order == 1 else compress(row, masks[i].tolist()))
+            records.append(OrbitRecord(rep, (N - 1) // order, order, stab, leaders))
+    return records
 
 
 # -- exact cyclotomic products -----------------------------------------------
@@ -542,15 +588,6 @@ class ReconstructedElement:
     def entry(self, i: int, j: int) -> ScaledCyclotomic:
         coeffs = tuple(int(c) for c in self.dense[i, j])
         return ScaledCyclotomic(CyclotomicInt(self.modulus, coeffs), self.denominator)
-
-
-def element_entry(e: SymmetryElement, i: int, j: int) -> ScaledCyclotomic:
-    """Entry (i, j) of the monomial unitary of a symmetry element: w^expo[i]
-    in column src[i], zero elsewhere."""
-    coeffs = [0] * e.modulus.N
-    if e.src[i] == j:
-        coeffs[e.expo[i]] = 1
-    return ScaledCyclotomic(CyclotomicInt(e.modulus, tuple(coeffs)), 1)
 
 
 def reconstructed_element(frame: FrameMatrix, sigma: tuple[int, ...]) -> ReconstructedElement:

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line.  Everything without an explicit tolerance is exact."""
 
+import json
 import math
 import random
 import subprocess
@@ -13,10 +14,8 @@ from harmonic_census import (
     PrimeModulus,
     alpha,
     build_frame,
-    conjecture_scan,
     count_harmonic_frames,
     count_unordered_dft,
-    enumerate_orbits,
     full_census,
     full_symmetry_group,
     growth_ratio,
@@ -27,6 +26,7 @@ from harmonic_census import (
 from harmonic_census.cli import main as cli_main
 
 import oracles
+from oracles import enumerate_orbits
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -216,7 +216,7 @@ def test_criterion_09_guaranteed_subgroup():
     reps = 0
     for N, d, rec in _all_records():
         reps += 1
-        report = guaranteed_subgroup(rec.rep)  # verifies every element exactly
+        report = guaranteed_subgroup(rec.rep)  # verifies D, Q and their relations exactly
         if set(rec.rep.elems) == {0}:
             # degenerate single-vector frame: D = Q = I
             if report.subgroup_order != 1:
@@ -259,25 +259,42 @@ def test_criterion_10_trivial_stabilizer_full_group():
     )
 
 
-def test_criterion_11_conjecture_scan():
+def test_criterion_11_conjecture_scan(tmp_path):
     rows = 0
     counterexamples = []
+    bad = []
+    out = tmp_path / "scan.json"
     for N in SMALL_PRIMES:
         m = PrimeModulus(N)
         for d in range(1, N + 1):
-            report = conjecture_scan(m, d)  # contract violations would raise
-            rows += len(report.rows)
-            counterexamples.extend(
-                (N, d, tuple(r.rep.elems)) for r in report.counterexamples
-            )
+            argv = ["scan", "--N", str(N), "--d", str(d), "--format", "json"]
+            code = cli_main([*argv, "--out", str(out)])
+            if code not in (0, 4):  # a contract violation exits 5
+                bad.append((N, d, code))
+                continue
+            report = json.loads(out.read_text())
+            rows += len(report["rows"])
+            counterexamples.extend((N, d, tuple(r)) for r in report["counterexamples"])
+            for row in report["rows"]:
+                # each row is what the symmetry module reports for its rep
+                r = full_symmetry_group(GeneratorSet(m, row["rep"]))
+                want = (r.stabilizer_order, r.subgroup_order, r.full_group_order,
+                        r.conjecture_holds, r.note)
+                got = (row["c"], row["subgroup_order"], row["full_group_order"],
+                       row["conjecture_holds"], row["note"])
+                if got != want:
+                    bad.append((N, d, row["rep"]))
+            if code != (4 if report["counterexamples"] else 0):
+                bad.append((N, d, code))
     # the scan must complete and report faithfully; counterexamples are
     # findings, surfaced through the structured records and exit code 4
     code = cli_main(["scan", "--N", "5", "--d", "4", "--format", "json"])
     _report(
         11,
         "conjecture scan completes for all representatives (N <= 13, all d) "
-        "with faithful counterexample reporting and exit code 4",
-        rows > 0 and code == 4,
+        "with faithful counterexample reporting and exit code 4, each row "
+        "equal to full_symmetry_group of its representative",
+        rows > 0 and code == 4 and not bad,
         f"{rows} rows, {len(counterexamples)} counterexamples",
     )
 

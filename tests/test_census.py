@@ -12,7 +12,6 @@ from harmonic_census import (
     beta,
     count_harmonic_frames,
     count_unordered_dft,
-    enumerate_orbits,
     full_census,
     gamma,
     growth_ratio,
@@ -20,6 +19,7 @@ from harmonic_census import (
 )
 
 import oracles
+from oracles import enumerate_orbits
 
 
 def test_beta_examples(m7, m13):

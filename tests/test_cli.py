@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from harmonic_census import ContractViolationError, cli, number_theory
+from harmonic_census import ContractViolationError, cli, number_theory, orbits
 from harmonic_census.cli import main
 from harmonic_census.number_theory import is_prime
 
@@ -422,6 +423,42 @@ def test_scan_exit_codes(capsys):
     assert code == 4
     obj = json.loads(out)
     assert obj["counterexamples"] == [[1, 2, 3, 4]]
+
+
+# sha256 of `scan --format json` stdout where the golden cases (N <= 37,
+# C(N, d) <= 3000) do not reach, as printed when each row was built from
+# full_symmetry_group of its representative
+@pytest.mark.parametrize(
+    "N, d, digest",
+    [
+        (29, 6, "ddf6b17bed5caf5ae627b012048bfd5e32c95008e76fa7907d14983e6191f5dd"),
+        (31, 5, "25b4a20d5bac3709782f80182ffc4ae166000421929e1334a55412bef3e18270"),
+        (53, 4, "d16306bd38ba05276b69697f3076372a019e11acbb9a890688b13a7916e9a852"),
+        (41, 41, "65eb8e505e9bb92de6adffb6554c00b2d0fd5810da2ff478fed0ef51dd6f36ed"),
+    ],
+)
+def test_scan_digests(capsys, N, d, digest):
+    code, out, _ = run(capsys, "scan", "--N", str(N), "--d", str(d), "--format", "json")
+    assert code == (4 if d == N else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_scan_reports_a_corrupt_chunk(capsys, monkeypatch, fmt):
+    # the scan stops marking 1 as fixing the first row of each chunk; the
+    # chunk check, not the scan command, must catch it
+    scan = orbits._scan_candidates
+
+    def corrupt(rows, N, inverse):
+        reps, fixes = scan(rows, N, inverse)
+        fixes[0, int(reps[0, 0] == 0)] = False
+        return reps, fixes
+
+    monkeypatch.setattr(orbits, "_scan_candidates", corrupt)
+    code, out, err = run(capsys, "scan", "--N", "13", "--d", "6", "--format", fmt)
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal contract violated: stabilizer order 0 of [0, 1,")
 
 
 def test_frame_csv(capsys):

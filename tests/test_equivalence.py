@@ -9,13 +9,18 @@ from harmonic_census import (
     PrimeModulus,
     Witness,
     are_equivalent,
-    enumerate_orbits,
     multipliers,
 )
 from harmonic_census.equivalence import CERT_ORBIT_MISMATCH, verify_witness
 
 import oracles
-from oracles import CERT_ANGLE_MISMATCH, act, angle_multiset, cross_validate_equivalence
+from oracles import (
+    CERT_ANGLE_MISMATCH,
+    act,
+    angle_multiset,
+    cross_validate_equivalence,
+    enumerate_orbits,
+)
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from harmonic_census import (
-    OrbitRecord,
     BudgetExceededError,
     ContractViolationError,
     DomainError,
     GeneratorSet,
     PrimeModulus,
-    enumerate_orbits,
     full_census,
     multipliers,
     stabilizer,
@@ -21,7 +19,7 @@ from harmonic_census import (
 from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _check_chunk
 
 import oracles
-from oracles import act, canonical_rep
+from oracles import OrbitRecord, act, canonical_rep, enumerate_orbits
 
 
 def test_generator_set_normalization():

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from itertools import permutations
@@ -12,9 +13,7 @@ from harmonic_census import (
     PrimeModulus,
     ScaledCyclotomic,
     build_frame,
-    conjecture_scan,
     count_harmonic_frames,
-    enumerate_orbits,
     full_symmetry_group,
     gram,
     gram_automorphisms,
@@ -22,14 +21,11 @@ from harmonic_census import (
     root_power,
     stabilizer,
 )
-from harmonic_census.symmetry import (
-    KIND_BLOCK_PERM,
-    KIND_DIAGONAL,
-    KIND_PRODUCT,
-    _check_generators,
-)
+from harmonic_census.cli import main
+from harmonic_census.symmetry import _check_generators
 
 import oracles
+from oracles import enumerate_orbits
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -46,11 +42,7 @@ def test_guaranteed_subgroup_examples():
 
 def test_guaranteed_subgroup_element_kinds():
     r = guaranteed_subgroup(GeneratorSet(M5, (1, 4)))
-    kinds = {(e.kind, e.power) for e in r.elements}
-    assert (KIND_DIAGONAL, 0) in kinds  # identity
-    assert (KIND_DIAGONAL, 1) in kinds
-    assert (KIND_BLOCK_PERM, 1) in kinds
-    assert len(r.elements) == 10
+    assert len(r.subgroup_permutations) == 10
     # generator descriptions name both generators; Q swaps the two slots
     assert r.generators_found[0] == {"kind": "diagonal", "exponents": [1, 4]}
     assert r.generators_found[1]["kind"] == "block_perm"
@@ -58,13 +50,14 @@ def test_guaranteed_subgroup_element_kinds():
 
 
 def test_guaranteed_subgroup_matrices_exact():
-    r = guaranteed_subgroup(GeneratorSet(M5, (1, 4)))
-    d_elem = next(
-        e for e in r.elements if e.kind == KIND_DIAGONAL and e.power == 1
-    )
-    assert oracles.element_entry(d_elem, 0, 0) == ScaledCyclotomic(root_power(M5, 1), 1)
-    assert oracles.element_entry(d_elem, 1, 1) == ScaledCyclotomic(root_power(M5, 4), 1)
-    assert oracles.element_entry(d_elem, 0, 1).numerator.is_zero
+    """D = diag(w^(n_k)) and the slot permutation Q move the frame's columns
+    m to m + 1 and to h m, exactly, on the exponents of w."""
+    for m, elems in ((M5, (1, 4)), (M7, (1, 2, 4)), (PrimeModulus(13), (0, 1, 3, 9))):
+        N, s = m.N, GeneratorSet(m, elems)
+        D, Q = guaranteed_subgroup(s).generators_found
+        E, cols = build_frame(s).exponents, np.arange(N)
+        assert np.array_equal((E + np.array(D["exponents"])[:, None]) % N, E[:, (cols + 1) % N])
+        assert np.array_equal(E[Q["slot_perm"]], E[:, Q["unit"] * cols % N])
 
 
 def test_degenerate_zero_set():
@@ -217,22 +210,24 @@ def test_reconstructed_element_identity():
     assert ident.entry(0, 1).numerator.is_zero
 
 
-def test_conjecture_scan():
-    report = conjecture_scan(M7, 3)
-    assert len(report.rows) == 7
-    assert not report.counterexamples
-    assert all(r.conjecture_holds for r in report.rows)
+def _scan(capsys, N: int, d: int) -> tuple[int, dict]:
+    code = main(["scan", "--N", str(N), "--d", str(d), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
 
-    report = conjecture_scan(M5, 2)
-    assert len(report.rows) == 3
 
-    report = conjecture_scan(PrimeModulus(11), 2)
-    assert len(report.rows) == 6
+def test_conjecture_scan(capsys):
+    code, report = _scan(capsys, 7, 3)
+    assert code == 0 and len(report["rows"]) == 7
+    assert not report["counterexamples"]
+    assert all(r["conjecture_holds"] for r in report["rows"])
 
-    report = conjecture_scan(M5, 4)
-    assert [r.conjecture_holds for r in report.rows] == [True, False]
-    assert len(report.counterexamples) == 1
-    assert report.counterexamples[0].rep.elems == (1, 2, 3, 4)
+    assert len(_scan(capsys, 5, 2)[1]["rows"]) == 3
+    assert len(_scan(capsys, 11, 2)[1]["rows"]) == 6
+
+    code, report = _scan(capsys, 5, 4)
+    assert code == 4
+    assert [r["conjecture_holds"] for r in report["rows"]] == [True, False]
+    assert report["counterexamples"] == [[1, 2, 3, 4]]
 
 
 def _check_against_search(s: GeneratorSet, max_N: int = 31) -> None:
@@ -294,24 +289,12 @@ def test_closed_form_past_default_cap():
 def test_listings_are_lazy_and_ordered():
     s = GeneratorSet(PrimeModulus(13), (0, 1, 3, 9))  # c = 3
     r = full_symmetry_group(s)
-    perms, elements = r.subgroup_permutations, r.elements
-    assert len(perms) == len(elements) == 39
+    perms = r.subgroup_permutations
+    assert len(perms) == 39
     assert list(perms) == sorted(perms)
     assert perms[-1] == perms[38]
     with pytest.raises(IndexError):
         perms[39]
-    keys = [(e.src, e.expo) for e in elements]
-    assert keys == sorted(keys) and len(set(keys)) == 39
-    assert {tuple(e.column_perm) for e in elements} == set(perms)
-    # every element maps the frame's columns as its permutation says
-    E = build_frame(s).exponents
-    for e in elements:
-        moved = (E[list(e.src)] + np.array(e.expo)[:, None]) % 13
-        assert np.array_equal(moved, E[:, list(e.column_perm)])
-    kinds = {}
-    for e in elements:
-        kinds[e.kind] = kinds.get(e.kind, 0) + 1
-    assert kinds == {KIND_DIAGONAL: 13, KIND_BLOCK_PERM: 2, KIND_PRODUCT: 24}
 
 
 def test_generator_checks_reject_a_wrong_unit():
@@ -327,25 +310,14 @@ def test_elements_at_range_edge():
     N = 2**31 - 1
     r = full_symmetry_group(GeneratorSet(PrimeModulus(N), (1, N - 1)))  # c = 2
     assert (r.stabilizer_order, r.full_group_order) == (2, 2 * N)
-    assert len(r.elements) == len(r.full_permutations) == 2 * N
+    assert len(r.subgroup_permutations) == len(r.full_permutations) == 2 * N
     assert r.full_permutations.multipliers == (1, N - 1)
-    e = r.elements[5]  # D^5
-    assert (e.kind, e.power, e.src, e.expo) == (KIND_DIAGONAL, 5, (0, 1), (5, N - 5))
-    assert e.column_perm[:3] == (5, 6, 7) and e.column_perm[-1] == 4
-    e = r.elements[N]  # Q
-    assert (e.kind, e.power, e.src, e.expo) == (KIND_BLOCK_PERM, 1, (1, 0), (0, 0))
-    assert e.column_perm[:3] == (0, N - 1, N - 2)
-    e = r.elements[N + 3]  # m -> 3 - m
-    assert (e.kind, e.src, e.expo) == (KIND_PRODUCT, (1, 0), (3, N - 3))
-    assert e.column_perm[:3] == (3, 2, 1) and e.column_perm[-1] == 4
-    with pytest.raises(IndexError):
-        e.column_perm[N]
 
 
-def test_scan_n17_d5_is_fast():
+def test_scan_n17_d5_is_fast(capsys):
     start = time.perf_counter()
-    report = conjecture_scan(PrimeModulus(17), 5)
+    code, report = _scan(capsys, 17, 5)
     elapsed = time.perf_counter() - start
-    assert len(report.rows) == count_harmonic_frames(PrimeModulus(17), 5)
-    assert not report.counterexamples
+    assert len(report["rows"]) == count_harmonic_frames(PrimeModulus(17), 5)
+    assert code == 0 and not report["counterexamples"]
     assert elapsed < 2.0, elapsed  # the search it replaces took about 2 s
