@@ -12,7 +12,7 @@ from .census import (
     gamma,
     growth_ratio,
 )
-from .cyclotomic import CyclotomicInt, ScaledCyclotomic, root_power
+from .cyclotomic import CyclotomicInt
 from .equivalence import EquivalenceVerdict, Witness, are_equivalent
 from .errors import (
     BudgetExceededError,
@@ -37,7 +37,6 @@ from .number_theory import (
     find_primitive_root,
     is_prime,
     multiplicative_order,
-    primes_up_to,
 )
 from .orbits import (
     DEFAULT_MAX_SUBSETS,

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInt, ScaledCyclotomic, exponent_counts, root_power
+from .cyclotomic import CyclotomicInt, exponent_counts
 from .errors import ContractViolationError, DomainError
 from .orbits import GeneratorSet
 
@@ -44,9 +44,9 @@ NORMALIZATION_TAG = "1/sqrt(d)"
 class FrameMatrix:
     """The d x N unscaled frame matrix; entry (k, m) is w^(m n_k).
 
-    Exponents are stored as a read-only integer matrix; cyclotomic entries
-    are materialized on demand.  Rows are indexed by generator position
-    (generators sorted ascending), columns by m = 0, ..., N-1.
+    Exponents are stored as a read-only integer matrix.  Rows are indexed
+    by generator position (generators sorted ascending), columns by
+    m = 0, ..., N-1.
     """
 
     normalization = NORMALIZATION_TAG
@@ -67,9 +67,6 @@ class FrameMatrix:
     @property
     def N(self) -> int:
         return self.modulus.N
-
-    def entry(self, k: int, m: int) -> CyclotomicInt:
-        return root_power(self.modulus, int(self.exponents[k, m]))
 
     def __repr__(self) -> str:
         return f"FrameMatrix(N={self.N}, generators={list(self.generators.elems)})"
@@ -124,16 +121,17 @@ def verify_funtf(f: FrameMatrix) -> FuntfReport:
 class GramMatrix:
     """Circulant Gram matrix of a frame, as its N difference labels.
 
-    entry(j, k) = (1/d) sum_l w^(n_l (k-j)) and label(j, k) is the sorted
-    tuple of (k-j) . [n]; the all-zeros label marks the diagonal.  Only the
-    (N, d) array of sorted label rows t . [n] is stored, which makes the
-    matrix circulant by construction; a numerator is counted from its label
-    row on demand, so equal labels give equal entries, and the module
-    docstring shows the converse.  The constructor checks, in O(N d) per
-    row, that the column exponent differences of the frame reproduce the
-    label rows: on every row up to N = 128, on rows 0, 1, N//2 and N-1
-    beyond.  The N x N coefficient re-derivation from the column inner
-    products and the equal-entry check live in the tests
+    Entry (j, k) is (1/d) sum_l w^(n_l t) with t = k - j: its numerator is
+    difference_numerator(t) over `denominator`, and its label
+    difference_label(t) is the sorted tuple t . [n]; the all-zeros label
+    marks the diagonal.  Only the (N, d) array of sorted label rows is
+    stored, which makes the matrix circulant by construction; a numerator
+    is counted from its label row on demand, so equal labels give equal
+    entries, and the module docstring shows the converse.  The constructor
+    checks, in O(N d) per row, that the column exponent differences of the
+    frame reproduce the label rows: on every row up to N = 128, on rows 0,
+    1, N//2 and N-1 beyond.  The N x N coefficient re-derivation from the
+    column inner products and the equal-entry check live in the tests
     (`oracles.gram_coefficients`).
     """
 
@@ -162,12 +160,6 @@ class GramMatrix:
     def N(self) -> int:
         return self.modulus.N
 
-    def entry(self, j: int, k: int) -> ScaledCyclotomic:
-        return ScaledCyclotomic(self.difference_numerator(k - j), self.denominator)
-
-    def label(self, j: int, k: int) -> tuple[int, ...]:
-        return self.difference_label(k - j)
-
     def difference_numerator(self, t: int) -> CyclotomicInt:
         counts = exponent_counts(self._label_rows[t % self.N], self.N)
         return CyclotomicInt(self.modulus, tuple(counts.tolist()))
@@ -187,9 +179,9 @@ def _round12(x: float) -> float:
 
 def _scaled_roots(N: int, d: int) -> list[tuple[float, float]]:
     """w^k / sqrt(d) for k = 0, ..., N-1 as rounded (real, imag) pairs.
-    Each root is a single cmath.exp; through CyclotomicInt.to_complex,
-    w^(N-1), stored as -(1 + w + ... + w^(N-2)), would sum N-1 floats and
-    lose digits."""
+    Each root is a single cmath.exp of its exponent, not a float sum over
+    a coefficient vector: w^(N-1), stored canonically as
+    -(1 + w + ... + w^(N-2)), would sum N-1 floats and lose digits."""
     scale = 1.0 / math.sqrt(d)
     # w = -1 at N = 2, where cmath.exp(1j * pi) keeps an imaginary 1.2e-16
     roots = [1, -1] if N == 2 else [cmath.exp(2j * cmath.pi * k / N) for k in range(N)]

@@ -63,18 +63,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
 def _factorisation(n: int) -> list[tuple[int, int]]:
     """(prime, multiplicity) pairs of n >= 1, by trial division up to the
     square root of the shrinking cofactor."""

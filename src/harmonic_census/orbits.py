@@ -89,13 +89,14 @@ def multipliers(a: GeneratorSet, b: GeneratorSet) -> tuple[int, ...]:
     """All units m with m . b = a as sets, sorted; empty when there are none.
     Such an m maps the smallest nonzero y0 of b to some nonzero x of a, so
     only the at most d multipliers x y0^-1 are tried, with one modular
-    inverse.  {0} is fixed by every unit, sets of different sizes have no
+    inverse.  Every unit fixes a set whose nonzero part is empty or all of
+    Z_N^x ({0}, the simplex and the basis), sets of different sizes have no
     such m, and sets over different moduli raise ModulusMismatchError."""
     N = a.modulus.N
     if b.modulus.N != N:
         raise ModulusMismatchError(f"mixed moduli {N} and {b.modulus.N}")
     nonzero = b.elems[1:] if b.elems[0] == 0 else b.elems
-    if not nonzero or a.d != b.d:
+    if len(nonzero) in (0, N - 1) or a.d != b.d:
         return tuple(range(1, N)) if a.elems == b.elems else ()
     target = set(a.elems)
     y0_inv = pow(nonzero[0], -1, N)

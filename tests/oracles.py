@@ -14,10 +14,10 @@ d x d x N coefficient tensor for the row Gram, both d x N frame matrices
 for an equivalence witness, every label t . S for the label-preserving
 multipliers, backtracking over Gram labels plus exact unitary
 reconstruction for symmetry groups, every unit with x^c = 1 for coset
-blocks, and schoolbook products for Z[w].  Slow but obviously correct;
-nothing in the package is trusted beyond basic types (frame exponents, Gram
-labels, which the tests check against t . S, and the exact cyclotomic
-coefficient helpers).  Harnesses also drive the library over every orbit:
+blocks, and a sieve for the primes up to a bound.  Slow but obviously
+correct; nothing in the package is trusted beyond basic types (frame
+exponents, Gram labels, which the tests check against t . S, and the exact
+cyclotomic coefficient helpers).  Harnesses also drive the library over every orbit:
 enumerate_orbits lists the chunks of orbits.orbit_chunks as one record per
 orbit, for the tests that check orbits one at a time; the total of its alpha
 recursion; and are_equivalent on all pairs of sets, tallied against the
@@ -42,9 +42,7 @@ from harmonic_census import (
     FrameMatrix,
     GeneratorSet,
     GramMatrix,
-    ModulusMismatchError,
     PrimeModulus,
-    ScaledCyclotomic,
     Witness,
     alpha,
     are_equivalent,
@@ -131,6 +129,18 @@ def divisors_trial(n: int) -> list[int]:
                 large.append(n // k)
         k += 1
     return small + large[::-1]
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i, flag in enumerate(sieve) if flag]
 
 
 def necklace_count(n: int, k: int) -> int:
@@ -287,26 +297,6 @@ def enumerate_orbits(
             leaders = tuple(row[skip:] if order == 1 else compress(row, masks[i].tolist()))
             records.append(OrbitRecord(rep, (N - 1) // order, order, stab, leaders))
     return records
-
-
-# -- exact cyclotomic products -----------------------------------------------
-
-
-def multiply(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    """a * b in Z[w], by the schoolbook product of coefficient vectors."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatchError(f"mixed moduli {a.modulus.N} and {b.modulus.N}")
-    N = a.modulus.N
-    out = [0] * N
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[(i + j) % N] += x * y
-    return CyclotomicInt(a.modulus, tuple(out))
-
-
-def conjugate(a: CyclotomicInt) -> CyclotomicInt:
-    """Complex conjugation, w^k -> w^(N-k)."""
-    return CyclotomicInt(a.modulus, a.coeffs[:1] + a.coeffs[:0:-1])
 
 
 # -- equivalence across all orbits -------------------------------------------
@@ -580,14 +570,9 @@ class ReconstructedElement:
     """The exact unitary (1/denominator) * dense, dense[i, j] a coefficient
     vector in Z[w]."""
 
-    modulus: PrimeModulus
     column_perm: tuple[int, ...]
     dense: np.ndarray
     denominator: int
-
-    def entry(self, i: int, j: int) -> ScaledCyclotomic:
-        coeffs = tuple(int(c) for c in self.dense[i, j])
-        return ScaledCyclotomic(CyclotomicInt(self.modulus, coeffs), self.denominator)
 
 
 def reconstructed_element(frame: FrameMatrix, sigma: tuple[int, ...]) -> ReconstructedElement:
@@ -597,4 +582,4 @@ def reconstructed_element(frame: FrameMatrix, sigma: tuple[int, ...]) -> Reconst
     sig = np.array(sigma, dtype=np.int64)
     A = (sig[None, :] * gens[:, None]) % N  # (d, N)
     EX = (A[:, None, :] - frame.exponents[None, :, :]) % N  # (d, d, N)
-    return ReconstructedElement(frame.modulus, tuple(sigma), exponent_counts(EX, N), N)
+    return ReconstructedElement(tuple(sigma), exponent_counts(EX, N), N)

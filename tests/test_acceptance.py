@@ -20,13 +20,12 @@ from harmonic_census import (
     full_symmetry_group,
     growth_ratio,
     guaranteed_subgroup,
-    primes_up_to,
     verify_funtf,
 )
 from harmonic_census.cli import main as cli_main
 
 import oracles
-from oracles import enumerate_orbits
+from oracles import enumerate_orbits, primes_up_to
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 

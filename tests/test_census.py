@@ -15,11 +15,10 @@ from harmonic_census import (
     full_census,
     gamma,
     growth_ratio,
-    primes_up_to,
 )
 
 import oracles
-from oracles import enumerate_orbits
+from oracles import enumerate_orbits, primes_up_to
 
 
 def test_beta_examples(m7, m13):

@@ -341,7 +341,10 @@ def test_simplex_and_basis_at_factorial_bound(capsys):
         fact *= k
     for gens in (range(N), range(1, N)):
         argv = ["symmetry", "--N", str(N), "--gens", ",".join(map(str, gens))]
+        start = time.perf_counter()
         code, out, _ = run(capsys, *argv, "--format", "json")
+        # every unit fixes both sets: Stab(S) takes no search
+        assert time.perf_counter() - start < 0.05
         obj = json.loads(out)
         assert code == 0
         assert (obj["stabilizer_order"], obj["subgroup_order"]) == (N - 1, N * (N - 1))

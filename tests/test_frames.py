@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -10,16 +11,15 @@ import pytest
 
 from harmonic_census import (
     ContractViolationError,
-    CyclotomicInt,
     DomainError,
     GeneratorSet,
     PrimeModulus,
     build_frame,
     export_frame,
     gram,
-    root_power,
     verify_funtf,
 )
+from harmonic_census.cyclotomic import exponent_counts
 from harmonic_census.number_theory import is_prime
 
 import oracles
@@ -33,10 +33,10 @@ M7 = PrimeModulus(7)
 def test_build_frame_entries():
     f = build_frame(GeneratorSet(M3, (0, 1)))
     assert f.exponents.tolist() == [[0, 0, 0], [0, 1, 2]]
-    assert f.entry(1, 2) == root_power(M3, 2)
+    assert f.exponents[1, 2] == 2
     # column 0 is all ones for any generator choice
     f = build_frame(GeneratorSet(M5, (1, 2, 3, 4)))
-    assert all(f.entry(k, 0) == root_power(M5, 0) for k in range(4))
+    assert not f.exponents[:, 0].any()
     # generator 4, column 2: w^(2*4 mod 7) = w
     f = build_frame(GeneratorSet(M7, (1, 2, 4)))
     assert f.exponents[2, 2] == 1
@@ -52,10 +52,8 @@ def test_verify_funtf_examples():
 def test_row_orthogonality_directly():
     # <row 0, row 1> for (N=3, [0,1]) is 1 + w + w^2 = 0
     f = build_frame(GeneratorSet(M3, (0, 1)))
-    acc = CyclotomicInt.zero(M3)
-    for m in range(3):
-        acc = acc + oracles.multiply(f.entry(0, m), oracles.conjugate(f.entry(1, m)))
-    assert acc.is_zero
+    E = f.exponents
+    assert not exponent_counts((E[0] - E[1]) % 3, 3).any()
 
 
 def _tightness_sets():
@@ -104,45 +102,50 @@ def test_row_gram_against_count_tensor():
 
 def test_gram_entries_and_labels():
     g = gram(build_frame(GeneratorSet(M5, (1, 4))))
-    assert g.entry(0, 0).to_complex() == pytest.approx(1.0)
-    expected = 2 * math.cos(2 * math.pi / 5) / 2
-    assert g.entry(0, 1).to_complex().real == pytest.approx(expected)
-    assert abs(g.entry(0, 1).to_complex().imag) < 1e-12
+    assert g.denominator == 2
+    assert g.difference_numerator(0).coeffs == (2, 0, 0, 0, 0)  # entry 1
+    # entry (0, 1) is (w + w^4) / 2 = cos(2 pi / 5)
+    coeffs = g.difference_numerator(1).coeffs
+    value = sum(c * cmath.exp(2j * cmath.pi * k / 5) for k, c in enumerate(coeffs)) / 2
+    assert value.real == pytest.approx(math.cos(2 * math.pi / 5))
+    assert abs(value.imag) < 1e-12
 
     g = gram(build_frame(GeneratorSet(M7, (1, 2, 4))))
-    assert g.label(0, 1) == (1, 2, 4)
-    assert g.label(0, 3) == (3, 5, 6)
-    assert g.label(2, 2) == (0, 0, 0)
+    assert g.difference_label(1) == (1, 2, 4)
+    assert g.difference_label(3) == (3, 5, 6)
+    assert g.difference_label(0) == (0, 0, 0)
 
 
 def test_gram_circulant_and_label_criterion():
     cases = [(M5, (1, 2)), (M5, (1, 4)), (M7, (0, 1, 6)), (M7, (1, 2, 4))]
     for m, elems in cases:
-        g = gram(build_frame(GeneratorSet(m, elems)))
+        f = build_frame(GeneratorSet(m, elems))
+        g = gram(f)
         N = m.N
+        row0 = oracles.gram_coefficients(f)
         for j in range(N):
+            row = oracles.gram_coefficients(f, j)
             for k in range(N):
-                assert g.entry(j, k) == g.entry(0, (k - j) % N)
-                for jp in range(N):
-                    for kp in range(N):
-                        same_entry = g.entry(j, k) == g.entry(jp, kp)
-                        same_label = g.label(j, k) == g.label(jp, kp)
-                        assert same_entry == same_label
+                assert np.array_equal(row[k], row0[(k - j) % N])
+                assert g.difference_numerator(k - j).coeffs == tuple(row[k].tolist())
+        for t in range(N):
+            for u in range(N):
+                same_entry = g.difference_numerator(t) == g.difference_numerator(u)
+                same_label = g.difference_label(t) == g.difference_label(u)
+                assert same_entry == same_label
 
 
 def test_gram_against_direct_inner_products():
     s = GeneratorSet(M7, (1, 2, 4))
     f = build_frame(s)
     g = gram(f)
+    assert g.denominator == 3
+    E = f.exponents
     for j in range(7):
         for k in range(7):
-            direct = CyclotomicInt.zero(M7)
-            for l in range(3):
-                direct = direct + oracles.multiply(
-                    f.entry(l, k), oracles.conjugate(f.entry(l, j))
-                )
-            assert direct == g.entry(j, k).numerator
-            assert g.entry(j, k).denominator == 3
+            # sum_l w^(E[l, k]) conj(w^(E[l, j])) = sum_l w^(E[l, k] - E[l, j])
+            direct = exponent_counts((E[:, k] - E[:, j]) % 7, 7)
+            assert g.difference_numerator(k - j).coeffs == tuple(direct.tolist())
 
 
 GRAM_CASES = [
@@ -229,7 +232,7 @@ def test_export_floating_matches_exact():
     scale = 1 / math.sqrt(3)
     for k in range(3):
         for m in range(7):
-            exact = f.entry(k, m).to_complex() * scale
+            exact = cmath.exp(2j * cmath.pi * int(f.exponents[k, m]) / 7) * scale
             assert abs(exact.real - obj["real"][k][m]) < 1e-10
             assert abs(exact.imag - obj["imag"][k][m]) < 1e-10
 

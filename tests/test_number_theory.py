@@ -7,10 +7,10 @@ from harmonic_census import (
     find_primitive_root,
     is_prime,
     multiplicative_order,
-    primes_up_to,
 )
 
 import oracles
+from oracles import primes_up_to
 
 
 def test_is_prime_small():

@@ -71,11 +71,12 @@ def test_stabilizer_against_unit_scan(N):
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 11])
 def test_multipliers_against_unit_scan(N):
     """Every unit m with m . b = a, against all N-1 units, over pairs in one
-    orbit, in different orbits, with {0} and {0, ..., N-1}, and of different
-    sizes."""
+    orbit, in different orbits, with {0}, {1, ..., N-1} and {0, ..., N-1},
+    and of different sizes."""
     m = PrimeModulus(N)
     rng = random.Random(N)
     sets = [GeneratorSet(m, (0,)), GeneratorSet(m, tuple(range(N)))]
+    sets.append(GeneratorSet(m, tuple(range(1, N))))
     for d in [*range(1, N + 1)] * 2:
         s = GeneratorSet(m, tuple(rng.sample(range(N), d)))
         sets += [s, act(rng.randint(1, N - 1), s)]
