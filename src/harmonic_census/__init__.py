@@ -4,13 +4,9 @@ with the tests, in tests/oracles.py."""
 
 from .census import (
     Census,
-    alpha,
-    beta,
     count_harmonic_frames,
     count_unordered_dft,
     full_census,
-    gamma,
-    growth_ratio,
 )
 from .cyclotomic import CyclotomicInt
 from .equivalence import EquivalenceVerdict, Witness, are_equivalent
@@ -32,11 +28,9 @@ from .frames import (
 )
 from .number_theory import (
     PrimeModulus,
-    PrimitiveRoot,
     divisors,
     find_primitive_root,
     is_prime,
-    multiplicative_order,
 )
 from .orbits import (
     DEFAULT_MAX_SUBSETS,

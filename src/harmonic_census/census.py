@@ -19,34 +19,19 @@ after a trial division up to sqrt(g).  For 2 <= d <= N-2, g <= d; only
 d = 1 (t = 0), N-1 and N factor N-1 itself.  beta_1 and gamma_1 follow from
 mass balance against C(N, d).
 
-A second, independently coded recursion computes the same counts directly
-at orbit level (alpha, in Fractions over the divisors of N-1); the two are
-asserted equal in the test suite.  Any non-integral gamma aborts loudly
-instead of rounding.
+full_census is the one path to these numbers.  Any non-integral gamma, or
+a census whose orbits do not cover C(N, d), aborts loudly instead of
+rounding; the tests check it against an independently coded orbit-level
+recursion and brute-force orbit counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContractViolationError, DomainError
 from .number_theory import PrimeModulus, divisors
-
-
-def _target(N: int, d: int, c: int) -> int:
-    """The one of d and d-1 that c divides, for a block order c > 1 that
-    divides N-1."""
-    if c <= 1:
-        raise DomainError(f"block recursion needs c > 1, got c={c}")
-    if (N - 1) % c != 0:
-        raise DomainError(f"c={c} does not divide N-1={N - 1}")
-    if d % c == 0:
-        return d
-    if (d - 1) % c == 0:
-        return d - 1
-    raise DomainError(f"c={c} divides neither d={d} nor d-1={d - 1}")
 
 
 def _betas(N: int, target: int) -> dict[int, int]:
@@ -60,12 +45,6 @@ def _betas(N: int, target: int) -> dict[int, int]:
     return out
 
 
-def beta(modulus: PrimeModulus, d: int, c: int) -> int:
-    """beta_c for dimension d (c > 1, c | N-1, c | d or c | d-1)."""
-    N = modulus.N
-    return _betas(N, _target(N, d, c))[c]
-
-
 def _gamma(N: int, d: int, c: int, beta_c: int) -> int:
     value, rem = divmod(c * beta_c, N - 1)
     if rem:
@@ -73,13 +52,6 @@ def _gamma(N: int, d: int, c: int, beta_c: int) -> int:
             f"gamma_{c}({N},{d}) = {c * beta_c}/{N - 1} is not integral"
         )
     return value
-
-
-def gamma(modulus: PrimeModulus, d: int, c: int) -> int:
-    """gamma_c, the number of orbits of size (N-1)/c; exact integer."""
-    if c == 1:
-        return full_census(modulus, d).gamma[1]
-    return _gamma(modulus.N, d, c, beta(modulus, d, c))
 
 
 @dataclass(frozen=True)
@@ -157,64 +129,3 @@ def count_unordered_dft(modulus: PrimeModulus, d: int) -> int:
             f"ordered-count forms disagree: {product} vs {ratio}"
         )
     return product
-
-
-def growth_ratio(modulus: PrimeModulus, d: int) -> float:
-    """count / (N^(d-1) / d!), the orbit count against its leading-order
-    growth term.  Approaches 1 from below as N grows at fixed d."""
-    N = modulus.N
-    if not 1 < d < N:
-        raise DomainError(f"growth diagnostic needs 1 < d < N, got d={d}, N={N}")
-    count = count_harmonic_frames(modulus, d)
-    return count * math.factorial(d) / N ** (d - 1)
-
-
-# -- independent orbit-level recursion ---------------------------------------
-
-
-def _alphas(N: int, target: int, divs: list[int]) -> dict[int, Fraction]:
-    """alpha_c for every c > 1 in divs (the divisors of N-1, ascending) with
-    c | target, from the largest c down; target >= 1."""
-    out: dict[int, Fraction] = {}
-    for c in reversed(divs):
-        if c == 1 or target % c:
-            continue
-        q = target // c
-        num = 1
-        for i in range(1, q):
-            num *= N - 1 - i * c
-        first = Fraction(num, c ** (q - 1) * math.factorial(q))
-        sub = sum(
-            (Fraction(N - 1, b) * a for b, a in out.items() if b % c == 0),
-            Fraction(0),
-        )
-        out[c] = first - Fraction(c, N - 1) * sub
-    return out
-
-
-def _nontrivial_alphas(N: int, d: int) -> dict[int, Fraction]:
-    divs = divisors(N - 1)
-    return {**_alphas(N, d, divs), **_alphas(N, d - 1, divs)}
-
-
-def _alpha_1(N: int, d: int, alphas: dict[int, Fraction]) -> Fraction:
-    total = Fraction(math.comb(N, d), N - 1)
-    for c, a in alphas.items():
-        total -= a / c
-    return total
-
-
-def alpha(modulus: PrimeModulus, d: int, c: int) -> Fraction:
-    """The orbit-count recursion coded independently of beta/gamma.
-
-    For c > 1 it counts orbits of stabilizer order c directly; alpha(1)
-    balances against C(N, d).  Defined for d >= 2 (the c > 1 cases need at
-    least one block).  Asserting alpha_c == gamma_c is part of the test
-    contract, not of this function.
-    """
-    N = modulus.N
-    if d < 2:
-        raise DomainError(f"alpha recursion needs d >= 2, got d={d}")
-    if c == 1:
-        return _alpha_1(N, d, _nontrivial_alphas(N, d))
-    return _alphas(N, _target(N, d, c), divisors(N - 1))[c]

@@ -2,13 +2,15 @@
 decisions, and symmetry analysis with stable machine-readable output.
 
 Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
-2 usage error (including an --out path that cannot be written), 3 a budget
-exceeded, 4 symmetry-conjecture counterexample discovered (notable, not
-fatal), 5 internal contract violated (a library bug, reported on one stderr
-line).
+2 usage error (including output that stdout or the --out path cannot take
+in full, reported on one stderr line), 3 a budget exceeded, 4
+symmetry-conjecture counterexample discovered (notable, not fatal), 5
+internal contract violated (a library bug, reported on one stderr line).
 
 All output is UTF-8 with newline-terminated records, and identical
 invocations produce byte-identical output regardless of --threads.
+--format csv writes csv for count, enumerate and frame; verify, equivalent,
+symmetry and scan print their table for it.
 Integers too large for a double are emitted as decimal strings in JSON.
 The HC_MAX_SUBSETS environment variable overrides the default budget, which
 counts the C(N, d) subsets an enumeration covers and the d x N entries of a
@@ -25,6 +27,7 @@ sets that symmetry.exceptional_orders names.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 from itertools import compress
 import json
@@ -85,18 +88,28 @@ def _join(xs, sep: str = ",") -> str:
 
 def _emit(payload: list[str] | bytes, path: str | None) -> None:
     """Write a command's output lines, or its exported bytes, to stdout or
-    to path; a path that cannot be written is a usage error."""
+    to path; a stream or path that cannot take them all is a usage error.
+    stdout may store only part of a write once a pipe's reader has gone, so
+    it is written until all is out.  On failure its descriptor is pointed at
+    os.devnull, so the interpreter's flush at exit has nothing left to fail
+    on (the SIGPIPE note in the signal module docs)."""
     if isinstance(payload, list):
         payload = ("\n".join(payload) + "\n").encode("utf-8")
-    if path is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-        return
     try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
+        if path is not None:
+            with open(path, "wb") as fh:
+                fh.write(payload)
+            return
+        out, view = sys.stdout.buffer, memoryview(payload)
+        while view:
+            view = view[out.write(view) :]
+        out.flush()
     except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if path is None:  # an in-memory stdout has no descriptor
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        where = "stdout" if path is None else path
+        raise DomainError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def _checked_modulus(args: argparse.Namespace) -> PrimeModulus:

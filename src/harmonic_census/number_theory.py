@@ -96,34 +96,14 @@ class PrimeModulus:
             raise DomainError("N must be prime")
 
 
-@dataclass(frozen=True)
-class PrimitiveRoot:
-    """A unit g whose powers exhaust Z_N^x."""
-
-    g: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        N = self.modulus.N
-        if not (1 <= self.g <= N - 1):
-            raise DomainError(f"primitive root {self.g} out of range for N={N}")
-        if multiplicative_order(self.g, self.modulus) != N - 1:
-            raise DomainError(f"{self.g} is not a primitive root mod {N}")
-
-
-def multiplicative_order(m: int, modulus: PrimeModulus) -> int:
-    """Smallest c >= 1 with m^c = 1 mod N.  Divides N - 1."""
+@functools.lru_cache(maxsize=1024)
+def find_primitive_root(modulus: PrimeModulus) -> int:
+    """The smallest primitive root g mod N (any choice would do; the smallest
+    one makes every downstream object deterministic).  g is primitive by the
+    definition the search tests: g^((N-1)/p) != 1 for every prime p | N-1.
+    Cached per modulus, since the orbit and symmetry code asks for it on every
+    subgroup it builds, and checks each such subgroup exactly."""
     N = modulus.N
-    if m % N == 0:
-        raise DomainError(f"{m} is not a unit mod {N}")
-    m %= N
-    for c in divisors(N - 1):
-        if pow(m, c, N) == 1:
-            return c
-    raise ContractViolationError(f"no order found for {m} mod {N}")  # pragma: no cover
-
-
-def _smallest_primitive_root(N: int) -> int:
     if N == 2:
         return 1
     factors = [p for p, _ in _factorisation(N - 1)]
@@ -131,11 +111,3 @@ def _smallest_primitive_root(N: int) -> int:
         if all(pow(g, (N - 1) // p, N) != 1 for p in factors):
             return g
     raise ContractViolationError(f"no primitive root mod {N}")  # pragma: no cover
-
-
-@functools.lru_cache(maxsize=1024)
-def find_primitive_root(modulus: PrimeModulus) -> PrimitiveRoot:
-    """The smallest primitive root mod N (any choice would do; the smallest
-    one makes every downstream object deterministic).  Found and validated
-    once per modulus; later calls return the same frozen object."""
-    return PrimitiveRoot(_smallest_primitive_root(modulus.N), modulus)

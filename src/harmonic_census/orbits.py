@@ -123,8 +123,7 @@ def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
         raise DomainError(f"no subgroup of order {c} in a group of order {N - 1}")
     if c == N - 1:
         return tuple(range(1, N))  # all of Z_N^x
-    g = find_primitive_root(modulus).g
-    h = pow(g, (N - 1) // c, N)
+    h = pow(find_primitive_root(modulus), (N - 1) // c, N)
     return tuple(sorted(pow(h, j, N) for j in range(c)))
 
 

@@ -138,7 +138,7 @@ def _affine_subgroup(s: GeneratorSet, perms: AffinePermutations) -> SymmetryRepo
     perms.multipliers."""
     N, stab = s.modulus.N, list(perms.multipliers)
     c = len(stab)
-    h = pow(find_primitive_root(s.modulus).g, (N - 1) // c, N)
+    h = pow(find_primitive_root(s.modulus), (N - 1) // c, N)
     q = _check_generators(s, h, c, stab)
     generators = [{"kind": "diagonal", "exponents": list(s.elems)}]
     if c > 1:

@@ -8,19 +8,21 @@ the representative lemma leaves to try), the unit action m . S, the units
 mapping one set onto another or an equivalence witness, per-entry floats
 for a frame export, raw streaming over ordered tuples for the scaling
 action, the classical necklace count for the number of subset orbits,
-trial division for divisors, N x N coefficient matrices from the
-frame's column inner products for Gram entries and unit norms, the
-d x d x N coefficient tensor for the row Gram, both d x N frame matrices
-for an equivalence witness, every label t . S for the label-preserving
-multipliers, backtracking over Gram labels plus exact unitary
-reconstruction for symmetry groups, every unit with x^c = 1 for coset
-blocks, and a sieve for the primes up to a bound.  Slow but obviously
+an orbit-level recursion in Fractions (alpha) for the census by stabilizer
+order, trial division for divisors and for the order of a unit, N x N
+coefficient matrices from the frame's column inner products for Gram
+entries and unit norms, the d x d x N coefficient tensor for the row Gram,
+both d x N frame matrices for an equivalence witness, every label t . S for
+the label-preserving multipliers, backtracking over Gram labels plus exact
+unitary reconstruction for symmetry groups, every unit with x^c = 1 for
+coset blocks, and a sieve for the primes up to a bound.  Slow but obviously
 correct; nothing in the package is trusted beyond basic types (frame
 exponents, Gram labels, which the tests check against t . S, and the exact
-cyclotomic coefficient helpers).  Harnesses also drive the library over every orbit:
-enumerate_orbits lists the chunks of orbits.orbit_chunks as one record per
-orbit, for the tests that check orbits one at a time; the total of its alpha
-recursion; and are_equivalent on all pairs of sets, tallied against the
+cyclotomic coefficient helpers).  Harnesses also drive the library over
+every orbit: enumerate_orbits lists the chunks of orbits.orbit_chunks as
+one record per orbit, for the tests that check orbits one at a time;
+growth_ratio sets the library's orbit count against its leading-order
+term; and are_equivalent runs on all pairs of sets, tallied against the
 angle multisets.
 """
 
@@ -44,9 +46,9 @@ from harmonic_census import (
     GramMatrix,
     PrimeModulus,
     Witness,
-    alpha,
     are_equivalent,
     build_frame,
+    count_harmonic_frames,
     gram,
 )
 from harmonic_census import orbits
@@ -129,6 +131,16 @@ def divisors_trial(n: int) -> list[int]:
                 large.append(n // k)
         k += 1
     return small + large[::-1]
+
+
+def multiplicative_order(m: int, modulus: PrimeModulus) -> int:
+    """Smallest c >= 1 with m^c = 1 mod N, tried over the divisors of N-1
+    by trial division."""
+    N = modulus.N
+    if m % N == 0:
+        raise DomainError(f"{m} is not a unit mod {N}")
+    m %= N
+    return next(c for c in divisors_trial(N - 1) if pow(m, c, N) == 1)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -218,12 +230,87 @@ def pi1_orbit_count_via_subsets(N: int, d: int) -> int:
     return total
 
 
+# -- the orbit-level census recursion ----------------------------------------
+
+
+def _target(N: int, d: int, c: int) -> int:
+    """The one of d and d-1 that c divides, for a block order c > 1 that
+    divides N-1."""
+    if c <= 1:
+        raise DomainError(f"block recursion needs c > 1, got c={c}")
+    if (N - 1) % c != 0:
+        raise DomainError(f"c={c} does not divide N-1={N - 1}")
+    if d % c == 0:
+        return d
+    if (d - 1) % c == 0:
+        return d - 1
+    raise DomainError(f"c={c} divides neither d={d} nor d-1={d - 1}")
+
+
+def _alphas(N: int, target: int, divs: list[int]) -> dict[int, Fraction]:
+    """alpha_c for every c > 1 in divs (the divisors of N-1, ascending) with
+    c | target, from the largest c down; target >= 1."""
+    out: dict[int, Fraction] = {}
+    for c in reversed(divs):
+        if c == 1 or target % c:
+            continue
+        q = target // c
+        num = 1
+        for i in range(1, q):
+            num *= N - 1 - i * c
+        first = Fraction(num, c ** (q - 1) * math.factorial(q))
+        sub = sum(
+            (Fraction(N - 1, b) * a for b, a in out.items() if b % c == 0),
+            Fraction(0),
+        )
+        out[c] = first - Fraction(c, N - 1) * sub
+    return out
+
+
+def _nontrivial_alphas(N: int, d: int) -> dict[int, Fraction]:
+    divs = divisors_trial(N - 1)
+    return {**_alphas(N, d, divs), **_alphas(N, d - 1, divs)}
+
+
+def _alpha_1(N: int, d: int, alphas: dict[int, Fraction]) -> Fraction:
+    total = Fraction(math.comb(N, d), N - 1)
+    for c, a in alphas.items():
+        total -= a / c
+    return total
+
+
+def alpha(modulus: PrimeModulus, d: int, c: int) -> Fraction:
+    """The number of orbits of stabilizer order c, by a recursion at orbit
+    level in Fractions, coded independently of the library's census.
+
+    For c > 1 it counts orbits of stabilizer order c directly; alpha(1)
+    balances against C(N, d).  Defined for d >= 2 (the c > 1 cases need at
+    least one block).
+    """
+    N = modulus.N
+    if d < 2:
+        raise DomainError(f"alpha recursion needs d >= 2, got d={d}")
+    if c == 1:
+        return _alpha_1(N, d, _nontrivial_alphas(N, d))
+    return _alphas(N, _target(N, d, c), divisors_trial(N - 1))[c]
+
+
 def count_harmonic_frames_alpha(modulus: PrimeModulus, d: int) -> Fraction:
-    """Total orbit count summed from the library's alpha recursion, over
-    every c | N-1 with c | d or c | d-1 (1 < d < N)."""
+    """Total orbit count summed from the alpha recursion, over every c | N-1
+    with c | d or c | d-1 (1 < d < N)."""
     N = modulus.N
     orders = [c for c in divisors_trial(N - 1) if d % c == 0 or (d - 1) % c == 0]
     return sum((alpha(modulus, d, c) for c in orders), Fraction(0))
+
+
+def growth_ratio(modulus: PrimeModulus, d: int) -> float:
+    """The library's count / (N^(d-1) / d!), the orbit count against its
+    leading-order growth term.  Approaches 1 from below as N grows at fixed
+    d."""
+    N = modulus.N
+    if not 1 < d < N:
+        raise DomainError(f"growth diagnostic needs 1 < d < N, got d={d}, N={N}")
+    return count_harmonic_frames(modulus, d) * math.factorial(d) / N ** (d - 1)
 
 
 # -- block forms -------------------------------------------------------------

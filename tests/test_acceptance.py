@@ -12,20 +12,18 @@ from fractions import Fraction
 from harmonic_census import (
     GeneratorSet,
     PrimeModulus,
-    alpha,
     build_frame,
     count_harmonic_frames,
     count_unordered_dft,
     full_census,
     full_symmetry_group,
-    growth_ratio,
     guaranteed_subgroup,
     verify_funtf,
 )
 from harmonic_census.cli import main as cli_main
 
 import oracles
-from oracles import enumerate_orbits, primes_up_to
+from oracles import alpha, enumerate_orbits, growth_ratio, primes_up_to
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 

@@ -8,49 +8,44 @@ import pytest
 from harmonic_census import (
     DomainError,
     PrimeModulus,
-    alpha,
-    beta,
     count_harmonic_frames,
     count_unordered_dft,
     full_census,
-    gamma,
-    growth_ratio,
 )
 
 import oracles
-from oracles import enumerate_orbits, primes_up_to
+from oracles import alpha, enumerate_orbits, growth_ratio, primes_up_to
 
 
 def test_beta_examples(m7, m13):
-    assert beta(m7, 3, 3) == Fraction(2)  # (N-1)/3
-    assert beta(m7, 3, 2) == Fraction(3)  # (N-1)/2
+    assert full_census(m7, 3).beta[3] == Fraction(2)  # (N-1)/3
+    assert full_census(m7, 3).beta[2] == Fraction(3)  # (N-1)/2
     # N=13, d=4: beta_4 = 12/4 = 3, beta_2 = (12*10)/(4*2) - 3 = 12
-    assert beta(m13, 4, 4) == Fraction(3)
-    assert beta(m13, 4, 2) == Fraction(12)
-    assert type(beta(m13, 4, 2)) is int
+    assert full_census(m13, 4).beta[4] == Fraction(3)
+    assert full_census(m13, 4).beta[2] == Fraction(12)
+    assert type(full_census(m13, 4).beta[2]) is int
 
 
 def test_beta_zero_extension():
     # N=11, d=4: the b=4 term vanishes since 4 does not divide 10
     m11 = PrimeModulus(11)
-    assert beta(m11, 4, 2) == Fraction(10 * 8, 4 * 2)
+    assert full_census(m11, 4).beta[2] == Fraction(10 * 8, 4 * 2)
 
 
 def test_beta_preconditions(m7):
-    with pytest.raises(DomainError):
-        beta(m7, 3, 1)
-    with pytest.raises(DomainError):
-        beta(m7, 3, 4)  # 4 divides neither 3 nor 2
-    with pytest.raises(DomainError):
-        beta(PrimeModulus(11), 3, 3)  # 3 does not divide 10
+    # only the c dividing N-1 and one of d and d-1 get a beta: at N=7, d=3
+    # not 4, which divides neither 3 nor 2; at N=11 not 3, which does not
+    # divide 10
+    assert set(full_census(m7, 3).beta) == {1, 2, 3}
+    assert set(full_census(PrimeModulus(11), 3).beta) == {1, 2}
 
 
 def test_gamma_examples(m7, m13):
-    assert gamma(m7, 3, 1) == 5
-    assert gamma(m7, 3, 2) == 1
-    assert gamma(m7, 3, 3) == 1
-    assert gamma(PrimeModulus(11), 4, 2) == 2
-    assert gamma(m13, 4, 2) == 2
+    assert full_census(m7, 3).gamma[1] == 5
+    assert full_census(m7, 3).gamma[2] == 1
+    assert full_census(m7, 3).gamma[3] == 1
+    assert full_census(PrimeModulus(11), 4).gamma[2] == 2
+    assert full_census(m13, 4).gamma[2] == 2
 
 
 def test_count_examples(m5, m13):

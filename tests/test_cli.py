@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from harmonic_census import ContractViolationError, cli, number_theory, orbits
+from harmonic_census import ContractViolationError, cli, number_theory, orbits, symmetry
 from harmonic_census.cli import main
 from harmonic_census.number_theory import is_prime
 
@@ -503,6 +504,96 @@ def test_output_file_unwritable(tmp_path, capsys, where):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _stdio_env(buffered: bool) -> dict:
+    # block-buffered stdout keeps a failed write for the flush at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--N", "7", "--d", "3"], ["frame", "--N", "5", "--gens", "1,2", "--format", "json"]],
+)
+def test_stdout_full_is_a_usage_error(argv, buffered):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonic_census", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_stdio_env(buffered),
+            timeout=60,
+        )
+    # one line, and no "Exception ignored" from the flush at exit
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "argv,taken",
+    [
+        # some 5 MB of json lines, far more than a pipe holds
+        (["enumerate", "--N", "31", "--d", "7", "--format", "json"], 10),
+        # a few bytes, written after the reader has gone
+        (["count", "--N", "7", "--d", "3"], 0),
+    ],
+)
+def test_stdout_reader_gone_is_a_usage_error(argv, taken, buffered):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "harmonic_census", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_stdio_env(buffered),
+    )
+    assert len(proc.stdout.read(taken)) == taken
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1
+
+
+def test_stdout_short_writes_are_resumed(capsys, monkeypatch):
+    class Trickle(io.BytesIO):
+        def write(self, b):  # stores at most 7 bytes a call, as a pipe may
+            return super().write(bytes(b[:7]))
+
+    argv = ["enumerate", "--N", "11", "--d", "4", "--format", "json"]
+    code, want, _ = run(capsys, *argv)
+    sink = Trickle()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8"))
+    assert main(argv) == code == 0
+    assert sink.getvalue().decode() == want
+
+
+def test_wrong_primitive_root_never_answers_silently(capsys, monkeypatch):
+    # 2 has order 3 mod 7, not 6.  Every subgroup built from g is checked
+    # exactly, so a wrong g is a contract violation, never a wrong answer
+    want = run(capsys, "symmetry", "--N", "7", "--gens", "1,2,4")
+    for module in (orbits, symmetry):
+        monkeypatch.setattr(module, "find_primitive_root", lambda modulus: 2)
+    for command in ("enumerate", "verify", "scan"):
+        code, out, err = run(capsys, command, "--N", "7", "--d", "3")
+        assert (code, out) == (5, "")
+        assert err == (
+            "error: internal contract violated: the elements fixing [0, 1, 6] "
+            "are not the unit subgroup of order 2\n"
+        )
+    for gens in ("1,6", "0,1,6"):
+        code, out, err = run(capsys, "symmetry", "--N", "7", "--gens", gens)
+        assert (code, out) == (5, "")
+        assert err.startswith("error: internal contract violated: D, Q or their relations")
+        assert err.count("\n") == 1
+    # h = 2^(6/3) = 4 does generate the order-3 subgroup, and the generator
+    # check accepts it
+    assert run(capsys, "symmetry", "--N", "7", "--gens", "1,2,4") == want
 
 
 def test_big_integers_as_strings(capsys):

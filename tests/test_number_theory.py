@@ -6,11 +6,10 @@ from harmonic_census import (
     divisors,
     find_primitive_root,
     is_prime,
-    multiplicative_order,
 )
 
 import oracles
-from oracles import primes_up_to
+from oracles import multiplicative_order, primes_up_to
 
 
 def test_is_prime_small():
@@ -62,24 +61,25 @@ def test_prime_modulus():
 
 
 def test_find_primitive_root_examples():
-    assert find_primitive_root(PrimeModulus(2)).g == 1
-    assert find_primitive_root(PrimeModulus(5)).g == 2
+    assert find_primitive_root(PrimeModulus(2)) == 1
+    assert find_primitive_root(PrimeModulus(5)) == 2
     # 2 has order 3 mod 7, 3 has order 6
     assert multiplicative_order(2, PrimeModulus(7)) == 3
-    assert find_primitive_root(PrimeModulus(7)).g == 3
+    assert find_primitive_root(PrimeModulus(7)) == 3
 
 
 def test_find_primitive_root_cached():
+    # g is a small int, so identity would not show the cache: count its hits
     first = find_primitive_root(PrimeModulus(1009))
-    assert find_primitive_root(PrimeModulus(1009)) is first
-    assert first.g == 11
+    hits = find_primitive_root.cache_info().hits
+    assert find_primitive_root(PrimeModulus(1009)) == first == 11
+    assert find_primitive_root.cache_info().hits == hits + 1
 
 
 def test_primitive_root_order_for_all_primes_to_10000():
     for N in primes_up_to(10**4):
         m = PrimeModulus(N)
-        root = find_primitive_root(m)
-        assert multiplicative_order(root.g, m) == N - 1
+        assert multiplicative_order(find_primitive_root(m), m) == N - 1
 
 
 def test_multiplicative_order_examples():
