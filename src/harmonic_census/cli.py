@@ -3,7 +3,8 @@ decisions, and symmetry analysis with stable machine-readable output.
 
 Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
 2 usage error (including output that stdout or the --out path cannot take
-in full, reported on one stderr line), 3 a budget exceeded, 4
+in full, reported on one stderr line; help text and --seed-check lines go
+through the same check), 3 a budget exceeded, 4
 symmetry-conjecture counterexample discovered (notable, not fatal), 5
 internal contract violated (a library bug, reported on one stderr line).
 
@@ -86,6 +87,12 @@ def _join(xs, sep: str = ",") -> str:
     return sep.join(map(str, xs))
 
 
+def _table(head: tuple, widths: tuple, rows) -> list[str]:
+    """A header row and then rows, each value right-aligned to its width."""
+    line = " ".join(f"{{!s:>{w}}}" for w in widths)
+    return [line.format(*row) for row in [head, *rows]]
+
+
 def _emit(payload: list[str] | bytes, path: str | None) -> None:
     """Write a command's output lines, or its exported bytes, to stdout or
     to path; a stream or path that cannot take them all is a usage error.
@@ -110,6 +117,17 @@ def _emit(payload: list[str] | bytes, path: str | None) -> None:
                 os.dup2(null.fileno(), sys.stdout.fileno())
         where = "stdout" if path is None else path
         raise DomainError(f"cannot write {where}: {exc.strerror or exc}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Sends its help text to stdout through _emit, so help that stdout
+    cannot take is a usage error like any other output; subparsers are made
+    of the same class."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        _emit(self.format_help().encode("utf-8"), None)
 
 
 def _checked_modulus(args: argparse.Namespace) -> PrimeModulus:
@@ -138,35 +156,21 @@ def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         note = "d=1: two orbits, one of them the degenerate single-vector frame"
     elif d == N:
         note = "d=N: a single orbit"
-    orders = sorted(census.gamma)
+    head = ("c", "beta", "gamma", "orbit_size")
+    rows = [
+        (c, census.beta[c], census.gamma[c], census.orbit_size(c))
+        for c in sorted(census.gamma)
+    ]
     if args.output_format == "json":
-        rows = [
-            {
-                "c": c,
-                "beta": _json_int(census.beta[c]),
-                "gamma": _json_int(census.gamma[c]),
-                "orbit_size": census.orbit_size(c),
-            }
-            for c in orders
-        ]
-        obj = {"N": N, "d": d, "total": _json_int(census.total), "rows": rows}
+        records = [dict(zip(head, map(_json_int, row))) for row in rows]
+        obj = {"N": N, "d": d, "total": _json_int(census.total), "rows": records}
         if note:
             obj["note"] = note
         return [_dumps(obj)], EXIT_OK
     if args.output_format == "csv":
-        lines = ["N,d,c,beta,gamma,orbit_size"]
-        for c in orders:
-            lines.append(
-                f"{N},{d},{c},{census.beta[c]},{census.gamma[c]},{census.orbit_size(c)}"
-            )
-        return lines, EXIT_OK
-    lines = [f"N={N} d={d} total={census.total}"]
-    lines.append(f"{'c':>8} {'beta':>16} {'gamma':>16} {'orbit_size':>12}")
-    for c in orders:
-        lines.append(
-            f"{c:>8} {str(census.beta[c]):>16} {census.gamma[c]:>16} "
-            f"{census.orbit_size(c):>12}"
-        )
+        lines = [_join(("N", "d", *head))]
+        return lines + [_join((N, d, *row)) for row in rows], EXIT_OK
+    lines = [f"N={N} d={d} total={census.total}", *_table(head, (8, 16, 16, 12), rows)]
     if note:
         lines.append(f"note: {note}")
     return lines, EXIT_OK
@@ -224,41 +228,32 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
             hist[order] = hist.get(order, 0) + count
     orbits = sum(hist.values())
     census = full_census(modulus, d)
-    orders = sorted(set(census.gamma) | set(hist))
-    rows = []
-    all_match = True
-    for c in orders:
-        formula = census.gamma.get(c, 0)
-        brute = hist.get(c, 0)
-        match = formula == brute
-        all_match &= match
-        rows.append({"c": c, "formula": formula, "bruteforce": brute, "match": match})
-    all_match &= census.total == orbits
+    rows = [
+        (c, census.gamma.get(c, 0), hist.get(c, 0))
+        for c in sorted(set(census.gamma) | set(hist))
+    ]
+    all_match = census.total == orbits and all(f == b for _, f, b in rows)
     code = EXIT_OK if all_match else EXIT_MISMATCH
-
     if args.output_format == "json":
-        for r in rows:
-            r["formula"] = _json_int(r["formula"])
         obj = {
             "N": N,
             "d": d,
             "total_formula": _json_int(census.total),
             "total_bruteforce": orbits,
             "match": all_match,
-            "rows": rows,
+            "rows": [
+                {"c": c, "formula": _json_int(f), "bruteforce": b, "match": f == b}
+                for c, f, b in rows
+            ],
         }
         return [_dumps(obj)], code
     lines = [
         f"N={N} d={d} formula_total={census.total} "
         f"bruteforce_total={orbits} match={'yes' if all_match else 'NO'}"
     ]
-    lines.append(f"{'c':>8} {'formula':>16} {'bruteforce':>16} {'match':>8}")
-    for r in rows:
-        lines.append(
-            f"{r['c']:>8} {r['formula']:>16} {r['bruteforce']:>16} "
-            f"{'yes' if r['match'] else 'NO':>8}"
-        )
-    return lines, code
+    head = ("c", "formula", "bruteforce", "match")
+    marked = [(c, f, b, "yes" if f == b else "NO") for c, f, b in rows]
+    return lines + _table(head, (8, 16, 16, 8), marked), code
 
 
 def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
@@ -313,30 +308,23 @@ def cmd_equivalent(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     return [line], code
 
 
-def _symmetry_json(s: GeneratorSet, report) -> dict:
-    return {
-        "N": s.modulus.N,
-        "generators": list(s.elems),
-        "stabilizer_order": report.stabilizer_order,
-        "subgroup_order": _json_int(report.subgroup_order),
-        "full_group_order": (
-            None
-            if report.full_group_order is None
-            else _json_int(report.full_group_order)
-        ),
-        "conjecture_holds": report.conjecture_holds,
-        "generators_found": list(report.generators_found),
-        "note": report.note,
-    }
-
-
 def cmd_symmetry(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     if not args.gens:
         raise DomainError("symmetry requires --gens")
     s = GeneratorSet(modulus, args.gens)
     report = full_symmetry_group(s)
     if args.output_format == "json":
-        return [_dumps(_symmetry_json(s, report))], EXIT_OK
+        obj = {
+            "N": modulus.N,
+            "generators": list(s.elems),
+            "stabilizer_order": report.stabilizer_order,
+            "subgroup_order": _json_int(report.subgroup_order),
+            "full_group_order": _json_int(report.full_group_order),
+            "conjecture_holds": report.conjecture_holds,
+            "generators_found": list(report.generators_found),
+            "note": report.note,
+        }
+        return [_dumps(obj)], EXIT_OK
     lines = [
         f"N={modulus.N} generators=[{_join(s.elems)}] "
         f"c={report.stabilizer_order} subgroup_order={report.subgroup_order} "
@@ -390,8 +378,9 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 # -- built-in reference checks ------------------------------------------------
 
 
-def seed_check() -> int:
-    """Re-derive the worked reference values and exit nonzero on mismatch."""
+def seed_check() -> Output:
+    """Re-derive the worked reference values; the exit code is nonzero on a
+    mismatch."""
     checks: list[tuple[str, bool]] = []
 
     def check(desc: str, cond: bool) -> None:
@@ -428,23 +417,24 @@ def seed_check() -> int:
     check("ordered count (2,2) == 2", count_unordered_dft(PrimeModulus(2), 2) == 2)
     check("ordered count (7,2) == 7", count_unordered_dft(m7, 2) == 7)
 
-    failed = [desc for desc, ok in checks if not ok]
-    for desc, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}: {desc}")
-    print(f"seed-check: {len(checks) - len(failed)}/{len(checks)} passed")
-    return EXIT_OK if not failed else EXIT_MISMATCH
+    passed = sum(ok for _, ok in checks)
+    lines = [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
+    lines.append(f"seed-check: {passed}/{len(checks)} passed")
+    return lines, EXIT_OK if passed == len(checks) else EXIT_MISMATCH
 
 
 # -- argument plumbing --------------------------------------------------------
 
 
-def _add_common(sp, *, d=False, gens=False, ab=False):
+def _add_common(sp: argparse.ArgumentParser, takes: str) -> None:
+    """The options of every command, with those its input needs: takes is
+    "d" for --d, "gens" for --gens or "ab" for --a and --b."""
     sp.add_argument("--N", type=int, required=True, help="prime modulus")
-    if d:
+    if takes == "d":
         sp.add_argument("--d", type=int, required=True, help="dimension")
-    if gens:
+    elif takes == "gens":
         sp.add_argument("--gens", type=str, help="comma-separated generators")
-    if ab:
+    else:
         sp.add_argument("--a", type=str, required=True, help="first generator list")
         sp.add_argument("--b", type=str, required=True, help="second generator list")
     sp.add_argument(
@@ -460,8 +450,20 @@ def _add_common(sp, *, d=False, gens=False, ab=False):
     )
 
 
+# name: (handler, help text, the input options of _add_common)
+COMMANDS = {
+    "count": (cmd_count, "closed-form orbit census", "d"),
+    "enumerate": (cmd_enumerate, "brute-force orbit listing", "d"),
+    "verify": (cmd_verify, "formula vs brute-force cross-check", "d"),
+    "frame": (cmd_frame, "construct and export a frame", "gens"),
+    "equivalent": (cmd_equivalent, "decide unitary equivalence", "ab"),
+    "symmetry": (cmd_symmetry, "symmetry group of one frame", "gens"),
+    "scan": (cmd_scan, "conjecture scan over all orbits", "d"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmonic-census",
         description=(
             "Exact counting, enumeration, construction, and symmetry analysis "
@@ -470,19 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed-check", action="store_true", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")
-    _add_common(sub.add_parser("count", help="closed-form orbit census"), d=True)
-    _add_common(sub.add_parser("enumerate", help="brute-force orbit listing"), d=True)
-    _add_common(
-        sub.add_parser("verify", help="formula vs brute-force cross-check"), d=True
-    )
-    _add_common(sub.add_parser("frame", help="construct and export a frame"), gens=True)
-    _add_common(
-        sub.add_parser("equivalent", help="decide unitary equivalence"), ab=True
-    )
-    _add_common(
-        sub.add_parser("symmetry", help="symmetry group of one frame"), gens=True
-    )
-    _add_common(sub.add_parser("scan", help="conjecture scan over all orbits"), d=True)
+    for name, (_, text, takes) in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=text), takes)
     return parser
 
 
@@ -505,26 +496,19 @@ def _resolve_budget(args: argparse.Namespace) -> int:
     return DEFAULT_MAX_SUBSETS
 
 
-_DISPATCH = {
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-    "frame": cmd_frame,
-    "equivalent": cmd_equivalent,
-    "symmetry": cmd_symmetry,
-    "scan": cmd_scan,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
-    if args.seed_check:
-        return seed_check()
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
+        # help is written while parsing, so a stdout that cannot take it
+        # fails in here
+        args = parser.parse_args(argv)
+        if args.seed_check:
+            lines, code = seed_check()
+            _emit(lines, None)
+            return code
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
         # the errors are checked in this order: generator lists, budget, N
         # and d, the command's own, then the --out path.  A list may hold
         # any residues; GeneratorSet reduces them mod N, sorts them and
@@ -533,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, name, None):
                 setattr(args, name, _parse_gens(getattr(args, name)))
         args.max_subsets = _resolve_budget(args)
-        payload, code = _DISPATCH[args.command](args, _checked_modulus(args))
+        payload, code = COMMANDS[args.command][0](args, _checked_modulus(args))
         _emit(payload, args.out)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

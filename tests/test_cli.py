@@ -516,7 +516,13 @@ def _stdio_env(buffered: bool) -> dict:
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize(
     "argv",
-    [["count", "--N", "7", "--d", "3"], ["frame", "--N", "5", "--gens", "1,2", "--format", "json"]],
+    [
+        ["count", "--N", "7", "--d", "3"],
+        ["frame", "--N", "5", "--gens", "1,2", "--format", "json"],
+        ["--seed-check"],
+        ["--help"],
+        ["count", "--help"],
+    ],
 )
 def test_stdout_full_is_a_usage_error(argv, buffered):
     with open("/dev/full", "wb") as full:

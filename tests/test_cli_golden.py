@@ -5,7 +5,8 @@ HC_MAX_SUBSETS setting, exit code, stdout, stderr and `--out` file, cut to
 16 hex digits, must equal the digest recorded for it, in case order, in
 `cli_golden.json`.  The cases cover every command in every
 format at the primes N <= 37, the usage and budget errors (including which
-error wins when several apply), `--threads`, `--out` and `--seed-check`.
+error wins when several apply), `--threads`, `--out`, `--seed-check` and the
+help text of the program and of each command.
 
 Regenerate the data file only when an output change is intended:
 
@@ -34,6 +35,7 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 FORMATS = ("json", "csv", "table")
 OUT = "{out}"  # replaced by a temporary file; its content joins stdout
 ENUM_LIMIT = 3000  # enumerate, verify and scan every d with C(N, d) <= this
+COMMANDS = ("count", "enumerate", "verify", "frame", "equivalent", "symmetry", "scan")
 
 
 def _gens(elems) -> str:
@@ -49,10 +51,7 @@ def _formats(*argv: str) -> list[list[str]]:
 
 
 def _command_cases() -> dict[str, list[list[str]]]:
-    groups: dict[str, list[list[str]]] = {
-        "count": [], "enumerate": [], "verify": [], "frame": [],
-        "equivalent": [], "symmetry": [], "scan": [],
-    }
+    groups: dict[str, list[list[str]]] = {cmd: [] for cmd in COMMANDS}
     for N in PRIMES:
         n = str(N)
         for d in range(1, N + 1):
@@ -189,6 +188,9 @@ _ERROR_CASES: list[tuple[str | None, list[str]]] = [
 def golden_cases() -> dict[str, list[tuple[str | None, list[str]]]]:
     groups = {k: [(None, argv) for argv in v] for k, v in _command_cases().items()}
     groups["errors"] = _ERROR_CASES
+    groups["help"] = [
+        (None, argv) for argv in (["--help"], ["-h"], *([c, "--help"] for c in COMMANDS))
+    ]
     return groups
 
 
