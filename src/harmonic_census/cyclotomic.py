@@ -11,7 +11,7 @@ equality.  In particular a sum of at most N-1 distinct roots is zero only if
 it is empty.
 
 `exponent_counts` builds these vectors in bulk, on numpy integer arrays
-whose last axis is a coefficient vector: one Gram numerator per label row in
+whose last axis is a coefficient vector: one Gram numerator per label in
 `frames.GramMatrix` and, in the test oracles, the angle multisets, the
 d x d x N row Gram, the N x N Gram and unit-norm coefficient matrices and
 the unitary reconstruction.

@@ -16,8 +16,11 @@ sorted((k-j) . [n]), and two entries are equal exactly when their labels
 coincide.  The numerator of an entry is the count vector of its label, and
 two count vectors denote the same element of Z[w] only if they differ by a
 constant vector c; both sum to d, so c N = 0 and c = 0.  `GramMatrix`
-therefore stores just the N label rows, O(N d), and counts a numerator
-from its row on demand.  The same argument reduces the unit-norm identity
+therefore stores only the generators and sorts a label, or counts a
+numerator, on demand in O(d).  Gram row 0 fixes every other row: if column
+k minus column 0 of the exponents is k . [n] for every k, then column k
+minus column j is (k - j) . [n], so the constructor checks row 0 alone, in
+O(N d) for every N.  The same argument reduces the unit-norm identity
 to d congruences per column.  Each off-diagonal row-Gram entry sums all N
 roots once, so the row-Gram identity reduces to the generators being
 distinct mod N.  `symmetry` reads no labels: the label at t = 1 is S
@@ -119,53 +122,41 @@ def verify_funtf(f: FrameMatrix) -> FuntfReport:
 
 
 class GramMatrix:
-    """Circulant Gram matrix of a frame, as its N difference labels.
+    """Circulant Gram matrix of a frame, held as its generators [n].
 
     Entry (j, k) is (1/d) sum_l w^(n_l t) with t = k - j: its numerator is
     difference_numerator(t) over `denominator`, and its label
     difference_label(t) is the sorted tuple t . [n]; the all-zeros label
-    marks the diagonal.  Only the (N, d) array of sorted label rows is
-    stored, which makes the matrix circulant by construction; a numerator
-    is counted from its label row on demand, so equal labels give equal
-    entries, and the module docstring shows the converse.  The constructor
-    checks, in O(N d) per row, that the column exponent differences of the
-    frame reproduce the label rows: on every row up to N = 128, on rows 0,
-    1, N//2 and N-1 beyond.  The N x N coefficient re-derivation from the
-    column inner products and the equal-entry check live in the tests
-    (`oracles.gram_coefficients`).
+    marks the diagonal.  A label is sorted from [n] on demand, which makes
+    the matrix circulant by construction, and a numerator counts its label,
+    so equal labels give equal entries; the module docstring shows the
+    converse.  The constructor checks Gram row 0, that column k minus column
+    0 of the frame exponents is k . [n] mod N for every k, which implies
+    every other row.  The N x N coefficient re-derivation from the column
+    inner products, the all-rows check and the equal-entry check live in
+    the tests (`oracles.gram_coefficients`, `oracles.gram_all_rows`).
     """
 
     def __init__(self, frame: FrameMatrix):
         self.generators = frame.generators
         self.modulus = frame.modulus
-        N = frame.N
-        gens = np.array(frame.generators.elems, dtype=np.int64)
-        t = np.arange(N, dtype=np.int64)
-        label_rows = (t[:, None] * gens[None, :]) % N  # (N, d): t . [n]
         self.denominator = frame.d
-
-        # <phi_k, phi_j> = sum_l w^(E[l, k] - E[l, j]); equal exponent rows
-        # give equal coefficient rows
-        cols = frame.exponents.T
-        rows = t if N <= 128 else t[[0, 1, N // 2, N - 1]]
-        got = (cols[None, :, :] - cols[rows, None, :]) % N  # (rows, N, d)
-        if not np.array_equal(got, label_rows[(t - rows[:, None]) % N]):
+        N, E = frame.N, frame.exponents
+        gens = np.array(frame.generators.elems, dtype=np.int64)
+        # <phi_k, phi_0> = sum_l w^(E[l, k] - E[l, 0])
+        if not np.array_equal((E - E[:, :1]) % N, np.outer(gens, np.arange(N)) % N):
             raise ContractViolationError("Gram matrix is not circulant")
-
-        label_rows.sort(axis=1)
-        label_rows.setflags(write=False)
-        self._label_rows = label_rows
 
     @property
     def N(self) -> int:
         return self.modulus.N
 
     def difference_numerator(self, t: int) -> CyclotomicInt:
-        counts = exponent_counts(self._label_rows[t % self.N], self.N)
+        counts = exponent_counts(np.array(self.difference_label(t)), self.N)
         return CyclotomicInt(self.modulus, tuple(counts.tolist()))
 
     def difference_label(self, t: int) -> tuple[int, ...]:
-        return tuple(self._label_rows[t % self.N].tolist())
+        return tuple(sorted(t * x % self.N for x in self.generators.elems))
 
 
 def gram(f: FrameMatrix) -> GramMatrix:

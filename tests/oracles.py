@@ -11,7 +11,7 @@ action, the classical necklace count for the number of subset orbits,
 an orbit-level recursion in Fractions (alpha) for the census by stabilizer
 order, trial division for divisors and for the order of a unit, N x N
 coefficient matrices from the frame's column inner products for Gram
-entries and unit norms, the d x d x N coefficient tensor for the row Gram,
+entries and unit norms, every row of the circulant Gram check, the d x d x N coefficient tensor for the row Gram,
 both d x N frame matrices for an equivalence witness, every label t . S for
 the label-preserving multipliers, backtracking over Gram labels plus exact
 unitary reconstruction for symmetry groups, every unit with x^c = 1 for
@@ -450,6 +450,20 @@ def gram_coefficients(frame: FrameMatrix, j: int = 0) -> np.ndarray:
     unscaled entry (j, k), from the column inner products."""
     E = frame.exponents
     return exponent_counts((E.T - E.T[j]) % frame.N, frame.N)
+
+
+def gram_all_rows(frame: FrameMatrix) -> bool:
+    """The circulant Gram check on every row j, with no cut in N: column k
+    minus column j of the exponents equals the label row (k - j) . [n] mod N
+    for every j and k.  One (N, d) comparison per row."""
+    N = frame.N
+    gens = np.array(frame.generators.elems, dtype=np.int64)
+    t = np.arange(N, dtype=np.int64)
+    label_rows = (t[:, None] * gens[None, :]) % N  # (N, d): t . [n]
+    cols = frame.exponents.T
+    return all(
+        np.array_equal((cols - cols[j]) % N, label_rows[(t - j) % N]) for j in range(N)
+    )
 
 
 def row_gram_by_counts(frame: FrameMatrix) -> bool:

@@ -194,15 +194,55 @@ def test_gram_rejects_inconsistent_frame(N):
         gram(f)
 
 
+def _tampered_exponents(E: np.ndarray, rng: random.Random):
+    """(name, exponents, accepted) for the untouched frame and five edits."""
+    d, N = E.shape
+    c = rng.randrange(1, N)
+    k, m = rng.randrange(d), rng.randrange(1, N)
+    yield "untouched", E, True
+    yield "global phase", (E + c) % N, True  # same Gram matrix
+    row = E.copy()
+    row[k] = (row[k] + c) % N  # a diagonal unitary applied to the frame
+    yield "row phase", row, True
+    entry = E.copy()
+    entry[k, m] = (entry[k, m] + c) % N
+    yield "one entry", entry, False
+    col0 = E.copy()
+    col0[:, 0] = (col0[:, 0] + c) % N
+    yield "column 0", col0, False
+    m1, m2 = rng.sample(range(N), 2)
+    swapped = E.copy()
+    swapped[:, [m1, m2]] = swapped[:, [m2, m1]]
+    yield "swapped columns", swapped, False
+
+
+@pytest.mark.parametrize("N", [7, 13, 131])
+def test_gram_row_zero_check_matches_all_rows(N):
+    """gram checks Gram row 0 only; it raises exactly when the check on
+    every row (oracles.gram_all_rows) fails, also past N = 128."""
+    rng = random.Random(N)
+    for d in (2, 5, N - 1, N):
+        f = build_frame(GeneratorSet(PrimeModulus(N), tuple(rng.sample(range(N), d))))
+        for name, E, accepted in _tampered_exponents(f.exponents, rng):
+            f.exponents = E
+            assert oracles.gram_all_rows(f) == accepted, (d, name)
+            if accepted:
+                gram(f)
+            else:
+                with pytest.raises(ContractViolationError):
+                    gram(f)
+
+
 def test_gram_memory_is_linear():
-    s = GeneratorSet(PrimeModulus(1741), tuple(random.Random(6).sample(range(1741), 6)))
-    tracemalloc.start()
-    try:
-        gram(build_frame(s))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    for N, d in ((1741, 6), (127, 127)):
+        s = GeneratorSet(PrimeModulus(N), tuple(random.Random(d).sample(range(N), d)))
+        tracemalloc.start()
+        try:
+            gram(build_frame(s))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (N, d)
 
 
 def test_export_json():
