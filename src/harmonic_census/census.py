@@ -110,9 +110,8 @@ def count_unordered_dft(modulus: PrimeModulus, d: int) -> int:
     """Number of orbits of ordered distinct d-tuples under unit scaling
     (frames counted as unordered vector sets, before unitary equivalence).
 
-    Two closed forms exist for d >= 2: the product
-    N (N-2)(N-3)...(N-d+1) and N! / ((N-d)! (N-1)), the latter taken as
-    perm(N, d) / (N-1); both cost O(d) products and must agree.
+    For d >= 2 it is the product N (N-2)(N-3)...(N-d+1), O(d) products;
+    this is N! / ((N-d)! (N-1)) with the factor N-1 cancelled.
     """
     N = modulus.N
     if not 1 <= d <= N:
@@ -122,9 +121,4 @@ def count_unordered_dft(modulus: PrimeModulus, d: int) -> int:
     product = N
     for k in range(2, d):
         product *= N - k
-    ratio = math.perm(N, d) // (N - 1)
-    if product != ratio:
-        raise ContractViolationError(
-            f"ordered-count forms disagree: {product} vs {ratio}"
-        )
     return product

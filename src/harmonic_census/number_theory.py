@@ -10,7 +10,6 @@ generators) is reproducible run to run.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, DomainError
@@ -96,13 +95,13 @@ class PrimeModulus:
             raise DomainError("N must be prime")
 
 
-@functools.lru_cache(maxsize=1024)
 def find_primitive_root(modulus: PrimeModulus) -> int:
     """The smallest primitive root g mod N (any choice would do; the smallest
     one makes every downstream object deterministic).  g is primitive by the
     definition the search tests: g^((N-1)/p) != 1 for every prime p | N-1.
-    Cached per modulus, since the orbit and symmetry code asks for it on every
-    subgroup it builds, and checks each such subgroup exactly."""
+    Not cached: a command asks for it a few times, and the search takes
+    about 1.3 ms at its worst below 2^31 (N = 2147483579).  The orbit and
+    symmetry code checks every subgroup it builds from g exactly."""
     N = modulus.N
     if N == 2:
         return 1

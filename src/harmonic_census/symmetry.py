@@ -102,19 +102,18 @@ class SymmetryReport:
 
 
 def _check_generators(s: GeneratorSet, h: int, c: int, stab: list[int]) -> list[int]:
-    """Check exactly, on the generators and so on every column, that h maps
-    S onto itself, which defines the slot permutation Q with n_q[k] = h n_k
-    and Q D Q^{-1} = D^h, that Q^c = I (h^c n_k = n_k), and that the powers
-    of h are Stab(S): O(c + d).  D holds as m n_k + n_k = (m + 1) n_k.
-    Returns Q."""
+    """Check exactly that h^1, ..., h^c are the c units of stab = Stab(S),
+    each checked exactly by `multipliers`: O(c + d).  Then h is in Stab(S),
+    so h maps S onto itself, which defines the slot permutation Q with
+    n_q[k] = h n_k and Q D Q^{-1} = D^h.  The c powers are distinct and one
+    is 1; h^k = 1 for k < c would repeat h as h^(k+1), so h^c = 1 and
+    Q^c = I.  Checked on the generators, these relations hold on every
+    column; D holds as m n_k + n_k = (m + 1) n_k.  Returns Q."""
     N = s.modulus.N
-    slot = {x: k for k, x in enumerate(s.elems)}
-    q = [slot.get(h * x % N, -1) for x in s.elems]  # -1: h x is not in S
-    hc = pow(h, c, N)
-    powers = sorted(pow(h, k, N) for k in range(c))
-    if -1 in q or any(hc * x % N != x for x in s.elems) or powers != stab:
+    if sorted(pow(h, k, N) for k in range(1, c + 1)) != stab:
         raise ContractViolationError(f"D, Q or their relations fail for {s}")
-    return q
+    slot = {x: k for k, x in enumerate(s.elems)}
+    return [slot[h * x % N] for x in s.elems]
 
 
 def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:

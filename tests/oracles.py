@@ -13,9 +13,10 @@ order, trial division for divisors and for the order of a unit, N x N
 coefficient matrices from the frame's column inner products for Gram
 entries and unit norms, every row of the circulant Gram check, the d x d x N coefficient tensor for the row Gram,
 both d x N frame matrices for an equivalence witness, every label t . S for
-the label-preserving multipliers, backtracking over Gram labels plus exact
-unitary reconstruction for symmetry groups, every unit with x^c = 1 for
-coset blocks, and a sieve for the primes up to a bound.  Slow but obviously
+the label-preserving multipliers, each relation of the symmetry generators
+checked on its own, backtracking over Gram labels plus exact unitary
+reconstruction for symmetry groups, every unit with x^c = 1 for coset
+blocks, and a sieve for the primes up to a bound.  Slow but obviously
 correct; nothing in the package is trusted beyond basic types (frame
 exponents, Gram labels, which the tests check against t . S, and the exact
 cyclotomic coefficient helpers).  Harnesses also drive the library over
@@ -612,6 +613,16 @@ def label_multipliers(s: GeneratorSet) -> tuple[int, ...]:
     units = t[1:]
     keep = (labels[units[:, None] * t % N] == labels).all(axis=(1, 2))
     return tuple(units[keep].tolist())
+
+
+def generator_relations_hold(s: GeneratorSet, h: int, c: int, stab: list[int]) -> bool:
+    """The three checks of the symmetry generators, one by one: h maps S
+    into itself (so Q is a slot permutation), h^c fixes every element of S
+    (Q^c = I), and h^0, ..., h^(c-1) are the units of stab."""
+    N, elems = s.modulus.N, set(s.elems)
+    maps_into = all(h * x % N in elems for x in elems)
+    order_c = all(pow(h, c, N) * x % N == x for x in elems)
+    return maps_into and order_c and sorted(pow(h, k, N) for k in range(c)) == stab
 
 
 def verify_permutations(frame: FrameMatrix, sigmas: np.ndarray) -> np.ndarray:

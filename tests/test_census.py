@@ -1,17 +1,21 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+import harmonic_census.census as census_mod
 from harmonic_census import (
+    ContractViolationError,
     DomainError,
     PrimeModulus,
     count_harmonic_frames,
     count_unordered_dft,
     full_census,
 )
+from harmonic_census.cli import main
 
 import oracles
 from oracles import alpha, enumerate_orbits, growth_ratio, primes_up_to
@@ -173,17 +177,20 @@ def test_count_unordered_dft_against_oracle_small():
         for d in range(1, N + 1):
             formula = count_unordered_dft(m, d)
             assert formula == oracles.pi1_orbit_count_via_subsets(N, d)
+            if d >= 2:  # N (N-2)...(N-d+1) is N!/((N-d)! (N-1))
+                assert formula * (N - 1) == math.perm(N, d)
             raw = oracles.pi1_orbit_count_raw(N, d)
             assert raw is not None and raw == formula
 
 
 @pytest.mark.parametrize("N,d", [(1000003, 3), (2**31 - 1, 8)])
 def test_count_unordered_dft_at_range_edge(N, d):
-    # both closed forms cost O(d) products, not O(N)
+    # the product costs O(d) multiplications, not O(N)
     start = time.perf_counter()
     got = count_unordered_dft(PrimeModulus(N), d)
     assert time.perf_counter() - start < 1.0
     assert got == N * math.prod(N - k for k in range(2, d))
+    assert got * (N - 1) == math.perm(N, d)
 
 
 def test_growth_ratio(m5, m7):
@@ -208,3 +215,31 @@ def test_mass_balance_random_pairs():
         assert sum(
             Fraction(g * (N - 1), c) for c, g in cen.gamma.items()
         ) == math.comb(N, d)
+
+
+# One planted fault per integrality check of full_census; each test fails
+# when its check is deleted, and `count` then exits 5 with one stderr line.
+
+
+def _count_fails(capsys, N, d, message):
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        full_census(PrimeModulus(N), d)
+    code = main(["count", "--N", str(N), "--d", str(d)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (5, "")
+    assert err == f"error: internal contract violated: {message}\n"
+
+
+def test_gamma_c_must_be_integral(monkeypatch, capsys):
+    # without c = 4, beta_2 at (13, 4) keeps the 3 sets fixed by the
+    # order-4 subgroup: C(6, 2) = 15 where 12 is right
+    divisors = census_mod.divisors
+    monkeypatch.setattr(census_mod, "divisors", lambda n: [c for c in divisors(n) if c != 4])
+    _count_fails(capsys, 13, 4, "gamma_2(13,4) = 30/12 is not integral")
+
+
+def test_gamma_1_must_be_a_nonnegative_integer(monkeypatch, capsys):
+    # with no c > 1, beta_1 at (7, 3) is all C(7, 3) = 35 subsets, where
+    # the 5 fixed by units of order 2 and 3 are not in free orbits
+    monkeypatch.setattr(census_mod, "divisors", lambda n: [1])
+    _count_fails(capsys, 7, 3, "gamma_1(7,3) = 35/6 is not a nonnegative integer")

@@ -79,12 +79,23 @@ def _edge_sets():
 
 
 def test_unit_norm_against_count_matrix():
-    """The exponent test e + (-e) = 0 mod N agrees with the N x N count
-    matrix of the column squared norms."""
+    """verify_funtf reports unit norms without a check, since every column
+    of every integer exponent matrix has squared norm sum_k w^e w^(-e) = d.
+    The N x N count matrix of the column squared norms agrees: on frames,
+    on the six matrices of _tampered_exponents and on random integer
+    matrices with entries in [0, N)."""
+    rng = random.Random(81)
     for s in [*_tightness_sets(), *_edge_sets()]:
         f = build_frame(s)
         assert verify_funtf(f).unit_norm
         assert oracles.unit_norm_by_counts(f)
+        E = f.exponents
+        tampered = [M for _, M, _ in _tampered_exponents(E, rng)]
+        randoms = [np.array([[rng.randrange(f.N) for _ in E[0]] for _ in E]) for _ in range(3)]
+        for M in tampered + randoms:
+            f.exponents = M
+            assert verify_funtf(f).unit_norm
+            assert oracles.unit_norm_by_counts(f)
 
 
 def test_row_gram_against_count_tensor():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from harmonic_census import (
@@ -7,6 +9,7 @@ from harmonic_census import (
     find_primitive_root,
     is_prime,
 )
+from harmonic_census.cli import main
 
 import oracles
 from oracles import multiplicative_order, primes_up_to
@@ -68,12 +71,13 @@ def test_find_primitive_root_examples():
     assert find_primitive_root(PrimeModulus(7)) == 3
 
 
-def test_find_primitive_root_cached():
-    # g is a small int, so identity would not show the cache: count its hits
-    first = find_primitive_root(PrimeModulus(1009))
-    hits = find_primitive_root.cache_info().hits
-    assert find_primitive_root(PrimeModulus(1009)) == first == 11
-    assert find_primitive_root.cache_info().hits == hits + 1
+def test_find_primitive_root_worst_case_is_fast(capsys):
+    # the largest safe prime below 2^31, N - 1 = 2 * 1073741789, makes the
+    # longest trial division of N - 1, paid on every call: nothing is cached
+    start = time.perf_counter()
+    assert find_primitive_root(PrimeModulus(2147483579)) == 2
+    assert time.perf_counter() - start < 0.05
+    assert main(["symmetry", "--N", "2147483579", "--gens", "1,2,3"]) == 0
 
 
 def test_primitive_root_order_for_all_primes_to_10000():

@@ -1,7 +1,7 @@
 import json
 import math
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -302,6 +302,34 @@ def test_generator_checks_reject_a_wrong_unit():
     for h in (1, 3, 6):  # h = 1 misses Stab(S); 3 and 6 do not fix S
         with pytest.raises(ContractViolationError):
             _check_generators(s, h, 3, stab)
+
+
+def test_generator_check_matches_three_part_oracle():
+    """_check_generators compares h^1, ..., h^c with Stab(S) and nothing
+    else; it raises exactly when the three separate checks of
+    oracles.generator_relations_hold reject, for every S with a nonzero
+    element and every unit h at every prime N <= 13.  The oracle accepts
+    the phi(c) generators of the cyclic Stab(S), and no other unit."""
+    pairs = accepted = generators = 0
+    for N in (2, 3, 5, 7, 11, 13):
+        m = PrimeModulus(N)
+        for d in range(1, N + 1):
+            for elems in combinations(range(N), d):
+                if not any(elems):
+                    continue
+                s = GeneratorSet(m, elems)
+                stab = sorted(stabilizer(s))
+                generators += sum(math.gcd(k, len(stab)) == 1 for k in range(len(stab)))
+                for h in range(1, N):
+                    pairs += 1
+                    if oracles.generator_relations_hold(s, h, len(stab), stab):
+                        accepted += 1
+                        q = _check_generators(s, h, len(stab), stab)
+                        assert [s.elems[k] for k in q] == [h * x % N for x in elems]
+                    else:
+                        with pytest.raises(ContractViolationError):
+                            _check_generators(s, h, len(stab), stab)
+    assert pairs == 119_630 and accepted == generators
 
 
 def test_elements_at_range_edge():
