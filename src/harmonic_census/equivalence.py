@@ -3,14 +3,18 @@
 Two frames are unitarily equivalent exactly when their generator sets lie in
 the same orbit of the unit-group action, that is when some unit maps one set
 onto the other, so the decision procedure is one multiplier search,
-`orbits.multipliers`, over at most d candidates.  For equivalent pairs a
-constructive witness is produced: a column re-indexing m -> m * m0, m0 the
-smallest such unit, together with a coordinate permutation of the d slots,
-whose application to one frame reproduces the other entrywise.  Entry
-(k, m) of a frame is w^(m n_k), so that identity holds for every column m
-iff it holds at m = 1, on the d generators: m0 * b[perm[k]] = a[k] mod N.
-That holds by construction, since `multipliers` checked m0 . b = a exactly
-and perm[k] is the slot of a[k] * m0^-1 in b, and no frame matrix is built.
+`orbits.multipliers`, over at most d candidates.  A set against itself needs
+no search: 1 is the smallest unit fixing any set, so its witness is m0 = 1
+with the identity permutation, at a cost that does not grow with N, where
+the search lists all N-1 units for {0}, the simplex and the basis.  For
+equivalent pairs a constructive witness is produced: a column re-indexing
+m -> m * m0, m0 the smallest such unit, together with a coordinate
+permutation of the d slots, whose application to one frame reproduces the
+other entrywise.  Entry (k, m) of a frame is w^(m n_k), so that identity
+holds for every column m iff it holds at m = 1, on the d generators:
+m0 * b[perm[k]] = a[k] mod N.  That holds by construction, since
+`multipliers` checked m0 . b = a exactly (or a = b and m0 = 1) and perm[k]
+is the slot of a[k] * m0^-1 in b, and no frame matrix is built.
 The tests run `verify_witness`, and the test oracles' check on both d x N
 frame matrices, on the witnesses for every ordered pair in whole orbits.
 
@@ -59,8 +63,11 @@ def verify_witness(a: GeneratorSet, b: GeneratorSet, witness: Witness) -> bool:
 def are_equivalent(a: GeneratorSet, b: GeneratorSet) -> EquivalenceVerdict:
     """Orbit-identity decision.  Equivalent pairs carry a constructive
     witness, exact by construction; inequivalent pairs always carry the
-    certificate orbit-mismatch."""
-    units = multipliers(a, b)  # raises ModulusMismatchError on mixed moduli
+    certificate orbit-mismatch.  A set against itself (same modulus, same
+    elements) runs no search: its witness is m0 = 1, the smallest unit
+    multipliers(a, a) would list, and the identity permutation."""
+    # multipliers raises ModulusMismatchError on mixed moduli
+    units = (1,) if a == b else multipliers(a, b)
     if a.d != b.d:
         raise ModulusMismatchError(f"mixed dimensions {a.d} and {b.d}")
     if not units:

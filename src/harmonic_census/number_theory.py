@@ -18,15 +18,17 @@ from .errors import ContractViolationError, DomainError
 # must fit comfortably in a 64-bit signed integer.
 MAX_MODULUS = 2**31
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers the full supported range with a wide margin).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to these bases decides every n below 4,759,123,141, the
+# smallest strong pseudoprime to all three (Jaeschke, Math. Comp. 1993), so
+# every n < 2^32, twice the modulus range.
+_MR_WITNESSES = (2, 7, 61)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 1 <= n < 2^64."""
-    if n < 1:
-        raise DomainError(f"is_prime requires n >= 1, got {n}")
+    """Deterministic primality test for 1 <= n < 2^32, by Miller-Rabin to
+    the bases 2, 7 and 61; DomainError outside that range."""
+    if not 1 <= n < 2**32:
+        raise DomainError(f"is_prime requires 1 <= n < 2^32, got {n}")
     if n < 4:
         return n in (2, 3)
     if n % 2 == 0:

@@ -171,17 +171,14 @@ def _scan_candidates(
 
 
 def _check_chunk(
-    modulus: PrimeModulus,
-    rows: np.ndarray,
-    fixes: np.ndarray,
-    subgroups: dict[int, np.ndarray],
+    modulus: PrimeModulus, rows: np.ndarray, fixes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stabilizer order c of each scanned row (its number of fixed
     elements) and the mask of its block leaders, checked exactly: c divides
-    N-1, and the fixed elements are the order-c unit subgroup H (memoized in
-    subgroups, one per c).  x is a leader iff x <= x h mod N for every h in
-    H, and the leaders' cosets x H give back the nonzero part of the row.
-    All rows share their head."""
+    N-1, and the fixed elements are the order-c unit subgroup H, built once
+    per distinct c in the chunk.  x is a leader iff x <= x h mod N for every
+    h in H, and the leaders' cosets x H give back the nonzero part of the
+    row.  All rows share their head."""
     N = modulus.N
     c = fixes.sum(axis=1)
     nonzero = rows[:, int(rows[0, 0] == 0) :]
@@ -193,9 +190,7 @@ def _check_chunk(
             raise ContractViolationError(
                 f"stabilizer order {order} of {block[0].tolist()} does not divide {N - 1}"
             )
-        if order not in subgroups:
-            subgroups[order] = np.array(unit_subgroup(modulus, order))
-        H = subgroups[order]
+        H = np.array(unit_subgroup(modulus, order))
         bad = (block[fixes[at]].reshape(len(block), order) != H).any(axis=1)
         if bad.any():
             raise ContractViolationError(
@@ -258,13 +253,12 @@ def orbit_chunks(
     covered = int(d == 1)
     if d == 1:  # {0} has no nonzero element, so no block; every unit fixes it
         yield np.zeros((1, 1), np.int64), np.array([N - 1]), np.zeros((1, 1), bool)
-    subgroups: dict[int, np.ndarray] = {}
     # x^-1 mod N by lookup; d = 1 runs no multiplier pass, so N may be large
     inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
     for chunk in _candidate_chunks(N, d, _CHUNK_ROWS):
         reps, fixes = _scan_candidates(chunk, N, inverse)
         if len(reps):
-            c, leaders = _check_chunk(modulus, reps, fixes, subgroups)
+            c, leaders = _check_chunk(modulus, reps, fixes)
             covered += int(((N - 1) // c).sum())
             yield reps, c, leaders
 

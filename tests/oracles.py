@@ -16,7 +16,8 @@ both d x N frame matrices for an equivalence witness, every label t . S for
 the label-preserving multipliers, each relation of the symmetry generators
 checked on its own, backtracking over Gram labels plus exact unitary
 reconstruction for symmetry groups, every unit with x^c = 1 for coset
-blocks, and a sieve for the primes up to a bound.  Slow but obviously
+blocks, a sieve for the primes up to a bound, and Miller-Rabin to the
+twelve prime bases up to 37 as the primality reference.  Slow but obviously
 correct; nothing in the package is trusted beyond basic types (frame
 exponents, Gram labels, which the tests check against t . S, and the exact
 cyclotomic coefficient helpers).  Harnesses also drive the library over
@@ -142,6 +143,37 @@ def multiplicative_order(m: int, modulus: PrimeModulus) -> int:
         raise DomainError(f"{m} is not a unit mod {N}")
     m %= N
     return next(c for c in divisors_trial(N - 1) if pow(m, c, N) == 1)
+
+
+# the twelve primes up to 37: Miller-Rabin to all of them decides every
+# n < 3.3 * 10^24, far past the 2^32 the library's three bases cover
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the Miller-Rabin round to base a: with
+    n - 1 = 2^r t, t odd, a^t = 1 or a^(2^i t) = -1 mod n for some i < r.
+    A base divisible by n is passed, as it decides nothing."""
+    if a % n == 0:
+        return True
+    t, r = n - 1, 0
+    while t % 2 == 0:
+        t, r = t // 2, r + 1
+    x = pow(a, t, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_reference(n: int, bases: tuple[int, ...] = TWELVE_BASES) -> bool:
+    """Miller-Rabin to the given bases, by default TWELVE_BASES."""
+    if n < 4:
+        return n in (2, 3)
+    return n % 2 == 1 and all(strong_probable_prime(n, a) for a in bases)
 
 
 def primes_up_to(limit: int) -> list[int]:

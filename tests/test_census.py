@@ -183,6 +183,12 @@ def test_count_unordered_dft_against_oracle_small():
             assert raw is not None and raw == formula
 
 
+def test_count_unordered_dft_preconditions(m7):
+    for d in (0, 8):
+        with pytest.raises(DomainError, match="need 1 <= d <= N"):
+            count_unordered_dft(m7, d)
+
+
 @pytest.mark.parametrize("N,d", [(1000003, 3), (2**31 - 1, 8)])
 def test_count_unordered_dft_at_range_edge(N, d):
     # the product costs O(d) multiplications, not O(N)

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_census import CyclotomicInt, PrimeModulus
+from harmonic_census import CyclotomicInt, DomainError, PrimeModulus
 from harmonic_census.cyclotomic import exponent_counts
 
 M3 = PrimeModulus(3)
@@ -12,6 +13,12 @@ M7 = PrimeModulus(7)
 
 def _root_sum(exponents, N: int) -> tuple[int, ...]:
     return tuple(exponent_counts(np.array(sorted(exponents), dtype=np.int64), N).tolist())
+
+
+def test_coefficient_vector_has_length_N():
+    for coeffs in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6)):
+        with pytest.raises(DomainError, match="coefficient vector has length"):
+            CyclotomicInt(M5, coeffs)
 
 
 def test_canonical_form_pins_last_coefficient():

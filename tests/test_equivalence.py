@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -41,6 +43,35 @@ def test_witness_smallest_unit():
     a, b = GeneratorSet(M7, (1, 2, 4)), GeneratorSet(M7, (1, 2, 4))
     v = are_equivalent(a, b)
     assert v.witness.m0 == 1  # reflexive pairs use the identity unit
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
+def test_set_against_itself_matches_multiplier_search(N):
+    """A set against itself runs no search; its witness must be the one the
+    search gives, the smallest unit fixing S with the identity permutation,
+    for every nonempty S in Z_N."""
+    m = PrimeModulus(N)
+    for d in range(1, N + 1):
+        for elems in combinations(range(N), d):
+            s = GeneratorSet(m, elems)
+            w = are_equivalent(s, s).witness
+            assert w.m0 == multipliers(s, s)[0] == 1
+            assert w.coordinate_perm == tuple(range(d))
+            assert verify_witness(s, s, w)
+
+
+def test_set_against_itself_lists_no_units():
+    # every unit fixes {0}, so a multiplier search would list all N-1
+    m = PrimeModulus(9_999_991)
+    zero = GeneratorSet(m, (0,))
+    tracemalloc.start()
+    try:
+        v = are_equivalent(zero, zero)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.equivalent and v.witness == Witness(1, (0,))
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -32,6 +33,40 @@ def test_is_prime_agrees_with_sieve():
         assert is_prime(n) == (n in sieve)
 
 
+def test_is_prime_agrees_with_sieve_below_100000():
+    sieve = set(primes_up_to(10**5))
+    assert all(is_prime(n) == (n in sieve) for n in range(1, 10**5))
+
+
+def test_is_prime_agrees_with_twelve_bases_above_modulus_range():
+    rng = random.Random(32)
+    for n in (rng.randrange(2**31, 2**32) for _ in range(10_000)):
+        assert is_prime(n) == oracles.is_prime_reference(n), n
+
+
+@pytest.mark.parametrize(
+    "n, fooled",
+    [
+        (2047, (2,)),
+        (1_373_653, (2, 3)),
+        (25_326_001, (2, 3, 5)),
+        (3_215_031_751, (2, 3, 5, 7)),
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n, fooled):
+    # each n passes Miller-Rabin to every base in `fooled`, yet is composite
+    assert oracles.is_prime_reference(n, fooled)
+    assert not oracles.is_prime_reference(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_domain_is_below_2_32():
+    assert is_prime(2**32 - 5) and oracles.is_prime_reference(2**32 - 5)
+    for n in (0, 2**32):
+        with pytest.raises(DomainError, match="1 <= n < 2\\^32"):
+            is_prime(n)
+
+
 def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
@@ -61,6 +96,11 @@ def test_prime_modulus():
         PrimeModulus(9)
     with pytest.raises(DomainError):
         PrimeModulus(2**31 + 11)
+
+
+def test_prime_modulus_must_be_an_int():
+    with pytest.raises(DomainError, match="modulus must be an integer, got 7.0"):
+        PrimeModulus(7.0)
 
 
 def test_find_primitive_root_examples():

@@ -13,6 +13,7 @@ from harmonic_census import (
     PrimeModulus,
     full_census,
     multipliers,
+    orbit_chunks,
     stabilizer,
     unit_subgroup,
 )
@@ -135,7 +136,7 @@ def _block_form(m, elems, stab=None):
     if stab is None:
         stab = stabilizer(GeneratorSet(m, elems))
     rows = np.array([elems], dtype=np.int64)
-    c, leaders = _check_chunk(m, rows, np.isin(rows, stab), {})
+    c, leaders = _check_chunk(m, rows, np.isin(rows, stab))
     c, leaders = int(c[0]), tuple(rows[leaders].tolist())
     stab = unit_subgroup(m, c)
     return OrbitRecord(GeneratorSet(m, elems), (m.N - 1) // c, c, stab, leaders)
@@ -198,9 +199,9 @@ def test_check_chunk_order_divides_N_minus_1(m7):
     rows = np.array([[0, 1, 2, 5, 6], [0, 1, 2, 3, 4]])
     fixes = np.array([[0, 1, 0, 0, 1], [0, 1, 1, 1, 1]], dtype=bool)
     with pytest.raises(ContractViolationError, match=r"4 of \[0, 1, 2, 3, 4\] does not"):
-        _check_chunk(m7, rows, fixes, {})
+        _check_chunk(m7, rows, fixes)
     fixes[1] = [0, 1, 0, 0, 0]
-    c, _ = _check_chunk(m7, rows, fixes, {})
+    c, _ = _check_chunk(m7, rows, fixes)
     assert c.tolist() == [2, 1]
 
 
@@ -209,7 +210,7 @@ def test_check_chunk_fixed_elements_are_subgroup(m13):
     rows = np.array([[1, 5, 8, 12], [1, 5, 8, 12]])
     fixes = np.array([[1, 0, 0, 1], [1, 1, 0, 0]], dtype=bool)
     with pytest.raises(ContractViolationError, match=r"fixing \[1, 5, 8, 12\] are not"):
-        _check_chunk(m13, rows, fixes, {})
+        _check_chunk(m13, rows, fixes)
 
 
 def test_check_chunk_cosets_rebuild_row(m7, m13):
@@ -218,15 +219,21 @@ def test_check_chunk_cosets_rebuild_row(m7, m13):
     rows = np.array([[1, 2, 5, 6], [1, 2, 3, 6]])
     fixes = np.array([[1, 0, 0, 1], [1, 0, 0, 1]], dtype=bool)
     with pytest.raises(ContractViolationError, match=r"not reproduce \[1, 2, 3, 6\]"):
-        _check_chunk(m7, rows, fixes, {})
-    c, leaders = _check_chunk(m7, rows[:1], fixes[:1], {})
+        _check_chunk(m7, rows, fixes)
+    c, leaders = _check_chunk(m7, rows[:1], fixes[:1])
     assert c.tolist() == [2] and rows[:1][leaders].tolist() == [1, 2]
     # two leaders, 1 and 2, as 8 nonzero elements need, but the row holds
     # 6 and 7 in place of 3 and 10 from the coset 2 . {1, 5, 8, 12}
     rows = np.array([[0, 1, 2, 5, 6, 7, 8, 11, 12]])
     fixes = np.isin(rows, (1, 5, 8, 12))
     with pytest.raises(ContractViolationError, match="block expansion"):
-        _check_chunk(m13, rows, fixes, {})
+        _check_chunk(m13, rows, fixes)
+
+
+def test_orbit_chunks_preconditions(m7):
+    for d in (0, 8):
+        with pytest.raises(DomainError, match="need 1 <= d <= N"):
+            next(orbit_chunks(m7, d))
 
 
 def test_orbit_sizes_cover_all_subsets(m13, monkeypatch):
