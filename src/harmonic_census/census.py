@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolationError, DomainError
+from .errors import ContractViolationError, check_dimension
 from .number_theory import PrimeModulus, divisors
 
 
@@ -78,8 +78,7 @@ def full_census(modulus: PrimeModulus, d: int) -> Census:
     integral, so the orbits cover C(N, d) by construction; only the
     integrality, and gamma_1 >= 0, are checked."""
     N = modulus.N
-    if not 1 <= d <= N:
-        raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
+    check_dimension(N, d)
     subsets = math.comb(N, d)
     # c > 1 divides N-1 and one of d and d-1, ascending
     betas = dict(sorted({**_betas(N, d), **_betas(N, d - 1)}.items()))
@@ -114,8 +113,7 @@ def count_unordered_dft(modulus: PrimeModulus, d: int) -> int:
     this is N! / ((N-d)! (N-1)) with the factor N-1 cancelled.
     """
     N = modulus.N
-    if not 1 <= d <= N:
-        raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
+    check_dimension(N, d)
     if d == 1:
         return 2
     product = N

@@ -44,6 +44,7 @@ from .errors import (
     ContractViolationError,
     DomainError,
     ModulusMismatchError,
+    check_budget,
 )
 from .frames import build_frame, export_frame
 from .number_theory import PrimeModulus
@@ -261,13 +262,7 @@ def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         raise DomainError("frame requires --gens")
     s = GeneratorSet(modulus, args.gens)
     entries = s.d * modulus.N
-    if entries > args.max_subsets:
-        raise BudgetExceededError(
-            f"frame of {s.d} x {modulus.N} = {entries} entries exceeds budget "
-            f"{args.max_subsets}",
-            required=entries,
-            budget=args.max_subsets,
-        )
+    check_budget(f"frame of {s.d} x {modulus.N}", entries, "entries", args.max_subsets)
     f = build_frame(s)
     if args.output_format in ("json", "csv"):
         return export_frame(f, args.output_format), EXIT_OK

@@ -15,8 +15,8 @@ holds for every column m iff it holds at m = 1, on the d generators:
 m0 * b[perm[k]] = a[k] mod N.  That holds by construction, since
 `multipliers` checked m0 . b = a exactly (or a = b and m0 = 1) and perm[k]
 is the slot of a[k] * m0^-1 in b, and no frame matrix is built.
-The tests run `verify_witness`, and the test oracles' check on both d x N
-frame matrices, on the witnesses for every ordered pair in whole orbits.
+The tests check the identity entrywise on both d x N frame matrices, with
+the test oracles, for the witnesses of every ordered pair in whole orbits.
 
 For inequivalent pairs are_equivalent returns the certificate tag
 orbit-mismatch: no unit maps b onto a.  It computes no further invariant,
@@ -49,15 +49,6 @@ class EquivalenceVerdict:
     equivalent: bool
     witness: Witness | None = None
     certificate: str | None = None
-
-
-def verify_witness(a: GeneratorSet, b: GeneratorSet, witness: Witness) -> bool:
-    """Exact check of the witness identity B[perm[k], m*m0 mod N] == A[k, m]
-    for all k, m, on the generators: m0 * b[perm[k]] == a[k] (mod N)."""
-    N, perm = a.modulus.N, witness.coordinate_perm
-    return len(perm) == a.d and all(
-        (witness.m0 * b.elems[p] - x) % N == 0 for p, x in zip(perm, a.elems)
-    )
 
 
 def are_equivalent(a: GeneratorSet, b: GeneratorSet) -> EquivalenceVerdict:

@@ -33,6 +33,24 @@ class BudgetExceededError(HarmonicCensusError, RuntimeError):
         self.budget = budget
 
 
+def check_dimension(N: int, d: int) -> None:
+    """Raise DomainError unless 1 <= d <= N: a frame of prime order N has
+    between 1 and N of the N distinct characters as its generators."""
+    if not 1 <= d <= N:
+        raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
+
+
+def check_budget(what: str, required: int, unit: str, budget: int) -> None:
+    """Raise BudgetExceededError when the work an operation needs, required
+    units of what, exceeds its budget."""
+    if required > budget:
+        raise BudgetExceededError(
+            f"{what} = {required} {unit} exceeds budget {budget}",
+            required=required,
+            budget=budget,
+        )
+
+
 def check_printable(what: str, value: int = 0, *, min_bits: int = 0) -> None:
     """Raise BudgetExceededError when an integer has more decimal digits
     than the live int-to-str limit (PYTHONINTMAXSTRDIGITS; 0 means none)

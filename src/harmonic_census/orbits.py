@@ -42,17 +42,21 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     ContractViolationError,
     DomainError,
     ModulusMismatchError,
+    check_budget,
+    check_dimension,
     check_printable,
 )
 from .number_theory import PrimeModulus, find_primitive_root
 
 DEFAULT_MAX_SUBSETS = 10**7
 
+# a chunk holds at most _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries,
+# 8 MiB per int64 array; the row cap alone binds for d <= 16
 _CHUNK_ROWS = 1 << 16
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,7 @@ class GeneratorSet:
         reduced = tuple(sorted(e % N for e in self.elems))
         if len(set(reduced)) != len(reduced):
             raise DomainError(f"generator elements not distinct mod {N}: {self.elems}")
-        if not 1 <= len(reduced) <= N:
-            raise DomainError(f"need 1 <= d <= N, got d={len(reduced)}, N={N}")
+        check_dimension(N, len(reduced))
         object.__setattr__(self, "elems", reduced)
 
     @property
@@ -234,28 +237,24 @@ def orbit_chunks(
     by representative, as chunks (reps, c, leaders): the representatives as
     rows, the stabilizer order of each, and the mask of its block leaders.
     Visits the C(N-1, d-1) sets whose smallest nonzero element is 1, in
-    chunks of _CHUNK_ROWS candidates, and checks each chunk with
+    chunks of at most _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries, so
+    that a chunk's memory is bounded at every d, and checks each chunk with
     _check_chunk.  The budget, by default DEFAULT_MAX_SUBSETS, is counted in
     subsets covered, C(N, d), and checked before the first chunk; after the
     last, the orbit sizes (N-1)/c must sum to C(N, d)."""
     N = modulus.N
-    if not 1 <= d <= N:
-        raise DomainError(f"need 1 <= d <= N, got d={d}, N={N}")
+    check_dimension(N, d)
     budget = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
     total = subset_count(N, d)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({N},{d}) = {total} subsets exceeds budget {budget}",
-            required=total,
-            budget=budget,
-        )
+    check_budget(f"C({N},{d})", total, "subsets", budget)
 
     covered = int(d == 1)
     if d == 1:  # {0} has no nonzero element, so no block; every unit fixes it
         yield np.zeros((1, 1), np.int64), np.array([N - 1]), np.zeros((1, 1), bool)
     # x^-1 mod N by lookup; d = 1 runs no multiplier pass, so N may be large
     inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
-    for chunk in _candidate_chunks(N, d, _CHUNK_ROWS):
+    rows = min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // d))
+    for chunk in _candidate_chunks(N, d, rows):
         reps, fixes = _scan_candidates(chunk, N, inverse)
         if len(reps):
             c, leaders = _check_chunk(modulus, reps, fixes)

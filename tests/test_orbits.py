@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from harmonic_census import (
     DomainError,
     GeneratorSet,
     PrimeModulus,
+    count_unordered_dft,
     full_census,
     multipliers,
     orbit_chunks,
@@ -236,6 +238,33 @@ def test_orbit_chunks_preconditions(m7):
             next(orbit_chunks(m7, d))
 
 
+def test_dimension_message_is_shared(m7):
+    """Every entry point that takes a dimension refuses it out of range with
+    the same whole message."""
+    for d, call in (
+        (0, lambda: GeneratorSet(m7, ())),
+        (0, lambda: full_census(m7, 0)),
+        (8, lambda: count_unordered_dft(m7, 8)),
+        (0, lambda: next(orbit_chunks(m7, 0))),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"need 1 <= d <= N, got d={d}, N=7"
+
+
+def test_orbit_chunk_memory_is_bounded_at_large_d():
+    """At d = N-2 a chunk of _CHUNK_ROWS candidates would be N-2 entries
+    wide; the entry cap keeps the whole enumeration's peak under 100 MiB."""
+    tracemalloc.start()
+    try:
+        orbits = sum(len(reps) for reps, _, _ in orbit_chunks(PrimeModulus(251), 249))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orbits == full_census(PrimeModulus(251), 249).total
+    assert peak < 100 << 20
+
+
 def test_orbit_sizes_cover_all_subsets(m13, monkeypatch):
     import harmonic_census.orbits as orbits_mod
 
@@ -389,7 +418,7 @@ def test_enumerate_chunk_size_invariant(m13, monkeypatch, capsys):
     chunks, replays = orbits_mod.orbit_chunks, {}
 
     def replay(modulus, d, **kw):
-        key = modulus.N, d, orbits_mod._CHUNK_ROWS
+        key = modulus.N, d, orbits_mod._CHUNK_ROWS, orbits_mod._CHUNK_ENTRIES
         if key not in replays:
             replays[key] = list(chunks(modulus, d, **kw))
         return iter(replays[key])
@@ -407,8 +436,10 @@ def test_enumerate_chunk_size_invariant(m13, monkeypatch, capsys):
         return out
 
     base, base_out = enumerate_orbits(m13, 6), cli_outputs()
-    for rows in (1, 64):
+    # entry caps of 40 and 1 leave 40 // d rows and the floor of one row
+    for rows, entries in ((1, 1 << 20), (64, 1 << 20), (1 << 16, 40), (1 << 16, 1)):
         monkeypatch.setattr(orbits_mod, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(orbits_mod, "_CHUNK_ENTRIES", entries)
         assert enumerate_orbits(m13, 6) == base
         assert cli_outputs() == base_out
 
