@@ -44,7 +44,6 @@ from .symmetry import (
     SymmetryReport,
     full_symmetry_group,
     gram_automorphisms,
-    guaranteed_subgroup,
 )
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ and build no per-orbit object.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator
@@ -63,7 +64,8 @@ _CHUNK_ENTRIES = 1 << 20
 class GeneratorSet:
     """An unordered d-subset of Z_N, held sorted ascending.
 
-    Input elements are reduced mod N and must be distinct after reduction.
+    Input elements are integers (numpy's too, stored as int), reduced mod N,
+    and must be distinct after reduction.
     """
 
     modulus: PrimeModulus
@@ -71,7 +73,10 @@ class GeneratorSet:
 
     def __post_init__(self):
         N = self.modulus.N
-        reduced = tuple(sorted(e % N for e in self.elems))
+        try:
+            reduced = tuple(sorted(operator.index(e) % N for e in self.elems))
+        except TypeError as exc:
+            raise DomainError(f"generator elements must be integers: {self.elems}") from exc
         if len(set(reduced)) != len(reduced):
             raise DomainError(f"generator elements not distinct mod {N}: {self.elems}")
         check_dimension(N, len(reduced))

@@ -27,13 +27,15 @@ Nothing is searched.  Entry (k, m) of the frame is w^(m n_k), so each
 relation of D and Q holds on every column iff it holds on the generators
 (m = 1), where it is checked exactly.  Column permutations are listed lazily
 from the pairs (a, b), so nothing of size N is built, and full_symmetry_group
-costs O(d^2): one computation of Stab(S).  Both orders are N*c, so they
-depend on S only through c, except for the three sets above, which
-exceptional_orders names; the CLI's scan takes c from the enumeration and
-asks exceptional_orders about the rest.  The order N! of the simplex and the
-basis is computed only up to N = FACTORIAL_MAX_N, and is refused by
-errors.check_printable when it has more digits than the interpreter's
-int-to-str limit.  The label pass over every t and a backtracking search
+costs O(d^2): one computation of Stab(S).  For the simplex and the basis
+Stab(S) is every unit and is not computed; their check costs O(N).  Both
+orders are N*c, so they depend on S only through c, except for the three
+sets above, which exceptional_orders names; the CLI's scan takes c from the
+enumeration and asks exceptional_orders about the rest.  The order N! of
+the simplex and the basis is computed only up to N = FACTORIAL_MAX_N, and
+is refused by errors.check_printable when it has more digits than the
+interpreter's int-to-str limit; past either bound neither group of these
+two sets is reported.  The label pass over every t and a backtracking search
 with exact unitary reconstruction check all this in tests/oracles.py.  See
 also Vale & Waldron, "The symmetry group of a finite frame" (2010).
 """
@@ -84,21 +86,25 @@ class AffinePermutations(_Listing):
         return tuple((a * m + b) % N for m in range(N))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SymmetryReport:
-    """subgroup_* describes <D, Q>, full_* the whole group (full_permutations
+    """The symmetry group of one set, built whole by full_symmetry_group.
+    subgroup_* describes <D, Q>, full_* the whole group (full_permutations
     is None for all N! permutations).  Permutations are listed in
-    lexicographic order.  conjecture_holds compares the two orders; a False
-    is a finding, not an error."""
+    lexicographic order.  conjecture_holds compares the two orders, so it
+    cannot disagree with them; a False is a finding, not an error."""
 
     generators_found: tuple[dict, ...]
     stabilizer_order: int
     subgroup_order: int
     subgroup_permutations: Sequence[tuple[int, ...]]
-    full_group_order: int | None = None
-    full_permutations: Sequence[tuple[int, ...]] | None = None
-    conjecture_holds: bool | None = None
-    note: str | None = None
+    full_group_order: int
+    full_permutations: Sequence[tuple[int, ...]] | None
+    note: str | None
+
+    @property
+    def conjecture_holds(self) -> bool:
+        return self.full_group_order == self.subgroup_order
 
 
 def _check_generators(s: GeneratorSet, h: int, c: int, stab: list[int]) -> list[int]:
@@ -114,40 +120,6 @@ def _check_generators(s: GeneratorSet, h: int, c: int, stab: list[int]) -> list[
         raise ContractViolationError(f"D, Q or their relations fail for {s}")
     slot = {x: k for k, x in enumerate(s.elems)}
     return [slot[h * x % N] for x in s.elems]
-
-
-def guaranteed_subgroup(s: GeneratorSet) -> SymmetryReport:
-    """The subgroup <D, Q> = {m -> a m + b : a in Stab(S)} of order N*c,
-    with D, Q (only when c > 1) and their relations verified exactly.  For
-    S = {0} all columns coincide, D = Q = I, the group is trivial; c = N-1."""
-    N = s.modulus.N
-    if not any(s.elems):
-        return SymmetryReport(
-            generators_found=({"kind": "diagonal", "exponents": [0]},),
-            stabilizer_order=N - 1,
-            subgroup_order=1,
-            subgroup_permutations=_Listing(1, lambda i: tuple(range(N))),
-            note="degenerate generator set {0}: D = Q = I",
-        )
-    return _affine_subgroup(s, AffinePermutations(N, stabilizer(s)))
-
-
-def _affine_subgroup(s: GeneratorSet, perms: AffinePermutations) -> SymmetryReport:
-    """<D, Q> for a set s with a nonzero element, whose Stab(S) is
-    perms.multipliers."""
-    N, stab = s.modulus.N, list(perms.multipliers)
-    c = len(stab)
-    h = pow(find_primitive_root(s.modulus), (N - 1) // c, N)
-    q = _check_generators(s, h, c, stab)
-    generators = [{"kind": "diagonal", "exponents": list(s.elems)}]
-    if c > 1:
-        generators.append({"kind": "block_perm", "slot_perm": q, "unit": h})
-    return SymmetryReport(
-        generators_found=tuple(generators),
-        stabilizer_order=c,
-        subgroup_order=N * c,
-        subgroup_permutations=perms,
-    )
 
 
 def _every_permutation(N: int, elems: Sequence[int]) -> bool:
@@ -208,19 +180,27 @@ def gram_automorphisms(s: GeneratorSet) -> AffinePermutations:
 
 
 def full_symmetry_group(s: GeneratorSet) -> SymmetryReport:
-    """<D, Q> and the full group: the Gram automorphisms, which by the module
-    docstring are <D, Q> itself, built from one Stab(S), but for the sets of
-    exceptional_orders (N! refused before any other work past
-    FACTORIAL_MAX_N)."""
-    exception = exceptional_orders(s.modulus.N, s.elems)
-    if exception is None:
-        autos = gram_automorphisms(s)
-        report = _affine_subgroup(s, autos)
-        report.full_group_order, report.full_permutations = len(autos), autos
+    """<D, Q> and the full group of s, from one Stab(S).  For S = {0} all
+    columns coincide: D = Q = I, both groups are trivial and c = N-1.
+    Otherwise <D, Q> = {m -> a m + b : a in Stab(S)} has order N*c, with D,
+    Q (only when c > 1) and their relations checked exactly.  By the module
+    docstring the full group is the Gram automorphisms, <D, Q> itself, but
+    for the simplex and the basis: there Stab(S) is every unit and the full
+    group is all N! permutations, refused past FACTORIAL_MAX_N before any
+    other work."""
+    N, elems = s.modulus.N, s.elems
+    exception = exceptional_orders(N, elems)
+    D = {"kind": "diagonal", "exponents": list(elems)}
+    if not any(elems):
+        one = _Listing(1, lambda i: tuple(range(N)))
+        return SymmetryReport((D,), N - 1, 1, one, 1, one, exception[2])
+    if exception:  # the simplex or the basis: every unit fixes S
+        stab, full = AffinePermutations(N, range(1, N)), None
     else:
-        report = guaranteed_subgroup(s)
-        _, report.full_group_order, report.note = exception
-        if not any(s.elems):
-            report.full_permutations = report.subgroup_permutations
-    report.conjecture_holds = report.full_group_order == report.subgroup_order
-    return report
+        stab = full = gram_automorphisms(s)
+    _, full_order, note = exception or (None, len(full), None)
+    c = len(stab.multipliers)
+    h = pow(find_primitive_root(s.modulus), (N - 1) // c, N)
+    q = _check_generators(s, h, c, list(stab.multipliers))
+    Q = {"kind": "block_perm", "slot_perm": q, "unit": h}
+    return SymmetryReport((D, Q) if c > 1 else (D,), c, N * c, stab, full_order, full, note)

@@ -17,7 +17,6 @@ from harmonic_census import (
     count_unordered_dft,
     full_census,
     full_symmetry_group,
-    guaranteed_subgroup,
     verify_funtf,
 )
 from harmonic_census.cli import main as cli_main
@@ -213,7 +212,7 @@ def test_criterion_09_guaranteed_subgroup():
     reps = 0
     for N, d, rec in _all_records():
         reps += 1
-        report = guaranteed_subgroup(rec.rep)  # verifies D, Q and their relations exactly
+        report = full_symmetry_group(rec.rep)  # verifies D, Q and their relations exactly
         if set(rec.rep.elems) == {0}:
             # degenerate single-vector frame: D = Q = I
             if report.subgroup_order != 1:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -12,8 +13,11 @@ from harmonic_census import (
     DomainError,
     GeneratorSet,
     PrimeModulus,
+    build_frame,
     count_unordered_dft,
+    export_frame,
     full_census,
+    full_symmetry_group,
     multipliers,
     orbit_chunks,
     stabilizer,
@@ -33,6 +37,20 @@ def test_generator_set_normalization():
         GeneratorSet(m5, (1, 6))  # 6 = 1 mod 5, duplicate
     with pytest.raises(DomainError):
         GeneratorSet(m5, ())
+
+
+def test_generator_set_elements_are_python_ints(m7):
+    """A row of an orbit chunk holds numpy ints; the set stores Python ints,
+    so its frame exports to json and its symmetry group is computed.  An
+    element that is not an integer is refused, not truncated."""
+    reps, _, _ = next(orbit_chunks(m7, 3))
+    s = GeneratorSet(m7, reps[0])
+    assert s.elems == (0, 1, 2) and all(type(x) is int for x in s.elems)
+    assert json.loads(export_frame(build_frame(s), "json"))["generators"] == [0, 1, 2]
+    assert full_symmetry_group(s).stabilizer_order == 1
+    for elems in ((1.5, 2), (2.0, 3), (np.float64(1), 2), ("1", 2), 5):
+        with pytest.raises(DomainError, match="must be integers"):
+            GeneratorSet(m7, elems)
 
 
 def test_act_examples(m5, m7):

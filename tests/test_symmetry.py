@@ -16,7 +16,6 @@ from harmonic_census import (
     full_symmetry_group,
     gram,
     gram_automorphisms,
-    guaranteed_subgroup,
     stabilizer,
 )
 from harmonic_census.cli import main
@@ -30,16 +29,16 @@ M7 = PrimeModulus(7)
 
 
 def test_guaranteed_subgroup_examples():
-    r = guaranteed_subgroup(GeneratorSet(M5, (1, 2)))
+    r = full_symmetry_group(GeneratorSet(M5, (1, 2)))
     assert (r.stabilizer_order, r.subgroup_order) == (1, 5)
-    r = guaranteed_subgroup(GeneratorSet(M5, (1, 4)))
+    r = full_symmetry_group(GeneratorSet(M5, (1, 4)))
     assert (r.stabilizer_order, r.subgroup_order) == (2, 10)
-    r = guaranteed_subgroup(GeneratorSet(M7, (1, 2, 4)))
+    r = full_symmetry_group(GeneratorSet(M7, (1, 2, 4)))
     assert (r.stabilizer_order, r.subgroup_order) == (3, 21)
 
 
 def test_guaranteed_subgroup_element_kinds():
-    r = guaranteed_subgroup(GeneratorSet(M5, (1, 4)))
+    r = full_symmetry_group(GeneratorSet(M5, (1, 4)))
     assert len(r.subgroup_permutations) == 10
     # generator descriptions name both generators; Q swaps the two slots
     assert r.generators_found[0] == {"kind": "diagonal", "exponents": [1, 4]}
@@ -52,14 +51,14 @@ def test_guaranteed_subgroup_matrices_exact():
     m to m + 1 and to h m, exactly, on the exponents of w."""
     for m, elems in ((M5, (1, 4)), (M7, (1, 2, 4)), (PrimeModulus(13), (0, 1, 3, 9))):
         N, s = m.N, GeneratorSet(m, elems)
-        D, Q = guaranteed_subgroup(s).generators_found
+        D, Q = full_symmetry_group(s).generators_found
         E, cols = build_frame(s).exponents, np.arange(N)
         assert np.array_equal((E + np.array(D["exponents"])[:, None]) % N, E[:, (cols + 1) % N])
         assert np.array_equal(E[Q["slot_perm"]], E[:, Q["unit"] * cols % N])
 
 
 def test_degenerate_zero_set():
-    r = guaranteed_subgroup(GeneratorSet(M5, (0,)))
+    r = full_symmetry_group(GeneratorSet(M5, (0,)))
     assert r.subgroup_order == 1
     assert r.stabilizer_order == 4
     full = full_symmetry_group(GeneratorSet(M5, (0,)))
@@ -76,6 +75,24 @@ def test_degenerate_zero_set():
     m2 = PrimeModulus(2)
     for elems in ((0,), (1,), (0, 1)):
         assert list(gram_automorphisms(GeneratorSet(m2, elems))) == [(0, 1), (1, 0)]
+
+
+def test_zero_set_report():
+    """{0} is N copies of one vector: both groups are the identity, listed
+    once and shared, and nothing of size N is built at the top of the range.
+    The report is frozen and its verdict is computed from the two orders."""
+    r = full_symmetry_group(GeneratorSet(M5, (0,)))
+    assert r.subgroup_order == r.full_group_order == 1
+    assert list(r.subgroup_permutations) == [(0, 1, 2, 3, 4)]
+    assert r.full_permutations is r.subgroup_permutations
+    for name in ("note", "full_group_order", "conjecture_holds"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    start = time.perf_counter()
+    r = full_symmetry_group(GeneratorSet(PrimeModulus(2**31 - 1), (0,)))
+    assert r.subgroup_order == r.full_group_order == 1
+    assert len(r.subgroup_permutations) == len(r.full_permutations) == 1
+    assert time.perf_counter() - start < 1
 
 
 def test_gram_automorphisms_trivial_stabilizer():
@@ -273,7 +290,7 @@ def test_closed_form_matches_search_oracle(N, ds):
     for d in ds:
         for rec in enumerate_orbits(m, d):
             if set(rec.rep.elems) == {0}:
-                # N copies of one vector, see test_degenerate_zero_set
+                # N copies of one vector, see test_zero_set_report
                 assert oracles.label_multipliers(rec.rep) == stabilizer(rec.rep)
                 continue
             _check_against_search(rec.rep)
