@@ -3,13 +3,13 @@ decisions, and symmetry analysis with stable machine-readable output.
 
 Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
 2 usage error (including output that stdout or the --out path cannot take
-in full, reported on one stderr line; help text and --seed-check lines go
-through the same check), 3 a budget exceeded, 4
-symmetry-conjecture counterexample discovered (notable, not fatal), 5
-internal contract violated (a library bug, reported on one stderr line).
+in full, reported on one stderr line; help text goes through the same
+check), 3 a budget exceeded, 4 symmetry-conjecture counterexample
+discovered (notable, not fatal), 5 internal contract violated (a library
+bug, reported on one stderr line).
 
 All output is UTF-8 with newline-terminated records, and identical
-invocations produce byte-identical output regardless of --threads.
+invocations produce byte-identical output.
 --format csv writes csv for count, enumerate and frame; verify, equivalent,
 symmetry and scan print their table for it.
 Integers too large for a double are emitted as decimal strings in JSON.
@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .census import count_harmonic_frames, count_unordered_dft, full_census
+from .census import full_census
 from .equivalence import are_equivalent
 from .errors import (
     BudgetExceededError,
@@ -370,54 +370,6 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     return lines, code
 
 
-# -- built-in reference checks ------------------------------------------------
-
-
-def seed_check() -> Output:
-    """Re-derive the worked reference values; the exit code is nonzero on a
-    mismatch."""
-    checks: list[tuple[str, bool]] = []
-
-    def check(desc: str, cond: bool) -> None:
-        checks.append((desc, cond))
-
-    m5, m7 = PrimeModulus(5), PrimeModulus(7)
-    check("count(5,2) == 3", count_harmonic_frames(m5, 2) == 3)
-    check("count(5,3) == 3", count_harmonic_frames(m5, 3) == 3)
-    check("count(7,3) == 7", count_harmonic_frames(m7, 3) == 7)
-    c73 = full_census(m7, 3)
-    check("census(7,3) gamma", c73.gamma == {1: 5, 2: 1, 3: 1})
-    check("census(7,3) beta", (c73.beta[2], c73.beta[3]) == (3, 2))
-    for N in (7, 13, 19, 31):
-        cen = full_census(PrimeModulus(N), 3)
-        check(
-            f"worked example N={N} d=3",
-            cen.beta[3] == (N - 1) // 3
-            and cen.beta[2] == (N - 1) // 2
-            and cen.gamma[3] == 1
-            and cen.gamma[2] == 1
-            and cen.gamma[1] == (N * N - 2 * N - 5) // 6,
-        )
-    for N in (3, 5, 11, 97, 9973):
-        check(
-            f"d=2 closed form N={N}",
-            count_harmonic_frames(PrimeModulus(N), 2) == (N + 1) // 2,
-        )
-    for N, expected in ((7, 7), (13, 25), (5, 3), (11, 17)):
-        check(
-            f"d=3 closed form N={N}",
-            count_harmonic_frames(PrimeModulus(N), 3) == expected,
-        )
-    check("ordered count (5,3) == 15", count_unordered_dft(m5, 3) == 15)
-    check("ordered count (2,2) == 2", count_unordered_dft(PrimeModulus(2), 2) == 2)
-    check("ordered count (7,2) == 7", count_unordered_dft(m7, 2) == 7)
-
-    passed = sum(ok for _, ok in checks)
-    lines = [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
-    lines.append(f"seed-check: {passed}/{len(checks)} passed")
-    return lines, EXIT_OK if passed == len(checks) else EXIT_MISMATCH
-
-
 # -- argument plumbing --------------------------------------------------------
 
 
@@ -440,9 +392,6 @@ def _add_common(sp: argparse.ArgumentParser, takes: str) -> None:
     )
     sp.add_argument("--out", type=str, default=None, help="write output to file")
     sp.add_argument("--max-subsets", type=int, default=None)
-    sp.add_argument(
-        "--threads", type=int, default=None, help="accepted for compatibility; no effect"
-    )
 
 
 # name: (handler, help text, the input options of _add_common)
@@ -465,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
             "of prime-order harmonic frames."
         ),
     )
-    parser.add_argument("--seed-check", action="store_true", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")
     for name, (_, text, takes) in COMMANDS.items():
         _add_common(sub.add_parser(name, help=text), takes)
@@ -497,10 +445,6 @@ def main(argv: list[str] | None = None) -> int:
         # help is written while parsing, so a stdout that cannot take it
         # fails in here
         args = parser.parse_args(argv)
-        if args.seed_check:
-            lines, code = seed_check()
-            _emit(lines, None)
-            return code
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE

