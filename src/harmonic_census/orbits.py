@@ -9,19 +9,27 @@ stabilizer, c divides d or d-1, and the stabilized sets decompose into
 multiplicative cosets of the order-c subgroup of units (an optional 0 rides
 along untouched).
 
-Orbit enumeration rests on one lemma.  For any nonzero x in a set S the
+Orbit enumeration rests on two lemmas.  For any nonzero x in a set S the
 image x^-1 . S contains 1, so the lexicographically smallest member of an
-orbit (its representative) has 1 as its smallest nonzero element, and only
-the C(N-1, d-1) candidates {0, 1} u U and {1} u U, with U a subset of
-{2, ..., N-1}, need a visit.  A unit m maps a candidate T to a set that
-contains 1 exactly when m = x^-1 for a nonzero x in T, so T is a
-representative iff T <= x^-1 . T for those at most d-1 multipliers, and the
-multipliers with x^-1 . T = T make up its whole stabilizer (x fixes T iff
-x^-1 does).  Candidates are tested in chunks, one numpy pass over sorted
-rows per multiplier column.  Those containing 0 come first, each group in
-combination order, so the orbits come out sorted by representative with no
-visited-set memory.  The single set with no nonzero element, {0}, is its
-own orbit.
+orbit (its representative) has 1 as its smallest nonzero element: it is
+{0, 1} u U or {1} u U, with U a subset of {2, ..., N-1}.  And if the
+representative T has nonzero part (1, t2, ...), then
+min(y x^-1, x y^-1) mod N >= t2 for all distinct nonzero x, y in T:
+otherwise x^-1 . T or y^-1 . T has the same head, contains 1 and has a
+second nonzero element below t2, so it is lex-smaller than T.  The pair
+(1, t2) gives t2^-1 >= t2.  At d <= N/2 the candidates are grown element by
+element under this pairwise rule, which visits 146,635 sets for the 87,671
+orbits at (31, 7) in place of all C(30, 6) = 593,775; above N/2 the rule
+costs more than it saves, and all C(N-1, d-1) sets are visited.  The rule
+only narrows the candidates, and each is still tested in full.  A unit m
+maps a candidate T to a set that contains 1 exactly when m = x^-1 for a
+nonzero x in T, so T is a representative iff T <= x^-1 . T for those at
+most d-1 multipliers, and the multipliers with x^-1 . T = T make up its
+whole stabilizer (x fixes T iff x^-1 does).  Candidates are tested in
+chunks, one numpy pass over sorted rows per multiplier column.  Those
+containing 0 come first, each group in combination order, so the orbits
+come out sorted by representative with no visited-set memory.  The single
+set with no nonzero element, {0}, is its own orbit.
 
 orbit_chunks yields the orbits as numpy chunks: the representatives, the
 stabilizer order c of each and the mask of its block leaders.  Each chunk is
@@ -138,22 +146,107 @@ def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
 # -- orbit enumeration -------------------------------------------------------
 
 
-def _candidate_chunks(N: int, d: int, chunk_rows: int) -> Iterator[np.ndarray]:
-    """The sorted d-subsets whose smallest nonzero element is 1: first
-    {0, 1} u U, then {1} u U, with U running over the subsets of
-    {2, ..., N-1} in combination order."""
+def _allowed(x: np.ndarray, t2: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """One boolean row over Z_N per entry of x: the e whose ratio r = e x^-1
+    has min(r, r^-1) >= t2, so that e and x may both lie in a representative
+    with second nonzero element t2.  0 is never allowed."""
+    units = np.arange(len(inverse))
+    low = np.minimum(units, inverse)  # min(r, r^-1) for each r
+    return low[units * inverse[x][:, None] % len(inverse)] >= t2[:, None]
+
+
+def _pruned_rows(
+    prefix: np.ndarray,
+    may: np.ndarray,
+    t2: np.ndarray | None,
+    d: int,
+    inverse: np.ndarray,
+    block: int,
+) -> Iterator[np.ndarray]:
+    """Every extension of the prefix rows to d elements that the pairwise
+    rule allows, in combination order, as blocks of rows.  may marks the
+    elements each prefix can still take, all above its last; t2 is None
+    while the second nonzero element is being chosen.  np.nonzero lists
+    the children in row-major order, which is combination order.  At most
+    block children are extended at once, so a level's mask holds at most
+    block * N entries, and a prefix is cut when too few elements remain to
+    reach d."""
+    N = may.shape[1]
+    width = prefix.shape[1] + 1
+    if width == d:  # the last element: at most block * N rows, no mask
+        parent, last = np.nonzero(may)
+        yield np.concatenate((prefix[parent], last[:, None]), axis=1)
+        return
+    step = max(1, block // N)  # parents per pass: at most max(block, N) children
+    for first in range(0, len(may), step):
+        parent, last = np.nonzero(may[first : first + step])
+        parent += first
+        for lo in range(0, len(parent), block):
+            at, c = parent[lo : lo + block], last[lo : lo + block]
+            rows = np.concatenate((prefix[at], c[:, None]), axis=1)
+            if t2 is None:  # c is t2, so the pair (1, e) joins the rule
+                t = c
+                child = _allowed(np.ones_like(c), t, inverse)
+            else:
+                t = t2[at]
+                child = may[at]
+            child &= _allowed(c, t, inverse) & (np.arange(N) > c[:, None])
+            keep = child.sum(axis=1) >= d - width  # enough left to reach d
+            rows, child, t = rows[keep], child[keep], t[keep]
+            yield from _pruned_rows(rows, child, t, d, inverse, block)
+
+
+def _rechunk(blocks: Iterator[np.ndarray], chunk_rows: int) -> Iterator[np.ndarray]:
+    """The rows of blocks, in order, regrouped into chunks of chunk_rows rows
+    (the last may be shorter)."""
+    held, count = [], 0
+    for block in blocks:
+        held.append(block)
+        count += len(block)
+        if count >= chunk_rows:
+            joined = np.concatenate(held)
+            full = count - count % chunk_rows
+            held, count = [joined[full:].copy()], count - full
+            for lo in range(0, full, chunk_rows):
+                yield joined[lo : lo + chunk_rows]
+            del joined  # free before the next chunk is gathered
+    if count:
+        yield np.concatenate(held)
+
+
+def _candidate_chunks(
+    N: int, d: int, chunk_rows: int, inverse: np.ndarray | None
+) -> Iterator[np.ndarray]:
+    """Candidates for the representatives, in chunks of at most chunk_rows
+    rows that share their head: first the sets {0, 1} u U, then {1} u U,
+    with U running over subsets of {2, ..., N-1} in combination order.  At
+    d <= N/2 only the sets whose nonzero part (1, t2, ...) meets the
+    pairwise rule min(y x^-1, x y^-1) mod N >= t2 are yielded, grown in
+    blocks small enough that the masks of all d levels together hold at
+    most _CHUNK_ENTRIES entries.  Above N/2, where the masks cost more than
+    they prune, all C(N-1, d-1) sets are yielded."""
     for head in ((0, 1), (1,)):
         k = d - len(head)
         if k < 0:
             continue
-        flat = chain.from_iterable(combinations(range(2, N), k))
-        remaining = math.comb(N - 2, k)
-        while remaining:
-            rows = min(chunk_rows, remaining)
-            tail = np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
-            lead = np.broadcast_to(np.array(head, dtype=np.int64), (rows, len(head)))
-            yield np.hstack([lead, tail])
-            remaining -= rows
+        prefix = np.array([head], dtype=np.int64)
+        if k == 0:
+            yield prefix
+        elif 2 * d <= N:
+            units = np.arange(N)
+            # t2 needs t2^-1 >= t2: the rule on the pair (1, t2)
+            may = ((units >= 2) & (inverse >= units))[None, :]
+            block = max(1, _CHUNK_ENTRIES // (N * d))
+            rows = _pruned_rows(prefix, may, None, d, inverse, block)
+            yield from _rechunk(rows, chunk_rows)
+        else:
+            flat = chain.from_iterable(combinations(range(2, N), k))
+            remaining = math.comb(N - 2, k)
+            while remaining:
+                rows = min(chunk_rows, remaining)
+                tail = np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
+                yield np.hstack([np.broadcast_to(prefix, (rows, len(head))), tail])
+                remaining -= rows
 
 
 def _scan_candidates(
@@ -241,9 +334,10 @@ def orbit_chunks(
     """All orbits of unordered d-subsets under the unit-group action, sorted
     by representative, as chunks (reps, c, leaders): the representatives as
     rows, the stabilizer order of each, and the mask of its block leaders.
-    Visits the C(N-1, d-1) sets whose smallest nonzero element is 1, in
-    chunks of at most _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries, so
-    that a chunk's memory is bounded at every d, and checks each chunk with
+    Visits the sets whose smallest nonzero element is 1, at d <= N/2 only
+    those that meet the pairwise rule of the module docstring, in chunks of
+    at most _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries, so that a
+    chunk's memory is bounded at every d, and checks each chunk with
     _check_chunk.  The budget, by default DEFAULT_MAX_SUBSETS, is counted in
     subsets covered, C(N, d), and checked before the first chunk; after the
     last, the orbit sizes (N-1)/c must sum to C(N, d)."""
@@ -259,7 +353,7 @@ def orbit_chunks(
     # x^-1 mod N by lookup; d = 1 runs no multiplier pass, so N may be large
     inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
     rows = min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // d))
-    for chunk in _candidate_chunks(N, d, rows):
+    for chunk in _candidate_chunks(N, d, rows, inverse):
         reps, fixes = _scan_candidates(chunk, N, inverse)
         if len(reps):
             c, leaders = _check_chunk(modulus, reps, fixes)

@@ -283,6 +283,98 @@ def test_orbit_chunk_memory_is_bounded_at_large_d():
     assert peak < 100 << 20
 
 
+def test_orbit_chunk_memory_is_bounded_at_half_d():
+    """At d <= N/2 the candidates are grown prefix by prefix, each level in
+    blocks, and each chunk is freed before the next is gathered, so the
+    whole enumeration at (23, 11) peaks under 40 MiB."""
+    tracemalloc.start()
+    try:
+        orbits = sum(len(reps) for reps, _, _ in orbit_chunks(PrimeModulus(23), 11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orbits == full_census(PrimeModulus(23), 11).total
+    assert peak < 40 << 20
+
+
+def _meets_pair_rule(N, elems):
+    """min(y x^-1, x y^-1) mod N >= t2 for all distinct nonzero x, y, where
+    the nonzero part is (1, t2, ...)."""
+    nonzero = [x for x in elems if x]
+    if len(nonzero) < 2:
+        return True
+    t2 = nonzero[1]
+    return all(
+        min(y * pow(x, -1, N) % N, x * pow(y, -1, N) % N) >= t2
+        for x, y in itertools.combinations(nonzero, 2)
+    )
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13, 17, 19])
+def test_representatives_meet_pair_rule(N):
+    """The pruning rule against brute force, independent of the generator:
+    every lex-min representative found by orbit chasing starts its nonzero
+    part with 1 and meets the pairwise rule, at every d."""
+    for d in range(2, N + 1):
+        for rep in oracles.subset_orbit_census(N, d):
+            assert [x for x in rep if x][0] == 1
+            assert _meets_pair_rule(N, rep), (N, d, rep)
+
+
+def _candidates_visited(monkeypatch, N, d):
+    """The rows _candidate_chunks yields for orbit_chunks at (N, d), and the
+    number of orbits."""
+    import harmonic_census.orbits as orbits_mod
+
+    source, visited = orbits_mod._candidate_chunks, [0]
+
+    def counted(*args):
+        for chunk in source(*args):
+            visited[0] += len(chunk)
+            yield chunk
+
+    monkeypatch.setattr(orbits_mod, "_candidate_chunks", counted)
+    orbits = sum(len(reps) for reps, _, _ in orbit_chunks(PrimeModulus(N), d))
+    return visited[0], orbits
+
+
+@pytest.mark.parametrize(
+    "N, d, visited, orbits",
+    [(31, 7, 146_635, 87_671), (61, 5, 111_267, 99_161), (29, 6, 25_198, 16_978)],
+)
+def test_pruned_candidates_per_orbit(monkeypatch, N, d, visited, orbits):
+    """At d <= N/2 the rule leaves at most two candidates per orbit, where
+    the C(N-1, d-1) sets with smallest nonzero element 1 are about d."""
+    assert _candidates_visited(monkeypatch, N, d) == (visited, orbits)
+    assert visited <= 2 * orbits < math.comb(N - 1, d - 1)
+
+
+def test_unpruned_candidates_above_half(monkeypatch):
+    """At d > N/2 every set whose smallest nonzero element is 1 is visited."""
+    assert _candidates_visited(monkeypatch, 13, 8) == (math.comb(12, 7), 109)
+
+
+def test_rule_that_drops_a_representative_exits_5(monkeypatch, capsys):
+    """A rule that rejects every set with t2 = 2, the first t2 that passes
+    at (13, 4), drops true representatives such as {0, 1, 2, 3}; the
+    orbit-size sum catches it and verify answers nothing."""
+    import harmonic_census.orbits as orbits_mod
+    from harmonic_census import cli
+
+    assert (0, 1, 2, 3) in oracles.subset_orbit_census(13, 4)
+    rule = orbits_mod._allowed
+
+    def drop_t2_of_2(x, t2, inverse):
+        return rule(x, t2, inverse) & (t2 != 2)[:, None]
+
+    monkeypatch.setattr(orbits_mod, "_allowed", drop_t2_of_2)
+    code = cli.main(["verify", "--N", "13", "--d", "4"])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal contract violated: orbit sizes sum to")
+
+
 def test_orbit_sizes_cover_all_subsets(m13, monkeypatch):
     import harmonic_census.orbits as orbits_mod
 
@@ -446,7 +538,7 @@ def test_enumerate_chunk_size_invariant(m13, monkeypatch, capsys):
 
     def cli_outputs():
         out = {}
-        for N, d in ((13, 1), (13, 6), (13, 13), (17, 8), (2, 1)):
+        for N, d in ((13, 1), (13, 6), (13, 13), (17, 8), (19, 7), (2, 1)):
             for cmd in ("enumerate", "verify", "scan"):
                 for fmt in ("json", "csv", "table"):
                     code = cli.main([cmd, "--N", str(N), "--d", str(d), "--format", fmt])
