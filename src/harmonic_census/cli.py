@@ -14,8 +14,9 @@ invocations produce byte-identical output.
 symmetry and scan print their table for it.
 Integers too large for a double are emitted as decimal strings in JSON.
 The HC_MAX_SUBSETS environment variable overrides the default budget, which
-counts the C(N, d) subsets an enumeration covers and the d x N entries of a
-frame; an explicit --max-subsets beats both.  Exit 3 also reports a number
+counts the C(N, d) subsets an enumeration covers, or at d = N the N entries
+of its one row Z_N (C(N, N) = 1), and the d x N entries of a frame; an
+explicit --max-subsets beats both.  Exit 3 also reports a number
 too long to print, one with more digits than the interpreter's int-to-str
 limit: C(N, d) for count, enumerate, verify and scan, or an N!.
 
@@ -335,13 +336,11 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     """One row per orbit, in enumeration order: the orders of <D, Q> and of
     the full group are N*c, with c read off the chunk, but for the sets of
     exceptional_orders.  All rows of a chunk share their head, so they are
-    all exceptional or all not.  A row whose full group is larger is a
-    counterexample, listed and never suppressed (exit 4)."""
+    all exceptional or all not.  Past FACTORIAL_MAX_N the N! of the simplex
+    or the basis is refused there (exit 3), after an enumeration that costs
+    O(N) at d >= N-1.  A row whose full group is larger is a counterexample,
+    listed and never suppressed (exit 4)."""
     N, d = modulus.N, args.d
-    if d >= N - 1:
-        # range(N - d, N) is then the simplex or the basis, whose N! is
-        # refused past FACTORIAL_MAX_N before enumerating
-        exceptional_orders(N, range(N - d, N))
     rows = []
     for reps, c, _ in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
         exception = exceptional_orders(N, reps[0].tolist())

@@ -19,23 +19,35 @@ otherwise x^-1 . T or y^-1 . T has the same head, contains 1 and has a
 second nonzero element below t2, so it is lex-smaller than T.  The pair
 (1, t2) gives t2^-1 >= t2.  At d <= N/2 the candidates are grown element by
 element under this pairwise rule, which visits 146,635 sets for the 87,671
-orbits at (31, 7) in place of all C(30, 6) = 593,775; above N/2 the rule
-costs more than it saves, and all C(N-1, d-1) sets are visited.  The rule
-only narrows the candidates, and each is still tested in full.  A unit m
-maps a candidate T to a set that contains 1 exactly when m = x^-1 for a
-nonzero x in T, so T is a representative iff T <= x^-1 . T for those at
-most d-1 multipliers, and the multipliers with x^-1 . T = T make up its
-whole stabilizer (x fixes T iff x^-1 does).  Candidates are tested in
-chunks, one numpy pass over sorted rows per multiplier column.  Those
-containing 0 come first, each group in combination order, so the orbits
-come out sorted by representative with no visited-set memory.  The single
-set with no nonzero element, {0}, is its own orbit.
+orbits at (31, 7) in place of all C(30, 6) = 593,775.  The rule only
+narrows the candidates, and each is still tested in full.  A unit m maps a
+candidate T to a set that contains 1 exactly when m = x^-1 for a nonzero x
+in T, so T is a representative iff T <= x^-1 . T for those at most d-1
+multipliers, and the multipliers with x^-1 . T = T make up its whole
+stabilizer (x fixes T iff x^-1 does).  Candidates are tested in chunks, one
+numpy pass over sorted rows per multiplier column.  Those containing 0 come
+first, each group in combination order, so the orbits come out sorted by
+representative with no visited-set memory.  The single set with no nonzero
+element, {0}, is its own orbit, and so is Z_N.
+
+Above N/2 no candidate is visited: the d-orbits are mapped from the
+(N-d)-orbits by complement.  Complement commutes with the action,
+m . (Z_N - S) = Z_N - m . S, so S -> Z_N - S maps the orbits of one size
+one-to-one onto those of the other, and m fixes S iff it fixes Z_N - S:
+both have the same stabilizer, and gamma_c(N, d) = gamma_c(N, N-d).
+(Z_N - S selects the other rows of the character table: its frame is the
+Naimark complement of the frame of S.)  Among sets of one size complement
+reverses lex order, as the smallest element of the symmetric difference
+lies in the smaller set; so the representative of the d-orbit of Z_N - T
+is Z_N - L, with L the lex-max image m . T.  The (N-d)-orbits T are
+enumerated as above, each mapped across by trying all N-1 units, and the L
+are sorted descending.
 
 orbit_chunks yields the orbits as numpy chunks: the representatives, the
-stabilizer order c of each and the mask of its block leaders.  Each chunk is
-checked in numpy as it is scanned (_check_chunk): c divides N-1; the fixed
-elements are the order-c unit subgroup; and the leaders' cosets under that
-subgroup give back the row.  After the last chunk the orbit sizes must sum
+stabilizer order c of each and the mask of its block leaders.  Each chunk
+but {0} and Z_N, which are yielded as they are, is checked in numpy
+(_check_chunk): c divides N-1; the fixed elements are the order-c unit
+subgroup; and the leaders' cosets under that subgroup give back the row.  After the last chunk the orbit sizes must sum
 to C(N, d).  The CLI's enumerate, verify and scan read the chunks directly,
 and build no per-orbit object.
 """
@@ -45,7 +57,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Iterator
 
 import numpy as np
@@ -143,6 +154,13 @@ def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
     return tuple(sorted(pow(h, j, N) for j in range(c)))
 
 
+def _subgroup_array(modulus: PrimeModulus, c: int) -> np.ndarray:
+    """unit_subgroup as a numpy array; at c = N-1 a range, with no Python
+    int per element."""
+    N = modulus.N
+    return np.arange(1, N) if c == N - 1 else np.array(unit_subgroup(modulus, c))
+
+
 # -- orbit enumeration -------------------------------------------------------
 
 
@@ -215,38 +233,26 @@ def _rechunk(blocks: Iterator[np.ndarray], chunk_rows: int) -> Iterator[np.ndarr
 
 
 def _candidate_chunks(
-    N: int, d: int, chunk_rows: int, inverse: np.ndarray | None
+    N: int, d: int, inverse: np.ndarray | None
 ) -> Iterator[np.ndarray]:
-    """Candidates for the representatives, in chunks of at most chunk_rows
-    rows that share their head: first the sets {0, 1} u U, then {1} u U,
-    with U running over subsets of {2, ..., N-1} in combination order.  At
-    d <= N/2 only the sets whose nonzero part (1, t2, ...) meets the
-    pairwise rule min(y x^-1, x y^-1) mod N >= t2 are yielded, grown in
-    blocks small enough that the masks of all d levels together hold at
-    most _CHUNK_ENTRIES entries.  Above N/2, where the masks cost more than
-    they prune, all C(N-1, d-1) sets are yielded."""
+    """Candidates for the representatives at d <= N/2, in chunks of at most
+    _CHUNK_ROWS rows and _CHUNK_ENTRIES entries that share their head:
+    first the sets {0, 1} u U, then {1} u U, with U running over subsets of
+    {2, ..., N-1} in combination order, and only the sets whose nonzero part
+    (1, t2, ...) meets the pairwise rule min(y x^-1, x y^-1) mod N >= t2.
+    They are grown in blocks small enough that the masks of all d levels
+    together hold at most _CHUNK_ENTRIES entries."""
     for head in ((0, 1), (1,)):
-        k = d - len(head)
-        if k < 0:
-            continue
         prefix = np.array([head], dtype=np.int64)
-        if k == 0:
+        if len(head) == d:
             yield prefix
-        elif 2 * d <= N:
+        elif len(head) < d:
             units = np.arange(N)
             # t2 needs t2^-1 >= t2: the rule on the pair (1, t2)
             may = ((units >= 2) & (inverse >= units))[None, :]
             block = max(1, _CHUNK_ENTRIES // (N * d))
             rows = _pruned_rows(prefix, may, None, d, inverse, block)
-            yield from _rechunk(rows, chunk_rows)
-        else:
-            flat = chain.from_iterable(combinations(range(2, N), k))
-            remaining = math.comb(N - 2, k)
-            while remaining:
-                rows = min(chunk_rows, remaining)
-                tail = np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
-                yield np.hstack([np.broadcast_to(prefix, (rows, len(head))), tail])
-                remaining -= rows
+            yield from _rechunk(rows, min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // d)))
 
 
 def _scan_candidates(
@@ -279,7 +285,8 @@ def _check_chunk(
     N-1, and the fixed elements are the order-c unit subgroup H, built once
     per distinct c in the chunk.  x is a leader iff x <= x h mod N for every
     h in H, and the leaders' cosets x H give back the nonzero part of the
-    row.  All rows share their head."""
+    row.  At c = N-1 the row's nonzero part is one coset, Z_N^x, led by 1,
+    so its leader needs no pass per h.  All rows share their head."""
     N = modulus.N
     c = fixes.sum(axis=1)
     nonzero = rows[:, int(rows[0, 0] == 0) :]
@@ -291,7 +298,7 @@ def _check_chunk(
             raise ContractViolationError(
                 f"stabilizer order {order} of {block[0].tolist()} does not divide {N - 1}"
             )
-        H = np.array(unit_subgroup(modulus, order))
+        H = _subgroup_array(modulus, order)
         bad = (block[fixes[at]].reshape(len(block), order) != H).any(axis=1)
         if bad.any():
             raise ContractViolationError(
@@ -300,8 +307,9 @@ def _check_chunk(
             )
         if order == 1:
             continue
-        lead = leaders[at]
-        for h in H[1:].tolist():
+        # at c = N-1 the one coset, Z_N^x, is led by 1: no pass per h
+        lead = leaders[at] & ((block == 1) | (order < N - 1))
+        for h in H[1:].tolist() if order < N - 1 else ():
             lead &= block <= block * h % N
         leaders[at] = lead
         bad = lead.sum(axis=1) * order != nonzero.shape[1]
@@ -314,6 +322,56 @@ def _check_chunk(
                 f"block expansion does not reproduce {block[bad.argmax()].tolist()}"
             )
     return c, leaders
+
+
+def _lex_max(reps: np.ndarray, N: int) -> np.ndarray:
+    """For each row T, the tuple-lex-max of its images m . T, sorted.  T has
+    fewer than N-1 nonzero elements, so some image does not contain 1, and
+    it beats every image that does at their first nonzero entry: the max
+    never contains 1.  Each image is one int64 key in lex order when its k
+    values below N fit one, and one key per value when not; the max is
+    found key by key among the images that tie so far.  The rows are taken
+    in blocks whose images hold at most _CHUNK_ENTRIES entries, or one
+    row's."""
+    q = reps.shape[1] if N ** reps.shape[1] < 1 << 63 else 1  # values per key
+    best, units = np.empty_like(reps), np.arange(1, N)[:, None]
+    rows = max(1, _CHUNK_ENTRIES // (N * reps.shape[1]))
+    for lo in range(0, len(reps), rows):
+        img = np.sort(reps[lo : lo + rows, None] * units % N, axis=2)
+        keys = img.reshape(*img.shape[:2], -1, q) @ N ** np.arange(q - 1, -1, -1)
+        tied = np.ones(img.shape[:2], dtype=bool)
+        for key in np.moveaxis(keys, 2, 0):
+            tied &= key == np.where(tied, key, -1).max(axis=1, keepdims=True)
+        best[lo : lo + rows] = img[np.arange(len(img)), tied.argmax(axis=1)]
+    return best
+
+
+def _complements(modulus: PrimeModulus, d: int, budget: int) -> Iterator[tuple]:
+    """The d-orbits for N/2 < d < N as (rows, fixes) chunks, mapped by
+    complement from the checked (N-d)-orbits T (module docstring): each
+    representative is Z_N - L, with L the lex-max image of T, and has T's
+    stabilizer order c.  The L of all orbits are held and sorted descending,
+    one row of N-d entries per orbit, so the representatives come out
+    ascending.  The chunks are cut where 0 leaves the rows, so they share
+    their head, and their N-wide masks hold at most _CHUNK_ENTRIES entries.
+    fixes marks each row's members of the order-c unit subgroup, which
+    _check_chunk then tests: a row that is not a union of its cosets, or
+    lacks 1, fails there."""
+    N = modulus.N
+    chunks = orbit_chunks(modulus, N - d, max_subsets=budget)
+    low, orders = map(np.concatenate, zip(*[(_lex_max(T, N), c) for T, c, _ in chunks]))
+    at = np.lexsort(low.T[::-1])[::-1]
+    step = min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // N))
+    # the L without 0 come first, and their complements hold 0
+    cuts = np.union1d(range(0, len(at), step), [np.count_nonzero(low[:, 0]), len(at)])
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        keep = np.ones((hi - lo, N), dtype=bool)
+        keep[np.arange(hi - lo)[:, None], low[at[lo:hi]]] = False
+        rows, c = np.nonzero(keep)[1].reshape(hi - lo, d), orders[at[lo:hi]]
+        fixes = np.zeros(rows.shape, dtype=bool)
+        for order in np.unique(c).tolist():
+            fixes[c == order] = np.isin(rows[c == order], _subgroup_array(modulus, order))
+        yield rows, fixes
 
 
 def subset_count(N: int, d: int) -> int:
@@ -334,27 +392,36 @@ def orbit_chunks(
     """All orbits of unordered d-subsets under the unit-group action, sorted
     by representative, as chunks (reps, c, leaders): the representatives as
     rows, the stabilizer order of each, and the mask of its block leaders.
-    Visits the sets whose smallest nonzero element is 1, at d <= N/2 only
-    those that meet the pairwise rule of the module docstring, in chunks of
-    at most _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries, so that a
-    chunk's memory is bounded at every d, and checks each chunk with
-    _check_chunk.  The budget, by default DEFAULT_MAX_SUBSETS, is counted in
-    subsets covered, C(N, d), and checked before the first chunk; after the
-    last, the orbit sizes (N-1)/c must sum to C(N, d)."""
+    At d <= N/2 it visits the sets whose smallest nonzero element is 1 that
+    meet the pairwise rule of the module docstring, in chunks of at most
+    _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries, so that a chunk's
+    memory is bounded at every d.  At N/2 < d < N it maps the (N-d)-orbits
+    across by complement (_complements), and at d = N it yields Z_N, as at
+    d = 1 it yields {0}, both with c = N-1.  Every other chunk is checked with
+    _check_chunk.  The budget, by default DEFAULT_MAX_SUBSETS, counts
+    max(C(N, d), N): the subsets covered, or at d = N the N entries of the
+    one row, since C(N, N) = 1.  It is checked before the first chunk.  It
+    also bounds what _complements sorts, N-d entries per orbit: about
+    C(N, d)(N-d)/(N-1) in all, under half of C(N, d).  After the last chunk
+    the orbit sizes (N-1)/c must sum to C(N, d)."""
     N = modulus.N
     check_dimension(N, d)
     budget = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
     total = subset_count(N, d)
-    check_budget(f"C({N},{d})", total, "subsets", budget)
+    # C(N, d) >= N for 1 <= d <= N-1; at d = N the one row is N entries wide
+    what, unit = (f"C({N},{d})", "subsets") if d < N else (f"the row Z_{N}", "entries")
+    check_budget(what, max(total, N), unit, budget)
 
-    covered = int(d == 1)
-    if d == 1:  # {0} has no nonzero element, so no block; every unit fixes it
-        yield np.zeros((1, 1), np.int64), np.array([N - 1]), np.zeros((1, 1), bool)
-    # x^-1 mod N by lookup; d = 1 runs no multiplier pass, so N may be large
-    inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
-    rows = min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // d))
-    for chunk in _candidate_chunks(N, d, rows, inverse):
-        reps, fixes = _scan_candidates(chunk, N, inverse)
+    covered = int(d in (1, N))
+    if d in (1, N):  # every unit fixes {0}, with no block, and Z_N, one led by 1
+        yield np.arange(d)[None], np.array([N - 1]), np.arange(d)[None] == 1
+    if 2 * d > N:
+        scanned = _complements(modulus, d, budget) if d < N else ()
+    else:  # x^-1 mod N by lookup; d = 1 runs no multiplier pass
+        inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
+        chunks = _candidate_chunks(N, d, inverse)
+        scanned = (_scan_candidates(chunk, N, inverse) for chunk in chunks)
+    for reps, fixes in scanned:
         if len(reps):
             c, leaders = _check_chunk(modulus, reps, fixes)
             covered += int(((N - 1) // c).sum())
@@ -364,4 +431,3 @@ def orbit_chunks(
         raise ContractViolationError(
             f"orbit sizes sum to {covered}, expected C({N},{d}) = {total}"
         )
-

@@ -38,6 +38,13 @@ interpreter's int-to-str limit; past either bound neither group of these
 two sets is reported.  The label pass over every t and a backtracking search
 with exact unitary reconstruction check all this in tests/oracles.py.  See
 also Vale & Waldron, "The symmetry group of a finite frame" (2010).
+
+Complements.  Z_N - S has the stabilizer of S (orbits.orbit_chunks
+enumerates d > N/2 that way) and gives the Naimark complement of the frame
+of S, which has the same symmetry group (Vale & Waldron).  So S and Z_N - S
+are reported with equal orders, with one exception: {0}, N copies of one
+vector, is reported with the trivial group, while its complement, the
+simplex, has all N! permutations.  That report is kept as it is.
 """
 
 from __future__ import annotations

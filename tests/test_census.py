@@ -144,6 +144,15 @@ def test_census_at_range_edge_is_fast():
     assert (totals[N - 1], totals[N]) == (2, 1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_census_of_complements_at_range_edge(d):
+    # m . (Z_N - S) = Z_N - m . S: the d-orbits and the (N-d)-orbits
+    # correspond, with equal stabilizers
+    N = 2**31 - 1
+    m = PrimeModulus(N)
+    assert full_census(m, d).gamma == full_census(m, N - d).gamma
+
+
 def test_alpha_equals_gamma():
     for N in (3, 5, 7, 11, 13):
         m = PrimeModulus(N)

@@ -281,6 +281,35 @@ def test_symmetry_at_range_edge(capsys, argv, want):
     assert elapsed < 1.0 and peak < 2**20
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_budget_counts_the_row_at_d_equal_N(capsys, command):
+    # C(N, N) = 1, but the one row Z_N holds N entries; refused before any
+    # table of size N is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--N", str(P), "--d", str(P))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == f"error: the row Z_{P} = {P} entries exceeds budget 10000000\n"
+    argv = [command, "--N", "13", "--d", "13", "--max-subsets"]
+    assert run(capsys, *argv, "13")[0] == 0
+    code, _, err = run(capsys, *argv, "12")
+    assert code == 3 and err == "error: the row Z_13 = 13 entries exceeds budget 12\n"
+    # above N/2 the refusal still names C(N, d) with the d asked for
+    code, _, err = run(capsys, command, "--N", "31", "--d", "24", "--max-subsets", "1000")
+    assert code == 3
+    assert err == "error: C(31,24) = 2629575 subsets exceeds budget 1000\n"
+
+
+@pytest.mark.parametrize("d", [1000002, 1000003])
+def test_verify_simplex_and_basis_at_large_N(capsys, d):
+    # d = N-1 maps the two 1-orbits across, and d = N is Z_N itself; each
+    # row of N entries is built and checked in O(N)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--N", "1000003", "--d", str(d))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and f"N=1000003 d={d} formula_total={1000004 - d} " in out
+
+
 @pytest.mark.parametrize("d", [616, P - 2, P - 1, P])
 def test_count_at_range_edge(capsys, d):
     # one binomial per divisor of gcd(N-1, d) or gcd(N-1, d-1)
@@ -331,7 +360,7 @@ def test_numbers_too_long_to_print_refused(capsys, limit, argv):
         (1999, range(1, 1999), "symmetry --N 1999 --gens {}"),  # the simplex
         (1999, (), "scan --N 1999 --d 1999"),
         (1999, (), "scan --N 1999 --d 1998"),
-        (20011, (), "scan --N 20011 --d 20011"),  # enumerating takes seconds
+        (20011, (), "scan --N 20011 --d 20011"),
         (1000003, (), "scan --N 1000003 --d 1000003"),
     ],
 )

@@ -23,7 +23,7 @@ from harmonic_census import (
     stabilizer,
     unit_subgroup,
 )
-from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _check_chunk
+from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _check_chunk, _lex_max
 
 import oracles
 from oracles import OrbitRecord, act, canonical_rep, enumerate_orbits
@@ -271,16 +271,19 @@ def test_dimension_message_is_shared(m7):
 
 
 def test_orbit_chunk_memory_is_bounded_at_large_d():
-    """At d = N-2 a chunk of _CHUNK_ROWS candidates would be N-2 entries
-    wide; the entry cap keeps the whole enumeration's peak under 100 MiB."""
-    tracemalloc.start()
-    try:
-        orbits = sum(len(reps) for reps, _, _ in orbit_chunks(PrimeModulus(251), 249))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert orbits == full_census(PrimeModulus(251), 249).total
-    assert peak < 100 << 20
+    """At d = N-2 a chunk of _CHUNK_ROWS rows would be N-2 entries wide; the
+    entry cap on the complement masks and on the images of the 2-orbits
+    keeps each whole enumeration's peak under 100 MiB.  4463 is the largest
+    prime the default budget admits at d = N-2."""
+    for N in (251, 4463):
+        tracemalloc.start()
+        try:
+            orbits = sum(len(reps) for reps, _, _ in orbit_chunks(PrimeModulus(N), N - 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert orbits == full_census(PrimeModulus(N), N - 2).total
+        assert peak < 100 << 20
 
 
 def test_orbit_chunk_memory_is_bounded_at_half_d():
@@ -349,9 +352,57 @@ def test_pruned_candidates_per_orbit(monkeypatch, N, d, visited, orbits):
     assert visited <= 2 * orbits < math.comb(N - 1, d - 1)
 
 
-def test_unpruned_candidates_above_half(monkeypatch):
-    """At d > N/2 every set whose smallest nonzero element is 1 is visited."""
-    assert _candidates_visited(monkeypatch, 13, 8) == (math.comb(12, 7), 109)
+def test_candidates_above_half_are_those_of_the_complement(monkeypatch):
+    """At d > N/2 the orbits are mapped from the (N-d)-orbits, so (13, 8)
+    visits exactly the pruned candidates of (13, 5), for the same 109
+    orbits."""
+    visited, orbits = _candidates_visited(monkeypatch, 13, 5)
+    assert _candidates_visited(monkeypatch, 13, 8) == (visited, orbits)
+    assert orbits == 109 and visited < math.comb(12, 4)
+
+
+@pytest.mark.parametrize("k", [10, 11])
+def test_lex_max_against_all_images(k):
+    """53^10 < 2^63 <= 53^11: an image of 10 values is one int64 key, one of
+    11 takes a key per value.  Against the max over all 52 units, which
+    never contains 1."""
+    rng = random.Random(k)
+    reps = np.array([sorted(rng.sample(range(53), k)) for _ in range(30)])
+    want = [
+        max(tuple(sorted(m * x % 53 for x in row)) for m in range(1, 53))
+        for row in reps.tolist()
+    ]
+    assert not any(1 in image for image in want)
+    assert list(map(tuple, _lex_max(reps, 53).tolist())) == want
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
+def test_complements_against_oracle(N):
+    """Every N/2 < d <= N: the rows and c of orbit_chunks, in order, are the
+    oracle's, and every chunk shares its head."""
+    m = PrimeModulus(N)
+    for d in range(N // 2 + 1, N + 1):
+        got = []
+        for reps, c, _ in orbit_chunks(m, d):
+            assert len({row[0] for row in reps.tolist()}) == 1
+            got += zip(map(tuple, reps.tolist()), c.tolist())
+        oracle = oracles.subset_orbit_census(N, d)
+        assert got == [(rep, oracle[rep][1]) for rep in sorted(oracle)]
+
+
+def test_complement_without_multiplier_search_exits_5(monkeypatch, capsys):
+    """A map that takes Z_N - T itself, with no search for the lex-max image
+    of T, gives rows without 1, so none of their elements is marked fixed;
+    _check_chunk refuses the order 0 and verify answers nothing."""
+    import harmonic_census.orbits as orbits_mod
+    from harmonic_census import cli
+
+    monkeypatch.setattr(orbits_mod, "_lex_max", lambda reps, N: reps)
+    code = cli.main(["verify", "--N", "13", "--d", "9"])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal contract violated: stabilizer order 0 of")
 
 
 def test_rule_that_drops_a_representative_exits_5(monkeypatch, capsys):
@@ -538,7 +589,7 @@ def test_enumerate_chunk_size_invariant(m13, monkeypatch, capsys):
 
     def cli_outputs():
         out = {}
-        for N, d in ((13, 1), (13, 6), (13, 13), (17, 8), (19, 7), (2, 1)):
+        for N, d in ((13, 1), (13, 6), (13, 13), (17, 8), (19, 7), (19, 12), (2, 1)):
             for cmd in ("enumerate", "verify", "scan"):
                 for fmt in ("json", "csv", "table"):
                     code = cli.main([cmd, "--N", str(N), "--d", str(d), "--format", fmt])
