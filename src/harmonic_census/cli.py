@@ -6,7 +6,11 @@ Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
 in full, reported on one stderr line; help text goes through the same
 check), 3 a budget exceeded, 4 symmetry-conjecture counterexample
 discovered (notable, not fatal), 5 internal contract violated (a library
-bug, reported on one stderr line).
+bug, reported on one stderr line).  stdout is complete only on exits 0, 1
+and 4: enumerate writes each checked chunk's lines as it goes, so a
+contract failure found after the last chunk leaves earlier lines written.
+--out writes a temporary file beside the path and renames it over the path
+only on success.
 
 All output is UTF-8 with newline-terminated records, and identical
 invocations produce byte-identical output.
@@ -21,7 +25,8 @@ too long to print, one with more digits than the interpreter's int-to-str
 limit: C(N, d) for count, enumerate, verify and scan, or an N!.
 
 enumerate, verify and scan read the orbits as the checked numpy chunks of
-orbits.orbit_chunks and build no per-orbit object: scan takes each row's
+orbits.orbit_chunks and build no per-orbit object: enumerate renders each
+chunk's lines in numpy (_enumerate_blocks); scan takes each row's
 stabilizer order c from its chunk, and both group orders are N*c but for the
 sets that symmetry.exceptional_orders names.
 """
@@ -31,10 +36,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-from itertools import compress
+from itertools import chain
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,9 +60,9 @@ from .orbits import (
     KIND_BLOCKS,
     KIND_ZERO_BLOCKS,
     GeneratorSet,
+    _subgroup_array,
     orbit_chunks,
     subset_count,
-    unit_subgroup,
 )
 from .symmetry import exceptional_orders, full_symmetry_group
 
@@ -68,6 +74,10 @@ EXIT_COUNTEREXAMPLE = 4
 EXIT_CONTRACT = 5
 
 _JSON_SAFE_BOUND = 2**53
+# enumerate renders blocks of rows whose byte matrix holds about this many
+# bytes; 1 MiB blocks were no faster and left a higher peak RSS over a long
+# run of small commands
+_BLOCK_BYTES = 1 << 16
 
 
 def _json_int(v: int):
@@ -95,23 +105,35 @@ def _table(head: tuple, widths: tuple, rows) -> list[str]:
     return [line.format(*row) for row in [head, *rows]]
 
 
-def _emit(payload: list[str] | bytes, path: str | None) -> None:
-    """Write a command's output lines, or its exported bytes, to stdout or
-    to path; a stream or path that cannot take them all is a usage error.
-    stdout may store only part of a write once a pipe's reader has gone, so
-    it is written until all is out.  On failure its descriptor is pointed at
-    os.devnull, so the interpreter's flush at exit has nothing left to fail
-    on (the SIGPIPE note in the signal module docs)."""
+def _emit(payload: list[str] | bytes | Iterator, path: str | None) -> None:
+    """Write a command's output to stdout or to path: its lines, its
+    exported bytes, or an iterator of bytes-like blocks, each written as it
+    comes.  A stream or path that cannot take them all is a usage error.
+    The first block is made before path is opened, so a command's own errors
+    come first.  path is written through a temporary file beside it, renamed
+    over it on success, so a run that fails leaves no file there; a path
+    that exists and is not a regular file (a device or a pipe) is written
+    directly.  stdout may store only part of a write once a pipe's reader
+    has gone, so each block is written until all is out.  On failure its
+    descriptor is pointed at os.devnull, so the interpreter's flush at exit
+    has nothing left to fail on (the SIGPIPE note in the signal module
+    docs)."""
     if isinstance(payload, list):
         payload = ("\n".join(payload) + "\n").encode("utf-8")
+    if isinstance(payload, bytes):
+        blocks = (payload,)
+    else:  # the first block is made before path is opened
+        blocks = iter(payload)
+        blocks = chain((next(blocks, b""),), blocks)
     try:
         if path is not None:
-            with open(path, "wb") as fh:
-                fh.write(payload)
+            _write_file(path, blocks)
             return
-        out, view = sys.stdout.buffer, memoryview(payload)
-        while view:
-            view = view[out.write(view) :]
+        out = sys.stdout.buffer
+        for block in blocks:
+            view = memoryview(block)
+            while view:
+                view = view[out.write(view) :]
         out.flush()
     except OSError as exc:
         if path is None:  # an in-memory stdout has no descriptor
@@ -119,6 +141,26 @@ def _emit(payload: list[str] | bytes, path: str | None) -> None:
                 os.dup2(null.fileno(), sys.stdout.fileno())
         where = "stdout" if path is None else path
         raise DomainError(f"cannot write {where}: {exc.strerror or exc}") from exc
+
+
+def _write_file(path: str, blocks: Iterable) -> None:
+    """Write the blocks to a temporary file beside path's target (a symlink
+    is followed) and rename it over the target, removing it on any failure;
+    a target that exists and is not a regular file is written directly."""
+    real = os.path.realpath(path)
+    direct = os.path.exists(real) and not os.path.isfile(real)
+    tmp = path if direct else f"{real}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for block in blocks:
+                fh.write(block)
+        if not direct:
+            os.replace(tmp, real)
+    except BaseException:
+        if not direct:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,9 +186,10 @@ def _checked_modulus(args: argparse.Namespace) -> PrimeModulus:
 
 # -- commands ----------------------------------------------------------------
 # Each takes the parsed arguments and the checked modulus and returns its
-# output, as lines or as exported bytes, with the exit code.
+# output, as lines, as exported bytes or as byte blocks made as they are
+# written, with the exit code.
 
-Output = tuple[list[str] | bytes, int]
+Output = tuple[list[str] | bytes | Iterator[np.ndarray | bytes], int]
 
 
 def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
@@ -178,47 +221,129 @@ def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     return lines, EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
-    """One line per orbit, joined from texts: the representative, then a
-    fragment that depends only on c and the kind (memoized), then the block
-    leaders.  At c = 1 the leaders are the nonzero elements."""
-    N, d, fmt = modulus.N, args.d, args.output_format
+def _digit_table(N: int, sep: str) -> np.ndarray:
+    """One row of uint8 cells per residue 0..N-1: the separator byte, then
+    its decimal digits, left-padded with 0 bytes, which no output text
+    holds, so a rendered block drops every 0 byte.  Built one digit column
+    at a time from int32 values; the residues below 10^k are a prefix, so
+    the padding is cleared by slices."""
+    width = len(str(N - 1))
+    table = np.zeros((N, width + 1), dtype=np.uint8)
+    table[:, 0] = ord(sep)
+    values = np.arange(N, dtype=np.int32)  # N < 2^31
+    for k in range(width, 0, -1):
+        table[:, k] = values % 10 + ord("0")
+        values //= 10
+    for k in range(1, width):
+        table[: 10 ** (width - k), k] = 0
+    return table
+
+
+def _group(table: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
+    """The values as text through the digit table, separated, in pieces of
+    about _BLOCK_BYTES: the separator in front of the first is cleared."""
+    step = max(1, _BLOCK_BYTES // table.shape[1])
+    for lo in range(0, len(values), step):
+        cells = table[values[lo : lo + step]]
+        if lo == 0:
+            cells[0, 0] = 0
+        yield cells[cells != 0]
+
+
+def _enumerate_blocks(
+    modulus: PrimeModulus, d: int, fmt: str, budget: int
+) -> Iterator[np.ndarray | bytes]:
+    """enumerate's lines as byte blocks, made per checked chunk of
+    orbit_chunks, so the lines of every chunk checked so far are written
+    before the next is scanned.  A line is a head, the representative, a
+    middle text that depends only on c and the kind, the block leaders (at
+    c = 1 the nonzero elements) and a tail.  Each block of rows is one
+    (rows, width) uint8 matrix, with no loop over orbits: the head, the
+    digit-table cells of the representative, the middle (one padded row per
+    c in the chunk), the cells masked by the leaders and the tail, written
+    without its 0 bytes.  The block holds about _BLOCK_BYTES; a row wider
+    than that is written alone, in pieces."""
+    N = modulus.N
     sep = "|" if fmt == "csv" else ","
     head, tail = {
-        "json": (f'{{"N":{N},"d":{d},"generators":[', "]}}"),
-        "csv": ("", ""),
-        "table": ("rep=[", "]"),
+        "json": (f'{{"N":{N},"d":{d},"generators":[', "]}}\n"),
+        "csv": ("", "\n"),
+        "table": ("rep=[", "]\n"),
     }[fmt]
+    head, tail = head.encode(), tail.encode()
+    head_row, tail_row = np.frombuffer(head, np.uint8), np.frombuffer(tail, np.uint8)
 
-    def middle(c: int, kind: str) -> str:
-        size, stab = (N - 1) // c, _join(unit_subgroup(modulus, c), sep)
+    def middle(c: int, zero: int) -> tuple[bytes, bytes]:
+        """The text before and after the stabilizer list."""
+        size, kind = (N - 1) // c, KIND_ZERO_BLOCKS if zero else KIND_BLOCKS
         if fmt == "json":
-            return (
-                f'],"size":{size},"stab_order":{c},"stabilizer":[{stab}],'
-                f'"structured_form":{{"kind":"{kind}","c":{c},"block_leaders":['
-            )
-        if fmt == "csv":
-            return f",{size},{c},{stab},{kind},"
-        return f"] size={size} c={c} stabilizer=[{stab}] kind={kind} leaders=["
+            pre = f'],"size":{size},"stab_order":{c},"stabilizer":['
+            post = f'],"structured_form":{{"kind":"{kind}","c":{c},"block_leaders":['
+        elif fmt == "csv":
+            pre, post = f",{size},{c},", f",{kind},"
+        else:
+            pre, post = f"] size={size} c={c} stabilizer=[", f"] kind={kind} leaders=["
+        return pre.encode(), post.encode()
 
-    lines = []
-    if fmt == "csv":
-        lines.append("generators,size,stab_order,stabilizer,kind,block_leaders")
-    middles: dict[tuple[int, str], str] = {}
-    for reps, c, leaders in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
-        zero = reps[0, 0] == 0  # one head per chunk
-        kind = KIND_ZERO_BLOCKS if zero else KIND_BLOCKS
-        skip = 2 if zero else 0  # the text "0" and its separator
-        for i, (row, order) in enumerate(zip(reps.tolist(), c.tolist())):
-            gens = _join(row, sep)
-            if (order, kind) not in middles:
-                middles[order, kind] = middle(order, kind)
-            if order == 1:
-                lead = gens[skip:]
-            else:
-                lead = _join(compress(row, leaders[i].tolist()), sep)
-            lines.append(head + gens + middles[order, kind] + lead + tail)
-    return lines, EXIT_OK
+    table, layouts = None, {}
+    for reps, c, leaders in orbit_chunks(modulus, d, max_subsets=budget):
+        if table is None:  # only once the budget, which bounds N, is checked
+            table = _digit_table(N, sep)
+            if fmt == "csv":
+                yield b"generators,size,stab_order,stabilizer,kind,block_leaders\n"
+        zero = int(reps[0, 0] == 0)  # one head per chunk
+        # c = N-1 is the one row of its chunk; bincount would take N bins
+        orders = (np.flatnonzero(np.bincount(c)) if len(c) > 1 else c).tolist()
+        if table.shape[1] * (2 * d + orders[-1]) > _BLOCK_BYTES:
+            for row, order, lead in zip(reps, c.tolist(), leaders):
+                pre, post = middle(order, zero)
+                H = _subgroup_array(modulus, order)
+                yield from chain(
+                    (head,), _group(table, row), (pre,), _group(table, H),
+                    (post,), _group(table, row[lead]), (tail,),
+                )
+            continue
+        key = (zero, *orders)
+        if key not in layouts:
+            texts = []
+            for order in orders:
+                pre, post = middle(order, zero)
+                H = _subgroup_array(modulus, order)
+                texts.append(b"".join((pre, *_group(table, H), post)))
+            width = max(map(len, texts))
+            padded = b"".join(text.ljust(width, b"\0") for text in texts)
+            middles = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), -1)
+            layouts[key] = np.array(orders), middles
+        orders, middles = layouts[key]
+        at = np.searchsorted(orders, c)
+        # the columns: head | representative | middle | leaders | tail
+        w = table.shape[1]
+        rep_at, mid_at = len(head), len(head) + d * w
+        lead_at = mid_at + middles.shape[1]
+        tail_at = lead_at + d * w
+        step = max(1, _BLOCK_BYTES // (tail_at + len(tail)))
+        for lo in range(0, len(reps), step):
+            cells = table[reps[lo : lo + step]]
+            n = len(cells)
+            block = np.empty((n, tail_at + len(tail)), dtype=np.uint8)
+            block[:, :rep_at] = head_row
+            block[:, rep_at:mid_at] = cells.reshape(n, -1)
+            block[:, mid_at:lead_at] = middles[at[lo : lo + step]]
+            block[:, lead_at:tail_at] = (cells * leaders[lo : lo + step, :, None]).reshape(n, -1)
+            block[:, tail_at:] = tail_row
+            # no separator before the first element, nor before the first
+            # leader: 1, in column 1 after a 0, and none in {0}
+            block[:, rep_at] = 0
+            if d > zero:
+                block[:, lead_at + zero * w] = 0
+            yield block[block != 0]
+
+
+def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    """One line per orbit, as byte blocks that _emit writes as they come
+    (_enumerate_blocks)."""
+    blocks = _enumerate_blocks(modulus, args.d, args.output_format, args.max_subsets)
+    return blocks, EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:

@@ -23,6 +23,8 @@ exponents, Gram labels, which the tests check against t . S, and the exact
 cyclotomic coefficient helpers).  Harnesses also drive the library over
 every orbit: enumerate_orbits lists the chunks of orbits.orbit_chunks as
 one record per orbit, for the tests that check orbits one at a time;
+enumerate_text formats those chunks as the `enumerate` command's output,
+one orbit at a time in Python, against the CLI's numpy rendering;
 growth_ratio sets the library's orbit count against its leading-order
 term; and are_equivalent runs on all pairs of sets, tallied against the
 angle multisets.
@@ -417,6 +419,54 @@ def enumerate_orbits(
             leaders = tuple(row[skip:] if order == 1 else compress(row, masks[i].tolist()))
             records.append(OrbitRecord(rep, (N - 1) // order, order, stab, leaders))
     return records
+
+
+def enumerate_text(N: int, d: int, fmt: str, chunks) -> str:
+    """The output of `enumerate` for the chunks of orbits.orbit_chunks,
+    formatted one orbit at a time in Python: each line joined from texts,
+    the representative, then a fragment that depends only on c and the kind
+    (memoized), then the block leaders, which at c = 1 are the nonzero
+    elements."""
+    modulus = PrimeModulus(N)
+    sep = "|" if fmt == "csv" else ","
+    head, tail = {
+        "json": (f'{{"N":{N},"d":{d},"generators":[', "]}}"),
+        "csv": ("", ""),
+        "table": ("rep=[", "]"),
+    }[fmt]
+
+    def join(xs) -> str:
+        return sep.join(map(str, xs))
+
+    def middle(c: int, kind: str) -> str:
+        size, stab = (N - 1) // c, join(unit_subgroup(modulus, c))
+        if fmt == "json":
+            return (
+                f'],"size":{size},"stab_order":{c},"stabilizer":[{stab}],'
+                f'"structured_form":{{"kind":"{kind}","c":{c},"block_leaders":['
+            )
+        if fmt == "csv":
+            return f",{size},{c},{stab},{kind},"
+        return f"] size={size} c={c} stabilizer=[{stab}] kind={kind} leaders=["
+
+    lines = []
+    if fmt == "csv":
+        lines.append("generators,size,stab_order,stabilizer,kind,block_leaders")
+    middles: dict[tuple[int, str], str] = {}
+    for reps, c, leaders in chunks:
+        zero = reps[0, 0] == 0  # one head per chunk
+        kind = KIND_ZERO_BLOCKS if zero else KIND_BLOCKS
+        skip = 2 if zero else 0  # the text "0" and its separator
+        for i, (row, order) in enumerate(zip(reps.tolist(), c.tolist())):
+            gens = join(row)
+            if (order, kind) not in middles:
+                middles[order, kind] = middle(order, kind)
+            if order == 1:
+                lead = gens[skip:]
+            else:
+                lead = join(compress(row, leaders[i].tolist()))
+            lines.append(head + gens + middles[order, kind] + lead + tail)
+    return "\n".join(lines) + "\n"
 
 
 # -- equivalence across all orbits -------------------------------------------

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -95,8 +96,8 @@ def test_enumerate_records(capsys):
 
 
 def test_enumerate_json_lines_against_oracle_records(capsys):
-    # each line is joined from texts; it must be the compact json.dumps of
-    # the record, here built from the brute-force orbit census
+    # each line is rendered from digit cells; it must be the compact
+    # json.dumps of the record, here built from the brute-force orbit census
     for N in (2, 3, 5, 7, 11, 13):
         for d in range(1, N + 1):
             code, out, _ = run(
@@ -120,6 +121,26 @@ def test_enumerate_json_lines_against_oracle_records(capsys):
                 }
                 want.append(json.dumps(record, separators=(",", ":")))
             assert code == 0 and out.splitlines() == want
+
+
+FORMATTER_CASES = [
+    (N, d)
+    for N in oracles.primes_up_to(31)
+    for d in range(1, N + 1)
+    if math.comb(N, d) <= 10**5
+] + [(29, 6), (31, 7), (23, 12), (101, 2), (1009, 2)]
+
+
+@pytest.mark.parametrize("N,d", FORMATTER_CASES)
+def test_enumerate_matches_per_orbit_formatter(capsys, monkeypatch, N, d):
+    # the numpy rendering against the per-orbit Python formatter, byte for
+    # byte, on the same chunks; (101, 2) and (1009, 2) cross 1 to 4 digits
+    chunks = list(orbits.orbit_chunks(number_theory.PrimeModulus(N), d))
+    monkeypatch.setattr(cli, "orbit_chunks", lambda *args, **kw: iter(chunks))
+    for fmt in ("json", "csv", "table"):
+        code, out, err = run(capsys, "enumerate", "--N", str(N), "--d", str(d), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == oracles.enumerate_text(N, d, fmt, chunks)
 
 
 @pytest.mark.parametrize(
@@ -646,6 +667,53 @@ def test_wrong_primitive_root_never_answers_silently(capsys, monkeypatch):
     # h = 2^(6/3) = 4 does generate the order-3 subgroup, and the generator
     # check accepts it
     assert run(capsys, "symmetry", "--N", "7", "--gens", "1,2,4") == want
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_late_contract_failure_after_written_blocks(capsys, monkeypatch, tmp_path, to_file):
+    # the orbit-size sum is checked after the last chunk, so a failure there
+    # comes after every chunk's block was written to stdout: exit 5, one
+    # stderr line.  --out renames its temporary file only on success, so no
+    # file is left at the target and none beside it
+    argv = ["enumerate", "--N", "13", "--d", "6", "--format", "json"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and want.count("\n") == 146
+    monkeypatch.setattr(orbits, "_CHUNK_ROWS", 64)  # 338 candidates, six chunks
+    real = orbits.subset_count
+    monkeypatch.setattr(orbits, "subset_count", lambda N, d: real(N, d) + 1)
+    target = tmp_path / "orbits.json"
+    code, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert code == 5
+    assert err == (
+        "error: internal contract violated: orbit sizes sum to 1716, "
+        "expected C(13,6) = 1717\n"
+    )
+    assert out == ("" if to_file else want)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_file_replaced_only_on_success(tmp_path, capsys, monkeypatch):
+    # --out replaces an existing file once the run succeeds; a run that
+    # fails leaves it as it was, with no temporary file beside it
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    argv = ["enumerate", "--N", "7", "--d", "3"]
+    want = run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == want
+    monkeypatch.setattr(orbits, "find_primitive_root", lambda modulus: 2)
+    code, out, err = run(capsys, "enumerate", "--N", "7", "--d", "4", "--out", str(target))
+    assert (code, out) == (5, "") and err.count("\n") == 1
+    assert target.read_text() == want
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_output_to_a_device_is_written_directly(capsys):
+    # a path that is not a regular file is opened as it is, never replaced
+    code, out, err = run(capsys, "enumerate", "--N", "7", "--d", "3", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+    assert not os.path.isfile(os.devnull)
 
 
 def test_big_integers_as_strings(capsys):

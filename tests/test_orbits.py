@@ -597,10 +597,20 @@ def test_enumerate_chunk_size_invariant(m13, monkeypatch, capsys):
         return out
 
     base, base_out = enumerate_orbits(m13, 6), cli_outputs()
-    # entry caps of 40 and 1 leave 40 // d rows and the floor of one row
-    for rows, entries in ((1, 1 << 20), (64, 1 << 20), (1 << 16, 40), (1 << 16, 1)):
+    # entry caps of 40 and 1 leave 40 // d rows and the floor of one row.
+    # enumerate renders blocks of about cli._BLOCK_BYTES: at 1 each row is
+    # written in pieces of one cell, at 64 each row alone (in pieces when it
+    # is wider) and at 1000 a few rows per block
+    for rows, entries, block in (
+        (1, 1 << 20, 1 << 20),
+        (64, 1 << 20, 1000),
+        (1 << 16, 40, 64),
+        (1 << 16, 1, 1),
+        (1 << 16, 1 << 20, 1000),
+    ):
         monkeypatch.setattr(orbits_mod, "_CHUNK_ROWS", rows)
         monkeypatch.setattr(orbits_mod, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
         assert enumerate_orbits(m13, 6) == base
         assert cli_outputs() == base_out
 
