@@ -28,7 +28,9 @@ enumerate, verify and scan read the orbits as the checked numpy chunks of
 orbits.orbit_chunks and build no per-orbit object: enumerate renders each
 chunk's lines in numpy (_enumerate_blocks); scan takes each row's
 stabilizer order c from its chunk, and both group orders are N*c but for the
-sets that symmetry.exceptional_orders names.
+sets that symmetry.exceptional_orders names.  numpy, `orbits` and `frames`
+are imported inside the functions that use them, so count, equivalent and
+symmetry run without loading numpy.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ from itertools import chain
 import json
 import os
 import sys
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .census import full_census
 from .equivalence import are_equivalent
@@ -53,18 +53,11 @@ from .errors import (
     ModulusMismatchError,
     check_budget,
 )
-from .frames import build_frame, export_frame
-from .number_theory import PrimeModulus
-from .orbits import (
-    DEFAULT_MAX_SUBSETS,
-    KIND_BLOCKS,
-    KIND_ZERO_BLOCKS,
-    GeneratorSet,
-    _subgroup_array,
-    orbit_chunks,
-    subset_count,
-)
+from .number_theory import DEFAULT_MAX_SUBSETS, GeneratorSet, PrimeModulus, subset_count
 from .symmetry import exceptional_orders, full_symmetry_group
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -186,10 +179,10 @@ def _checked_modulus(args: argparse.Namespace) -> PrimeModulus:
 
 # -- commands ----------------------------------------------------------------
 # Each takes the parsed arguments and the checked modulus and returns its
-# output, as lines, as exported bytes or as byte blocks made as they are
-# written, with the exit code.
+# output, as lines, as exported bytes or as bytes-like blocks made as they
+# are written, with the exit code.
 
-Output = tuple[list[str] | bytes | Iterator[np.ndarray | bytes], int]
+Output = tuple[list[str] | bytes | Iterator, int]
 
 
 def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
@@ -227,6 +220,8 @@ def _digit_table(N: int, sep: str) -> np.ndarray:
     holds, so a rendered block drops every 0 byte.  Built one digit column
     at a time from int32 values; the residues below 10^k are a prefix, so
     the padding is cleared by slices."""
+    import numpy as np
+
     width = len(str(N - 1))
     table = np.zeros((N, width + 1), dtype=np.uint8)
     table[:, 0] = ord(sep)
@@ -263,6 +258,10 @@ def _enumerate_blocks(
     c in the chunk), the cells masked by the leaders and the tail, written
     without its 0 bytes.  The block holds about _BLOCK_BYTES; a row wider
     than that is written alone, in pieces."""
+    import numpy as np
+
+    from .orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _subgroup_array, orbit_chunks
+
     N = modulus.N
     sep = "|" if fmt == "csv" else ","
     head, tail = {
@@ -347,6 +346,10 @@ def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 
 
 def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    import numpy as np
+
+    from .orbits import orbit_chunks
+
     N, d = modulus.N, args.d
     hist: dict[int, int] = {}
     for _, c, _ in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
@@ -384,6 +387,8 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 
 
 def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    from .frames import build_frame, export_frame
+
     if not args.gens:
         raise DomainError("frame requires --gens")
     s = GeneratorSet(modulus, args.gens)
@@ -465,6 +470,8 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     or the basis is refused there (exit 3), after an enumeration that costs
     O(N) at d >= N-1.  A row whose full group is larger is a counterexample,
     listed and never suppressed (exit 4)."""
+    from .orbits import orbit_chunks
+
     N, d = modulus.N, args.d
     rows = []
     for reps, c, _ in orbit_chunks(modulus, d, max_subsets=args.max_subsets):

@@ -3,16 +3,16 @@
 Two frames are unitarily equivalent exactly when their generator sets lie in
 the same orbit of the unit-group action, that is when some unit maps one set
 onto the other, so the decision procedure is one multiplier search,
-`orbits.multipliers`, over at most d candidates.  A set against itself needs
-no search: 1 is the smallest unit fixing any set, so its witness is m0 = 1
-with the identity permutation, at a cost that does not grow with N, where
-the search lists all N-1 units for {0}, the simplex and the basis.  For
-equivalent pairs a constructive witness is produced: a column re-indexing
-m -> m * m0, m0 the smallest such unit, together with a coordinate
-permutation of the d slots, whose application to one frame reproduces the
-other entrywise.  Entry (k, m) of a frame is w^(m n_k), so that identity
-holds for every column m iff it holds at m = 1, on the d generators:
-m0 * b[perm[k]] = a[k] mod N.  That holds by construction, since
+`number_theory.multipliers`, over at most d candidates.  A set against
+itself needs no search: 1 is the smallest unit fixing any set, so its
+witness is m0 = 1 with the identity permutation, at a cost that does not
+grow with N, where the search lists all N-1 units for {0}, the simplex and
+the basis.  For equivalent pairs a constructive witness is produced: a
+column re-indexing m -> m * m0, m0 the smallest such unit, together with a
+coordinate permutation of the d slots, whose application to one frame
+reproduces the other entrywise.  Entry (k, m) of a frame is w^(m n_k), so
+that identity holds for every column m iff it holds at m = 1, on the d
+generators: m0 * b[perm[k]] = a[k] mod N.  That holds by construction, since
 `multipliers` checked m0 . b = a exactly (or a = b and m0 = 1) and perm[k]
 is the slot of a[k] * m0^-1 in b, and no frame matrix is built.
 The tests check the identity entrywise on both d x N frame matrices, with
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ModulusMismatchError
-from .orbits import GeneratorSet, multipliers
+from .number_theory import GeneratorSet, multipliers
 
 CERT_ORBIT_MISMATCH = "orbit-mismatch"
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicInt, exponent_counts
 from .errors import ContractViolationError, DomainError
-from .orbits import GeneratorSet
+from .number_theory import GeneratorSet
 
 NORMALIZATION_TAG = "1/sqrt(d)"
 

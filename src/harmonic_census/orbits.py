@@ -1,13 +1,16 @@
-"""The unit-group action on unordered d-subsets of Z_N.
+"""Enumeration, in numpy, of the orbits of the unit-group action on
+unordered d-subsets of Z_N.
 
-A generator set is an unordered d-subset [n_1, ..., n_d] of Z_N, stored as a
-strictly increasing tuple.  The unit group Z_N^x acts by coordinatewise
-multiplication, m . [n] = [m n_1, ..., m n_d], and the orbits of this action
-are exactly the unitary-equivalence classes of the frames built in
-`frames`.  Each orbit has size (N-1)/c where c is the order of the
-stabilizer, c divides d or d-1, and the stabilized sets decompose into
-multiplicative cosets of the order-c subgroup of units (an optional 0 rides
-along untouched).
+The action itself is in `number_theory`, in plain ints: the generator sets
+(a d-subset [n_1, ..., n_d] of Z_N, acted on by m . [n] = [m n_1, ...,
+m n_d]), the units mapping one set onto another, the order-c unit subgroup
+and the count C(N, d).  The orbits are exactly the unitary-equivalence
+classes of the frames built in `frames`.  Each orbit has size (N-1)/c where
+c is the order of the stabilizer, c divides d or d-1, and the stabilized
+sets decompose into multiplicative cosets of the order-c subgroup of units
+(an optional 0 rides along untouched).  numpy is imported here and in
+`frames` and `cyclotomic`, and the CLI loads this module only for
+enumerate, verify and scan.
 
 Orbit enumeration rests on two lemmas.  For any nonzero x in a set S the
 image x^-1 . S contains 1, so the lexicographically smallest member of an
@@ -40,8 +43,10 @@ Naimark complement of the frame of S.)  Among sets of one size complement
 reverses lex order, as the smallest element of the symmetric difference
 lies in the smaller set; so the representative of the d-orbit of Z_N - T
 is Z_N - L, with L the lex-max image m . T.  The (N-d)-orbits T are
-enumerated as above, each mapped across by trying all N-1 units, and the L
-are sorted descending.
+enumerated as above and each mapped across.  L never contains 1 (_lex_max),
+and m . T contains 1 exactly when m^-1 lies in T, so only the N-1-k units m
+with m^-1 outside T are tried, k the number of nonzero elements of T, in
+place of all N-1.  The L are sorted descending.
 
 orbit_chunks yields the orbits as numpy chunks: the representatives, the
 stabilizer order c of each and the mask of its block leaders.  Each chunk
@@ -55,23 +60,18 @@ and build no per-orbit object.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    DomainError,
-    ModulusMismatchError,
-    check_budget,
-    check_dimension,
-    check_printable,
+from .errors import ContractViolationError, check_budget, check_dimension
+from .number_theory import (
+    DEFAULT_MAX_SUBSETS,
+    GeneratorSet,  # noqa: F401 -- benchmarks/run.py reads orbits.GeneratorSet
+    PrimeModulus,
+    subset_count,
+    unit_subgroup,
 )
-from .number_theory import PrimeModulus, find_primitive_root
-
-DEFAULT_MAX_SUBSETS = 10**7
 
 # a chunk holds at most _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries,
 # 8 MiB per int64 array; the row cap alone binds for d <= 16
@@ -79,79 +79,11 @@ _CHUNK_ROWS = 1 << 16
 _CHUNK_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """An unordered d-subset of Z_N, held sorted ascending.
-
-    Input elements are integers (numpy's too, stored as int), reduced mod N,
-    and must be distinct after reduction.
-    """
-
-    modulus: PrimeModulus
-    elems: tuple[int, ...]
-
-    def __post_init__(self):
-        N = self.modulus.N
-        try:
-            reduced = tuple(sorted(operator.index(e) % N for e in self.elems))
-        except TypeError as exc:
-            raise DomainError(f"generator elements must be integers: {self.elems}") from exc
-        if len(set(reduced)) != len(reduced):
-            raise DomainError(f"generator elements not distinct mod {N}: {self.elems}")
-        check_dimension(N, len(reduced))
-        object.__setattr__(self, "elems", reduced)
-
-    @property
-    def d(self) -> int:
-        return len(self.elems)
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __repr__(self) -> str:
-        return f"GeneratorSet(N={self.modulus.N}, {list(self.elems)})"
-
-
-def multipliers(a: GeneratorSet, b: GeneratorSet) -> tuple[int, ...]:
-    """All units m with m . b = a as sets, sorted; empty when there are none.
-    Such an m maps the smallest nonzero y0 of b to some nonzero x of a, so
-    only the at most d multipliers x y0^-1 are tried, with one modular
-    inverse.  Every unit fixes a set whose nonzero part is empty or all of
-    Z_N^x ({0}, the simplex and the basis), sets of different sizes have no
-    such m, and sets over different moduli raise ModulusMismatchError."""
-    N = a.modulus.N
-    if b.modulus.N != N:
-        raise ModulusMismatchError(f"mixed moduli {N} and {b.modulus.N}")
-    nonzero = b.elems[1:] if b.elems[0] == 0 else b.elems
-    if len(nonzero) in (0, N - 1) or a.d != b.d:
-        return tuple(range(1, N)) if a.elems == b.elems else ()
-    target = set(a.elems)
-    y0_inv = pow(nonzero[0], -1, N)
-    candidates = sorted(x * y0_inv % N for x in a.elems if x)
-    return tuple(m for m in candidates if all(m * y % N in target for y in b.elems))
-
-
-def stabilizer(s: GeneratorSet) -> tuple[int, ...]:
-    """All units fixing s as a set, sorted; always contains 1."""
-    return multipliers(s, s)
-
-
 # the block form of a representative: its nonzero elements are the cosets
 # x H of its stabilizer H, one per block leader x (the smallest element of
 # its coset), and 0 rides along in the second kind
 KIND_BLOCKS = "blocks_divide_d"
 KIND_ZERO_BLOCKS = "zero_plus_blocks_divide_d_minus_1"
-
-
-def unit_subgroup(modulus: PrimeModulus, c: int) -> tuple[int, ...]:
-    """The unique subgroup of Z_N^x of order c (requires c | N-1), sorted."""
-    N = modulus.N
-    if c < 1 or (N - 1) % c != 0:
-        raise DomainError(f"no subgroup of order {c} in a group of order {N - 1}")
-    if c == N - 1:
-        return tuple(range(1, N))  # all of Z_N^x
-    h = pow(find_primitive_root(modulus), (N - 1) // c, N)
-    return tuple(sorted(pow(h, j, N) for j in range(c)))
 
 
 def _subgroup_array(modulus: PrimeModulus, c: int) -> np.ndarray:
@@ -324,20 +256,46 @@ def _check_chunk(
     return c, leaders
 
 
+def _inverse(x: np.ndarray, N: int) -> np.ndarray:
+    """x^-1 mod N for units x, as x^(N-2) by repeated squaring.  Every
+    product is below N^2, which x's dtype must hold."""
+    out, e = np.ones_like(x), N - 2
+    while e:
+        if e & 1:
+            out = out * x % N
+        x, e = x * x % N, e >> 1
+    return out
+
+
 def _lex_max(reps: np.ndarray, N: int) -> np.ndarray:
     """For each row T, the tuple-lex-max of its images m . T, sorted.  T has
     fewer than N-1 nonzero elements, so some image does not contain 1, and
     it beats every image that does at their first nonzero entry: the max
-    never contains 1.  Each image is one int64 key in lex order when its k
-    values below N fit one, and one key per value when not; the max is
-    found key by key among the images that tie so far.  The rows are taken
-    in blocks whose images hold at most _CHUNK_ENTRIES entries, or one
-    row's."""
-    q = reps.shape[1] if N ** reps.shape[1] < 1 << 63 else 1  # values per key
-    best, units = np.empty_like(reps), np.arange(1, N)[:, None]
-    rows = max(1, _CHUNK_ENTRIES // (N * reps.shape[1]))
+    never contains 1.  m . T contains 1 iff m^-1 lies in T, so the N-1-k
+    units m with m^-1 not among the last k entries of T are tried, where k
+    is the fewest nonzero entries of any row.  The rows of a chunk share
+    their head, so every row has k nonzero entries and only the units that
+    can win are tried; a row with one more also tries one unit whose image
+    contains 1.  The images are computed in int32 when every product
+    m x < N^2 fits one, which takes about a third less time than int64.
+    Each image is one int64 key in lex order when its values below N fit
+    one, and one key per value when not; the max is found key by key among
+    the images that tie so far.  The rows are taken in blocks whose masks
+    over Z_N and images hold at most _CHUNK_ENTRIES entries, or one row's."""
+    width = reps.shape[1]
+    k = width - int((reps[:, 0] == 0).any())  # only the first entry can be 0
+    q = width if N**width < 1 << 63 else 1  # values per key
+    dtype = np.int32 if N * N < 1 << 31 else np.int64
+    best = np.empty_like(reps)
+    rows = max(1, _CHUNK_ENTRIES // (N * width))
     for lo in range(0, len(reps), rows):
-        img = np.sort(reps[lo : lo + rows, None] * units % N, axis=2)
+        block = reps[lo : lo + rows].astype(dtype, copy=False)
+        outside = np.ones((len(block), N), dtype=bool)
+        outside[:, 0] = False
+        outside[np.arange(len(block))[:, None], _inverse(block[:, width - k :], N)] = False
+        units = np.flatnonzero(outside).astype(dtype) % N  # row by row, ascending
+        units = units.reshape(len(block), N - 1 - k, 1)
+        img = np.sort(block[:, None] * units % N, axis=2)
         keys = img.reshape(*img.shape[:2], -1, q) @ N ** np.arange(q - 1, -1, -1)
         tied = np.ones(img.shape[:2], dtype=bool)
         for key in np.moveaxis(keys, 2, 0):
@@ -372,15 +330,6 @@ def _complements(modulus: PrimeModulus, d: int, budget: int) -> Iterator[tuple]:
         for order in np.unique(c).tolist():
             fixes[c == order] = np.isin(rows[c == order], _subgroup_array(modulus, order))
         yield rows, fixes
-
-
-def subset_count(N: int, d: int) -> int:
-    """C(N, d), refused with BudgetExceededError when too long to print;
-    C(N, d) >= 2^min(d, N-d), so a huge d is refused before it is computed."""
-    check_printable(f"C({N},{d})", min_bits=min(d, N - d) + 1)
-    total = math.comb(N, d)
-    check_printable(f"C({N},{d})", total)
-    return total
 
 
 def orbit_chunks(

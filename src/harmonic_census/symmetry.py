@@ -55,8 +55,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ContractViolationError, check_printable
-from .number_theory import find_primitive_root
-from .orbits import GeneratorSet, stabilizer
+from .number_theory import GeneratorSet, stabilizer
 
 # the largest N whose N! has at most 4300 digits, the default limit of
 # Python's int-to-str conversion; 1553 is the largest prime below it
@@ -207,7 +206,7 @@ def full_symmetry_group(s: GeneratorSet) -> SymmetryReport:
         stab = full = gram_automorphisms(s)
     _, full_order, note = exception or (None, len(full), None)
     c = len(stab.multipliers)
-    h = pow(find_primitive_root(s.modulus), (N - 1) // c, N)
+    h = pow(s.modulus.primitive_root, (N - 1) // c, N)
     q = _check_generators(s, h, c, list(stab.multipliers))
     Q = {"kind": "block_perm", "slot_perm": q, "unit": h}
     return SymmetryReport((D, Q) if c > 1 else (D,), c, N * c, stab, full_order, full, note)

@@ -58,7 +58,8 @@ from harmonic_census import (
 from harmonic_census import orbits
 from harmonic_census.cyclotomic import canonicalize_array, exponent_counts
 from harmonic_census.equivalence import CERT_ORBIT_MISMATCH
-from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, unit_subgroup
+from harmonic_census.number_theory import unit_subgroup
+from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS
 
 AUTOMORPHISM_CAP = 500_000
 

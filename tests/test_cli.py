@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from harmonic_census import ContractViolationError, cli, number_theory, orbits, symmetry
+from harmonic_census import ContractViolationError, cli, number_theory, orbits
 from harmonic_census.cli import main
 from harmonic_census.number_theory import is_prime
 
@@ -136,7 +136,7 @@ def test_enumerate_matches_per_orbit_formatter(capsys, monkeypatch, N, d):
     # the numpy rendering against the per-orbit Python formatter, byte for
     # byte, on the same chunks; (101, 2) and (1009, 2) cross 1 to 4 digits
     chunks = list(orbits.orbit_chunks(number_theory.PrimeModulus(N), d))
-    monkeypatch.setattr(cli, "orbit_chunks", lambda *args, **kw: iter(chunks))
+    monkeypatch.setattr(orbits, "orbit_chunks", lambda *args, **kw: iter(chunks))
     for fmt in ("json", "csv", "table"):
         code, out, err = run(capsys, "enumerate", "--N", str(N), "--d", str(d), "--format", fmt)
         assert (code, err) == (0, "")
@@ -650,8 +650,7 @@ def test_wrong_primitive_root_never_answers_silently(capsys, monkeypatch):
     # 2 has order 3 mod 7, not 6.  Every subgroup built from g is checked
     # exactly, so a wrong g is a contract violation, never a wrong answer
     want = run(capsys, "symmetry", "--N", "7", "--gens", "1,2,4")
-    for module in (orbits, symmetry):
-        monkeypatch.setattr(module, "find_primitive_root", lambda modulus: 2)
+    monkeypatch.setattr(number_theory, "find_primitive_root", lambda modulus: 2)
     for command in ("enumerate", "verify", "scan"):
         code, out, err = run(capsys, command, "--N", "7", "--d", "3")
         assert (code, out) == (5, "")
@@ -667,6 +666,19 @@ def test_wrong_primitive_root_never_answers_silently(capsys, monkeypatch):
     # h = 2^(6/3) = 4 does generate the order-3 subgroup, and the generator
     # check accepts it
     assert run(capsys, "symmetry", "--N", "7", "--gens", "1,2,4") == want
+
+
+def test_primitive_root_searched_once_per_run(capsys, monkeypatch):
+    # the chunk check and the renderer each build the order-2 subgroup from
+    # the root, which the modulus keeps after the first search
+    calls = []
+    search = number_theory.find_primitive_root
+    monkeypatch.setattr(
+        number_theory, "find_primitive_root", lambda m: calls.append(m.N) or search(m)
+    )
+    code, out, err = run(capsys, "enumerate", "--N", "61", "--d", "2", "--format", "json")
+    assert (code, err, out.count("\n")) == (0, "", 31)
+    assert calls == [61]
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -701,7 +713,7 @@ def test_output_file_replaced_only_on_success(tmp_path, capsys, monkeypatch):
     want = run(capsys, *argv)[1]
     assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
     assert target.read_text() == want
-    monkeypatch.setattr(orbits, "find_primitive_root", lambda modulus: 2)
+    monkeypatch.setattr(number_theory, "find_primitive_root", lambda modulus: 2)
     code, out, err = run(capsys, "enumerate", "--N", "7", "--d", "4", "--out", str(target))
     assert (code, out) == (5, "") and err.count("\n") == 1
     assert target.read_text() == want

@@ -376,6 +376,20 @@ def test_lex_max_against_all_images(k):
     assert list(map(tuple, _lex_max(reps, 53).tolist())) == want
 
 
+@pytest.mark.parametrize("N", oracles.primes_up_to(19))
+def test_lex_max_against_all_units_above_half(N):
+    """Every N/2 < d < N: on each chunk of (N-d)-orbits, as the complement
+    map passes them, the max over the units that can win is the max over
+    all N-1."""
+    for d in range(N // 2 + 1, N):
+        for reps, _, _ in orbit_chunks(PrimeModulus(N), N - d):
+            want = [
+                max(tuple(sorted(m * x % N for x in row)) for m in range(1, N))
+                for row in reps.tolist()
+            ]
+            assert list(map(tuple, _lex_max(reps, N).tolist())) == want, (N, d)
+
+
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
 def test_complements_against_oracle(N):
     """Every N/2 < d <= N: the rows and c of orbit_chunks, in order, are the
@@ -585,7 +599,6 @@ def test_enumerate_chunk_size_invariant(m13, monkeypatch, capsys):
         return iter(replays[key])
 
     monkeypatch.setattr(orbits_mod, "orbit_chunks", replay)
-    monkeypatch.setattr(cli, "orbit_chunks", replay)
 
     def cli_outputs():
         out = {}
