@@ -7,8 +7,8 @@ in full, reported on one stderr line; help text goes through the same
 check), 3 a budget exceeded, 4 symmetry-conjecture counterexample
 discovered (notable, not fatal), 5 internal contract violated (a library
 bug, reported on one stderr line).  stdout is complete only on exits 0, 1
-and 4: enumerate writes each checked chunk's lines as it goes, so a
-contract failure found after the last chunk leaves earlier lines written.
+and 4: enumerate and scan write each checked chunk's lines as they go, so
+a contract failure found after the last chunk leaves earlier lines written.
 --out writes a temporary file beside the path and renames it over the path
 only on success.
 
@@ -25,12 +25,12 @@ too long to print, one with more digits than the interpreter's int-to-str
 limit: C(N, d) for count, enumerate, verify and scan, or an N!.
 
 enumerate, verify and scan read the orbits as the checked numpy chunks of
-orbits.orbit_chunks and build no per-orbit object: enumerate renders each
-chunk's lines in numpy (_enumerate_blocks); scan takes each row's
-stabilizer order c from its chunk, and both group orders are N*c but for the
-sets that symmetry.exceptional_orders names.  numpy, `orbits` and `frames`
-are imported inside the functions that use them, so count, equivalent and
-symmetry run without loading numpy.
+orbits.orbit_chunks and build no per-orbit object.  enumerate and scan
+render each chunk's lines in numpy through one renderer (_enumerate_blocks),
+which takes the text of each: scan's rows hold c, read off the chunk, and
+both group orders, N*c but for the sets that symmetry.exceptional_orders
+names.  numpy, `orbits` and `frames` are imported inside the functions that
+use them, so count, equivalent and symmetry run without loading numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import chain
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
 
 from .census import full_census
 from .equivalence import are_equivalent
@@ -245,35 +245,102 @@ def _group(table: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
         yield cells[cells != 0]
 
 
+def _orbit_chunks(modulus: PrimeModulus, d: int, budget: int) -> Iterator:
+    """orbit_chunks with its first chunk made, so that the budget and the
+    first chunk's check come before the command's own checks and output."""
+    from .orbits import orbit_chunks
+
+    chunks = orbit_chunks(modulus, d, max_subsets=budget)
+    return chain((next(chunks),), chunks)
+
+
 def _enumerate_blocks(
-    modulus: PrimeModulus, d: int, fmt: str, budget: int
-) -> Iterator[np.ndarray | bytes]:
-    """enumerate's lines as byte blocks, made per checked chunk of
-    orbit_chunks, so the lines of every chunk checked so far are written
-    before the next is scanned.  A line is a head, the representative, a
-    middle text that depends only on c and the kind, the block leaders (at
-    c = 1 the nonzero elements) and a tail.  Each block of rows is one
-    (rows, width) uint8 matrix, with no loop over orbits: the head, the
-    digit-table cells of the representative, the middle (one padded row per
-    c in the chunk), the cells masked by the leaders and the tail, written
-    without its 0 bytes.  The block holds about _BLOCK_BYTES; a row wider
-    than that is written alone, in pieces."""
+    modulus: PrimeModulus, chunks: Iterator, sep: str, before: str, head: str,
+    middle: Callable[[int, int, np.ndarray], Iterable], tail: str, leaders: bool, joint: str = "",
+) -> Generator[np.ndarray | bytes, None, int]:
+    """The text before, then one line per orbit of the checked chunks, as
+    byte blocks made per chunk, so the lines of every chunk checked so far
+    are written before the next is scanned; returns the number of lines.  A
+    line is the joint (none before the first line), the head, the
+    representative, a middle text that depends only on c and on whether the
+    chunk's head is 0 (middle(c, zero, digit table) gives it in pieces), the
+    block leaders if asked (at c = 1 the nonzero elements) and the tail.
+    Each block of rows is one (rows, width) uint8 matrix, with no loop over
+    orbits: the head, the digit-table cells of the representative, the
+    middle (one padded row per c in the chunk), the cells masked by the
+    leaders and the tail, written without its 0 bytes.  The block holds
+    about _BLOCK_BYTES; a row wider than that is written alone, in pieces."""
     import numpy as np
 
-    from .orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _subgroup_array, orbit_chunks
+    table = _digit_table(modulus.N, sep)  # the budget, which bounds N, is checked
+    w = table.shape[1]
+    head_row, tail_row = (np.frombuffer(t.encode(), np.uint8) for t in (joint + head, tail))
+    yield before.encode()
+    lines, layouts = 0, {}
+    for reps, c, lead in chunks:
+        d, zero = reps.shape[1], int(reps[0, 0] == 0)  # one head per chunk
+        # c = N-1 is the one row of its chunk; bincount would take N bins
+        orders = (np.flatnonzero(np.bincount(c)) if len(c) > 1 else c).tolist()
+        if w * (2 * d + orders[-1]) > _BLOCK_BYTES:
+            for i, (row, order, mask) in enumerate(zip(reps, c.tolist(), lead)):
+                first = head_row[0 if lines + i else len(joint) :]  # no joint before line 1
+                yield from chain((first,), _group(table, row), middle(order, zero, table))
+                yield from chain(_group(table, row[mask]) if leaders else (), (tail_row,))
+            lines += len(reps)
+            continue
+        key = (zero, *orders)
+        if key not in layouts:
+            texts = [b"".join(middle(order, zero, table)) for order in orders]
+            width = max(map(len, texts))
+            padded = b"".join(text.ljust(width, b"\0") for text in texts)
+            middles = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), -1)
+            layouts[key] = np.array(orders), middles
+        orders, middles = layouts[key]
+        at = np.searchsorted(orders, c)
+        # the columns: head | representative | middle | leaders | tail
+        rep_at, mid_at = len(head_row), len(head_row) + d * w
+        lead_at = mid_at + middles.shape[1]
+        tail_at = lead_at + d * w * leaders
+        step = max(1, _BLOCK_BYTES // (tail_at + len(tail_row)))
+        for lo in range(0, len(reps), step):
+            cells = table[reps[lo : lo + step]]
+            n = len(cells)
+            block = np.empty((n, tail_at + len(tail_row)), dtype=np.uint8)
+            block[:, :rep_at] = head_row
+            block[:, rep_at:mid_at] = cells.reshape(n, -1)
+            block[:, mid_at:lead_at] = middles[at[lo : lo + step]]
+            block[:, tail_at:] = tail_row
+            # no separator before the first element, nor before the first
+            # leader: 1, in column 1 after a 0, and none in {0}; no joint
+            # before the first line
+            block[:, rep_at] = 0
+            if leaders:
+                block[:, lead_at:tail_at] = (cells * lead[lo : lo + step, :, None]).reshape(n, -1)
+                if d > zero:
+                    block[:, lead_at + zero * w] = 0
+            if lines + lo == 0:
+                block[0, : len(joint)] = 0
+            yield block[block != 0]
+        lines += len(reps)
+    return lines
 
-    N = modulus.N
-    sep = "|" if fmt == "csv" else ","
-    head, tail = {
-        "json": (f'{{"N":{N},"d":{d},"generators":[', "]}}\n"),
-        "csv": ("", "\n"),
-        "table": ("rep=[", "]\n"),
+
+def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    """One line per orbit, as byte blocks that _emit writes as they come
+    (_enumerate_blocks): the representative, its size, c, stabilizer and
+    kind, and the block leaders."""
+    from .orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _subgroup_array
+
+    N, d, fmt = modulus.N, args.d, args.output_format
+    chunks = _orbit_chunks(modulus, d, args.max_subsets)
+    before, head, tail = {
+        "json": ("", f'{{"N":{N},"d":{d},"generators":[', "]}}\n"),
+        "csv": ("generators,size,stab_order,stabilizer,kind,block_leaders\n", "", "\n"),
+        "table": ("", "rep=[", "]\n"),
     }[fmt]
-    head, tail = head.encode(), tail.encode()
-    head_row, tail_row = np.frombuffer(head, np.uint8), np.frombuffer(tail, np.uint8)
 
-    def middle(c: int, zero: int) -> tuple[bytes, bytes]:
-        """The text before and after the stabilizer list."""
+    def middle(c: int, zero: int, table: np.ndarray) -> Iterable:
+        """The text from the representative to the leaders."""
         size, kind = (N - 1) // c, KIND_ZERO_BLOCKS if zero else KIND_BLOCKS
         if fmt == "json":
             pre = f'],"size":{size},"stab_order":{c},"stabilizer":['
@@ -282,77 +349,19 @@ def _enumerate_blocks(
             pre, post = f",{size},{c},", f",{kind},"
         else:
             pre, post = f"] size={size} c={c} stabilizer=[", f"] kind={kind} leaders=["
-        return pre.encode(), post.encode()
+        H = _subgroup_array(modulus, c)
+        return chain((pre.encode(),), _group(table, H), (post.encode(),))
 
-    table, layouts = None, {}
-    for reps, c, leaders in orbit_chunks(modulus, d, max_subsets=budget):
-        if table is None:  # only once the budget, which bounds N, is checked
-            table = _digit_table(N, sep)
-            if fmt == "csv":
-                yield b"generators,size,stab_order,stabilizer,kind,block_leaders\n"
-        zero = int(reps[0, 0] == 0)  # one head per chunk
-        # c = N-1 is the one row of its chunk; bincount would take N bins
-        orders = (np.flatnonzero(np.bincount(c)) if len(c) > 1 else c).tolist()
-        if table.shape[1] * (2 * d + orders[-1]) > _BLOCK_BYTES:
-            for row, order, lead in zip(reps, c.tolist(), leaders):
-                pre, post = middle(order, zero)
-                H = _subgroup_array(modulus, order)
-                yield from chain(
-                    (head,), _group(table, row), (pre,), _group(table, H),
-                    (post,), _group(table, row[lead]), (tail,),
-                )
-            continue
-        key = (zero, *orders)
-        if key not in layouts:
-            texts = []
-            for order in orders:
-                pre, post = middle(order, zero)
-                H = _subgroup_array(modulus, order)
-                texts.append(b"".join((pre, *_group(table, H), post)))
-            width = max(map(len, texts))
-            padded = b"".join(text.ljust(width, b"\0") for text in texts)
-            middles = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), -1)
-            layouts[key] = np.array(orders), middles
-        orders, middles = layouts[key]
-        at = np.searchsorted(orders, c)
-        # the columns: head | representative | middle | leaders | tail
-        w = table.shape[1]
-        rep_at, mid_at = len(head), len(head) + d * w
-        lead_at = mid_at + middles.shape[1]
-        tail_at = lead_at + d * w
-        step = max(1, _BLOCK_BYTES // (tail_at + len(tail)))
-        for lo in range(0, len(reps), step):
-            cells = table[reps[lo : lo + step]]
-            n = len(cells)
-            block = np.empty((n, tail_at + len(tail)), dtype=np.uint8)
-            block[:, :rep_at] = head_row
-            block[:, rep_at:mid_at] = cells.reshape(n, -1)
-            block[:, mid_at:lead_at] = middles[at[lo : lo + step]]
-            block[:, lead_at:tail_at] = (cells * leaders[lo : lo + step, :, None]).reshape(n, -1)
-            block[:, tail_at:] = tail_row
-            # no separator before the first element, nor before the first
-            # leader: 1, in column 1 after a 0, and none in {0}
-            block[:, rep_at] = 0
-            if d > zero:
-                block[:, lead_at + zero * w] = 0
-            yield block[block != 0]
-
-
-def cmd_enumerate(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
-    """One line per orbit, as byte blocks that _emit writes as they come
-    (_enumerate_blocks)."""
-    blocks = _enumerate_blocks(modulus, args.d, args.output_format, args.max_subsets)
-    return blocks, EXIT_OK
+    sep = "|" if fmt == "csv" else ","
+    return _enumerate_blocks(modulus, chunks, sep, before, head, middle, tail, True), EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     import numpy as np
 
-    from .orbits import orbit_chunks
-
     N, d = modulus.N, args.d
     hist: dict[int, int] = {}
-    for _, c, _ in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
+    for _, c, _ in _orbit_chunks(modulus, d, args.max_subsets):
         orders, counts = np.unique(c, return_counts=True)
         for order, count in zip(orders.tolist(), counts.tolist()):
             hist[order] = hist.get(order, 0) + count
@@ -463,42 +472,48 @@ def cmd_symmetry(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 
 
 def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
-    """One row per orbit, in enumeration order: the orders of <D, Q> and of
-    the full group are N*c, with c read off the chunk, but for the sets of
-    exceptional_orders.  All rows of a chunk share their head, so they are
-    all exceptional or all not.  Past FACTORIAL_MAX_N the N! of the simplex
-    or the basis is refused there (exit 3), after an enumeration that costs
-    O(N) at d >= N-1.  A row whose full group is larger is a counterexample,
-    listed and never suppressed (exit 4)."""
-    from .orbits import orbit_chunks
+    """One row per orbit, in enumeration order, as byte blocks from
+    _enumerate_blocks: the orders of <D, Q> and of the full group are N*c,
+    with c read off the chunk, but for the sets of exceptional_orders.  Every
+    unit fixes those, so c = N-1, and a set every unit fixes is {0}, the
+    units or Z_N, which d and whether it holds 0 tell apart.  Only the
+    simplex and the basis can have a larger full group, a counterexample,
+    listed and never suppressed (exit 4): for N > 2 and d >= N-1 the last
+    orbit is range(N-d, N), one of the two, and no other (N, d) has either.
+    Past FACTORIAL_MAX_N their N! is refused (exit 3), after the budget.  The
+    orbit count of the table's first line is the census total, which the
+    rows written must match."""
+    N, d, fmt = modulus.N, args.d, args.output_format
+    chunks = _orbit_chunks(modulus, d, args.max_subsets)
+    last = exceptional_orders(N, range(N - d, N))
+    counterexamples = [list(range(N - d, N))] if last and last[0] != last[1] else []
+    total = full_census(modulus, d).total
 
-    N, d = modulus.N, args.d
-    rows = []
-    for reps, c, _ in orbit_chunks(modulus, d, max_subsets=args.max_subsets):
-        exception = exceptional_orders(N, reps[0].tolist())
-        for rep, order in zip(reps.tolist(), c.tolist()):
-            rows.append((rep, order, *(exception or (N * order, N * order, None))))
-    counterexamples = [rep for rep, _, sub, full, _ in rows if full != sub]
-    code = EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
-    if args.output_format == "json":
-        rows = [
-            {
-                "rep": rep,
-                "c": c,
-                "subgroup_order": _json_int(sub),
-                "full_group_order": _json_int(full),
-                "conjecture_holds": full == sub,
-                "note": note,
-            }
-            for rep, c, sub, full, note in rows
-        ]
-        obj = {"N": N, "d": d, "rows": rows, "counterexamples": counterexamples}
-        return [_dumps(obj)], code
-    lines = [f"N={N} d={d} orbits={len(rows)}"]
-    for rep, c, sub, full, _ in rows:
+    def middle(c: int, zero: int, table: np.ndarray) -> Iterable:
+        """The text after the representative."""
+        exception = c == N - 1 and exceptional_orders(N, range(1 - zero, d + 1 - zero))
+        sub, full, note = exception or (N * c, N * c, None)
+        if fmt == "json":
+            row = {"c": c, "subgroup_order": _json_int(sub), "full_group_order": _json_int(full),
+                   "conjecture_holds": full == sub, "note": note}
+            return (("]," + _dumps(row)[1:]).encode(),)
         mark = "holds=yes" if full == sub else "holds=NO  <-- counterexample"
-        lines.append(f"rep=[{_join(rep)}] c={c} subgroup={sub} full={full} {mark}")
-    return lines, code
+        return (f"] c={c} subgroup={sub} full={full} {mark}\n".encode(),)
+
+    def blocks() -> Iterator:
+        if fmt == "json":
+            before, head, joint = f'{{"N":{N},"d":{d},"rows":[', '{"rep":[', ","
+        else:
+            before, head, joint = f"N={N} d={d} orbits={total}\n", "rep=[", ""
+        rows = yield from _enumerate_blocks(
+            modulus, chunks, ",", before, head, middle, "", False, joint
+        )
+        if rows != total:
+            raise ContractViolationError(f"scan wrote {rows} rows for {total} orbits")
+        if fmt == "json":
+            yield f'],"counterexamples":{_dumps(counterexamples)}}}\n'.encode()
+
+    return blocks(), EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
 
 
 # -- argument plumbing --------------------------------------------------------

@@ -52,8 +52,8 @@ orbit_chunks yields the orbits as numpy chunks: the representatives, the
 stabilizer order c of each and the mask of its block leaders.  Each chunk
 but {0} and Z_N, which are yielded as they are, is checked in numpy
 (_check_chunk): c divides N-1; the fixed elements are the order-c unit
-subgroup; and the leaders' cosets under that subgroup give back the row.  After the last chunk the orbit sizes must sum
-to C(N, d).  The CLI's enumerate, verify and scan read the chunks directly,
+subgroup; and the leaders' cosets under that subgroup give back the row.
+After the last chunk the orbit sizes must sum to C(N, d).  The CLI's enumerate, verify and scan read the chunks directly,
 and build no per-orbit object.
 """
 

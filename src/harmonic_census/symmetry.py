@@ -31,7 +31,8 @@ costs O(d^2): one computation of Stab(S).  For the simplex and the basis
 Stab(S) is every unit and is not computed; their check costs O(N).  Both
 orders are N*c, so they depend on S only through c, except for the three
 sets above, which exceptional_orders names; the CLI's scan takes c from the
-enumeration and asks exceptional_orders about the rest.  The order N! of
+enumeration, one row text per c, and asks exceptional_orders only about the
+sets every unit fixes (c = N-1) and, for its exit code, the last orbit.  The order N! of
 the simplex and the basis is computed only up to N = FACTORIAL_MAX_N, and
 is refused by errors.check_printable when it has more digits than the
 interpreter's int-to-str limit; past either bound neither group of these

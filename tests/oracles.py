@@ -23,8 +23,9 @@ exponents, Gram labels, which the tests check against t . S, and the exact
 cyclotomic coefficient helpers).  Harnesses also drive the library over
 every orbit: enumerate_orbits lists the chunks of orbits.orbit_chunks as
 one record per orbit, for the tests that check orbits one at a time;
-enumerate_text formats those chunks as the `enumerate` command's output,
-one orbit at a time in Python, against the CLI's numpy rendering;
+enumerate_text and scan_text format those chunks as the output of the
+`enumerate` and `scan` commands, one orbit at a time in Python, against the
+CLI's numpy rendering;
 growth_ratio sets the library's orbit count against its leading-order
 term; and are_equivalent runs on all pairs of sets, tallied against the
 angle multisets.
@@ -60,6 +61,7 @@ from harmonic_census.cyclotomic import canonicalize_array, exponent_counts
 from harmonic_census.equivalence import CERT_ORBIT_MISMATCH
 from harmonic_census.number_theory import unit_subgroup
 from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS
+from harmonic_census.symmetry import exceptional_orders
 
 AUTOMORPHISM_CAP = 500_000
 
@@ -467,6 +469,43 @@ def enumerate_text(N: int, d: int, fmt: str, chunks) -> str:
             else:
                 lead = join(compress(row, leaders[i].tolist()))
             lines.append(head + gens + middles[order, kind] + lead + tail)
+    return "\n".join(lines) + "\n"
+
+
+def scan_text(N: int, d: int, fmt: str, chunks) -> str:
+    """The output of `scan` for the chunks of orbits.orbit_chunks, built one
+    orbit at a time in Python: a tuple per row, whose orders come from
+    exceptional_orders on the chunk's first representative (all rows of a
+    chunk share their head) or are N*c, then a dict per json row and one
+    json.dumps of the whole; csv is the table."""
+
+    def json_int(v: int):
+        return v if abs(v) < 2**53 else str(v)
+
+    rows = []
+    for reps, c, _ in chunks:
+        exception = exceptional_orders(N, reps[0].tolist())
+        for rep, order in zip(reps.tolist(), c.tolist()):
+            rows.append((rep, order, *(exception or (N * order, N * order, None))))
+    counterexamples = [rep for rep, _, sub, full, _ in rows if full != sub]
+    if fmt == "json":
+        records = [
+            {
+                "rep": rep,
+                "c": c,
+                "subgroup_order": json_int(sub),
+                "full_group_order": json_int(full),
+                "conjecture_holds": full == sub,
+                "note": note,
+            }
+            for rep, c, sub, full, note in rows
+        ]
+        obj = {"N": N, "d": d, "rows": records, "counterexamples": counterexamples}
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+    lines = [f"N={N} d={d} orbits={len(rows)}"]
+    for rep, c, sub, full, _ in rows:
+        mark = "holds=yes" if full == sub else "holds=NO  <-- counterexample"
+        lines.append(f"rep=[{','.join(map(str, rep))}] c={c} subgroup={sub} full={full} {mark}")
     return "\n".join(lines) + "\n"
 
 

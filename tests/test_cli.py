@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -133,14 +134,35 @@ FORMATTER_CASES = [
 
 @pytest.mark.parametrize("N,d", FORMATTER_CASES)
 def test_enumerate_matches_per_orbit_formatter(capsys, monkeypatch, N, d):
-    # the numpy rendering against the per-orbit Python formatter, byte for
-    # byte, on the same chunks; (101, 2) and (1009, 2) cross 1 to 4 digits
+    # the numpy rendering of enumerate and scan against the per-orbit Python
+    # formatters, byte for byte, on the same chunks; (101, 2) and (1009, 2)
+    # cross 1 to 4 digits, and the cases hold {0} (d = 1), the simplex
+    # (d = N-1), the basis (d = N) and N = 2, as at (2, 1), (2, 2), (3, 3),
+    # (5, 1), (7, 6) and (7, 7)
     chunks = list(orbits.orbit_chunks(number_theory.PrimeModulus(N), d))
     monkeypatch.setattr(orbits, "orbit_chunks", lambda *args, **kw: iter(chunks))
-    for fmt in ("json", "csv", "table"):
-        code, out, err = run(capsys, "enumerate", "--N", str(N), "--d", str(d), "--format", fmt)
-        assert (code, err) == (0, "")
-        assert out == oracles.enumerate_text(N, d, fmt, chunks)
+    counterexample = N > 3 and d >= N - 1  # the simplex or the basis: N! > N(N-1)
+    for command, text, want_code in (
+        ("enumerate", oracles.enumerate_text, 0),
+        ("scan", oracles.scan_text, 4 if counterexample else 0),
+    ):
+        for fmt in ("json", "csv", "table"):
+            code, out, err = run(capsys, command, "--N", str(N), "--d", str(d), "--format", fmt)
+            assert (code, err) == (want_code, "")
+            assert out == text(N, d, fmt, chunks)
+
+
+@pytest.mark.parametrize("N,d", [(2, 1), (7, 1), (7, 3), (7, 6), (7, 7), (13, 6)])
+def test_wide_rows_match_per_orbit_formatter(capsys, monkeypatch, N, d):
+    # with 1-byte blocks every row is wider than a block, so each is
+    # written alone, in pieces: the same bytes as the block rendering
+    chunks = list(orbits.orbit_chunks(number_theory.PrimeModulus(N), d))
+    monkeypatch.setattr(orbits, "orbit_chunks", lambda *args, **kw: iter(chunks))
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1)
+    for command, text in (("enumerate", oracles.enumerate_text), ("scan", oracles.scan_text)):
+        for fmt in ("json", "csv", "table"):
+            _, out, err = run(capsys, command, "--N", str(N), "--d", str(d), "--format", fmt)
+            assert err == "" and out == text(N, d, fmt, chunks)
 
 
 @pytest.mark.parametrize(
@@ -633,12 +655,13 @@ def test_stdout_reader_gone_is_a_usage_error(argv, taken, buffered):
     assert err.count("\n") == 1
 
 
-def test_stdout_short_writes_are_resumed(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["enumerate", "scan"])
+def test_stdout_short_writes_are_resumed(capsys, monkeypatch, command):
     class Trickle(io.BytesIO):
         def write(self, b):  # stores at most 7 bytes a call, as a pipe may
             return super().write(bytes(b[:7]))
 
-    argv = ["enumerate", "--N", "11", "--d", "4", "--format", "json"]
+    argv = [command, "--N", "11", "--d", "4", "--format", "json"]
     code, want, _ = run(capsys, *argv)
     sink = Trickle()
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8"))
@@ -681,15 +704,20 @@ def test_primitive_root_searched_once_per_run(capsys, monkeypatch):
     assert calls == [61]
 
 
+@pytest.mark.parametrize("command", ["enumerate", "scan"])
+@pytest.mark.parametrize("fmt", ["json", "table"])
 @pytest.mark.parametrize("to_file", [False, True])
-def test_late_contract_failure_after_written_blocks(capsys, monkeypatch, tmp_path, to_file):
+def test_late_contract_failure_after_written_blocks(
+    capsys, monkeypatch, tmp_path, to_file, fmt, command
+):
     # the orbit-size sum is checked after the last chunk, so a failure there
     # comes after every chunk's block was written to stdout: exit 5, one
-    # stderr line.  --out renames its temporary file only on success, so no
-    # file is left at the target and none beside it
-    argv = ["enumerate", "--N", "13", "--d", "6", "--format", "json"]
+    # stderr line, and every line but scan's closing json text written.
+    # --out renames its temporary file only on success, so no file is left
+    # at the target and none beside it
+    argv = [command, "--N", "13", "--d", "6", "--format", fmt]
     code, want, _ = run(capsys, *argv)
-    assert code == 0 and want.count("\n") == 146
+    assert code == 0 and want.count("rep" if command == "scan" else "\n") == 146
     monkeypatch.setattr(orbits, "_CHUNK_ROWS", 64)  # 338 candidates, six chunks
     real = orbits.subset_count
     monkeypatch.setattr(orbits, "subset_count", lambda N, d: real(N, d) + 1)
@@ -700,8 +728,27 @@ def test_late_contract_failure_after_written_blocks(capsys, monkeypatch, tmp_pat
         "error: internal contract violated: orbit sizes sum to 1716, "
         "expected C(13,6) = 1717\n"
     )
-    assert out == ("" if to_file else want)
+    assert out == ("" if to_file else want.split('],"counterexamples"')[0])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_scan_rows_checked_against_census(capsys, monkeypatch, fmt):
+    # the table's first line prints the census total before any row, and the
+    # rows written are checked against it after the last chunk
+    argv = ["scan", "--N", "13", "--d", "6", "--format", fmt]
+    want = run(capsys, *argv)[1]
+    real = cli.full_census
+    monkeypatch.setattr(
+        cli, "full_census", lambda m, d: types.SimpleNamespace(total=real(m, d).total + 1)
+    )
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert err == "error: internal contract violated: scan wrote 146 rows for 147 orbits\n"
+    if fmt == "json":
+        assert out == want.split('],"counterexamples"')[0]
+    else:
+        assert out == want.replace("orbits=146", "orbits=147", 1)
 
 
 def test_output_file_replaced_only_on_success(tmp_path, capsys, monkeypatch):
