@@ -31,6 +31,10 @@ which takes the text of each: scan's rows hold c, read off the chunk, and
 both group orders, N*c but for the sets that symmetry.exceptional_orders
 names.  numpy, `orbits` and `frames` are imported inside the functions that
 use them, so count, equivalent and symmetry run without loading numpy.
+
+A plain command line, a command and then each option string in full with
+its value, is read from the command's own options (_plain_args); argparse
+reads every other form and writes every help, usage and error text.
 """
 
 from __future__ import annotations
@@ -159,7 +163,10 @@ def _write_file(path: str, blocks: Iterable) -> None:
 class _Parser(argparse.ArgumentParser):
     """Sends its help text to stdout through _emit, so help that stdout
     cannot take is a usage error like any other output; subparsers are made
-    of the same class."""
+    of the same class.  build_parser gives the top parser each command's
+    options by option string (commands), which _plain_args reads."""
+
+    commands: dict[str, dict[str, argparse.Action]]
 
     def print_help(self, file=None) -> None:
         if file is not None:
@@ -490,8 +497,12 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     total = full_census(modulus, d).total
 
     def middle(c: int, zero: int, table: np.ndarray) -> Iterable:
-        """The text after the representative."""
-        exception = c == N - 1 and exceptional_orders(N, range(1 - zero, d + 1 - zero))
+        """The text after the representative; the last orbit's orders are
+        last, so its N! is computed once."""
+        elems = range(1 - zero, d + 1 - zero)
+        exception = c == N - 1 and (
+            last if elems == range(N - d, N) else exceptional_orders(N, elems)
+        )
         sub, full, note = exception or (N * c, N * c, None)
         if fmt == "json":
             row = {"c": c, "subgroup_order": _json_int(sub), "full_group_order": _json_int(full),
@@ -519,25 +530,25 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 # -- argument plumbing --------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser, takes: str) -> None:
+def _add_common(sp: argparse.ArgumentParser, takes: str) -> dict[str, argparse.Action]:
     """The options of every command, with those its input needs: takes is
-    "d" for --d, "gens" for --gens or "ab" for --a and --b."""
-    sp.add_argument("--N", type=int, required=True, help="prime modulus")
+    "d" for --d, "gens" for --gens or "ab" for --a and --b.  Returns the
+    actions by their one option string, for _plain_args."""
+    add = sp.add_argument
+    actions = [add("--N", type=int, required=True, help="prime modulus")]
     if takes == "d":
-        sp.add_argument("--d", type=int, required=True, help="dimension")
+        actions.append(add("--d", type=int, required=True, help="dimension"))
     elif takes == "gens":
-        sp.add_argument("--gens", type=str, help="comma-separated generators")
+        actions.append(add("--gens", type=str, help="comma-separated generators"))
     else:
-        sp.add_argument("--a", type=str, required=True, help="first generator list")
-        sp.add_argument("--b", type=str, required=True, help="second generator list")
-    sp.add_argument(
-        "--format",
-        choices=("json", "csv", "table"),
-        default="table",
-        dest="output_format",
+        actions.append(add("--a", type=str, required=True, help="first generator list"))
+        actions.append(add("--b", type=str, required=True, help="second generator list"))
+    actions.append(
+        add("--format", choices=("json", "csv", "table"), default="table", dest="output_format")
     )
-    sp.add_argument("--out", type=str, default=None, help="write output to file")
-    sp.add_argument("--max-subsets", type=int, default=None)
+    actions.append(add("--out", type=str, default=None, help="write output to file"))
+    actions.append(add("--max-subsets", type=int, default=None))
+    return {action.option_strings[0]: action for action in actions}
 
 
 # name: (handler, help text, the input options of _add_common)
@@ -561,8 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command")
-    for name, (_, text, takes) in COMMANDS.items():
-        _add_common(sub.add_parser(name, help=text), takes)
+    parser.commands = {
+        name: _add_common(sub.add_parser(name, help=text), takes)
+        for name, (_, text, takes) in COMMANDS.items()
+    }
     return parser
 
 
@@ -571,6 +584,43 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first main call (not at import) and reused:
     parse_args leaves it unchanged."""
     return build_parser()
+
+
+def _plain_args(
+    commands: dict[str, dict[str, argparse.Action]], argv: list[str]
+) -> argparse.Namespace | None:
+    """The Namespace that parse_args makes of a plain command line, built
+    from the command's own actions: a command name, then pairs of one of its
+    option strings, exactly, and a value that does not start with "-", no
+    option twice, each value of its action's type and in its choices, and
+    every required option given; an absent option takes its default.  None
+    for every other argv (help, abbreviations, --opt=value, "--", repeats,
+    errors), which parse_args reads, so argparse writes every usage, help
+    and error text."""
+    options = commands.get(argv[0]) if argv and len(argv) % 2 else None
+    if options is None:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2:  # an option given twice
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for option, action in options.items():
+        text = given.pop(option, None)
+        if text is None:
+            if action.required:
+                return None
+            value = action.default
+        elif text.startswith("-"):
+            return None
+        else:
+            try:
+                value = action.type(text) if action.type else text
+            except ValueError:
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(args, action.dest, value)
+    return None if given else args  # what is left is no option of the command
 
 
 def _resolve_budget(args: argparse.Namespace) -> int:
@@ -587,10 +637,11 @@ def _resolve_budget(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         # help is written while parsing, so a stdout that cannot take it
         # fails in here
-        args = parser.parse_args(argv)
+        args = _plain_args(parser.commands, argv) or parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE

@@ -11,8 +11,10 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from harmonic_census import ContractViolationError, cli, number_theory, orbits
+from harmonic_census import ContractViolationError, cli, number_theory, orbits, symmetry
 from harmonic_census.cli import main
 from harmonic_census.number_theory import is_prime
 
@@ -529,6 +531,20 @@ def test_scan_digests(capsys, N, d, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("N, d", [(7, 6), (7, 7), (1553, 1552), (1553, 1553)])
+def test_scan_computes_the_last_orbits_factorial_once(capsys, monkeypatch, N, d):
+    # the exit code and the last orbit's row both need N! of the simplex or
+    # the basis
+    calls = []
+    factorial = symmetry._symmetric_group_order
+    monkeypatch.setattr(
+        symmetry, "_symmetric_group_order", lambda n: calls.append(n) or factorial(n)
+    )
+    code, out, _ = run(capsys, "scan", "--N", str(N), "--d", str(d), "--format", "json")
+    assert code == 4 and calls == [N]
+    assert int(json.loads(out)["rows"][-1]["full_group_order"]) == math.factorial(N)
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_scan_reports_a_corrupt_chunk(capsys, monkeypatch, fmt):
     # the scan stops marking 1 as fixing the first row of each chunk; the
@@ -790,3 +806,75 @@ def test_output_determinism(capsys):
 
 def test_no_command(capsys):
     assert main([]) == 2
+
+
+# options argparse reads but the plain path declines, and values it declines
+# or must convert exactly as argparse does
+_ODD_OPTIONS = ["-h", "--help", "--he", "--form", "--N=7", "--", "--d"]
+_VALUES = [
+    "7", "13", "3", "1,2", "json", "csv", "table", "o.txt",
+    "-5", "-1,2", "", "٣", "+7", "7_0", "xml", "1e3", "1, 2",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, or a word that is none, then option and value pairs: the
+    command's options in any order, all or a leading part of them, at times
+    with one or two more from them or from _ODD_OPTIONS (repeats, help,
+    abbreviations), each value from _VALUES or one the option takes, and at
+    times one more lone token."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "cnt", "-h"]))
+    options = list(cli._parser().commands.get(command, ["--N", "--d"]))
+    names = draw(st.permutations(options))
+    if draw(st.booleans()):
+        names = names[: draw(st.integers(0, len(names)))]
+    if draw(st.booleans()):
+        names += draw(st.lists(st.sampled_from(options + _ODD_OPTIONS), min_size=1, max_size=2))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        valid = "json" if name == "--format" else "7"  # half of the values
+        argv += [name, draw(st.just(valid) | st.sampled_from(_VALUES))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(st.sampled_from(_ODD_OPTIONS + _VALUES)))
+    return argv
+
+
+def test_plain_path_is_parse_args():
+    parser = cli._parser()
+    accepted = []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_argvs())
+    def check(argv):
+        args = cli._plain_args(parser.commands, argv)
+        if args is not None:
+            assert vars(args) == vars(parser.parse_args(argv))
+            accepted.append(args.command)
+
+    check()
+    assert set(accepted) == set(cli.COMMANDS)
+
+
+def test_values_that_look_like_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetry", "--N", "7", "--gens", "-1,2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, "symmetry", "--N", "7", "--gens=-1,2", "--format", "json")
+    assert code == 0 and json.loads(out)["generators"] == [2, 6]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument; a plain command line
+    # never reaches argparse, and every other form gives the same bytes
+    def parse_args(self, args=None, namespace=None):
+        raise AssertionError(f"plain command line {args} sent to argparse")
+
+    want = run(capsys, "count", "--N", "67", "--d", "5")
+    with monkeypatch.context() as m:
+        m.setattr(sys, "argv", ["harmonic-census", "count", "--N", "67", "--d", "5"])
+        m.setattr(cli._Parser, "parse_args", parse_args)
+        assert (main(), *capsys.readouterr()) == want
+    monkeypatch.setattr(sys, "argv", ["harmonic-census", "count", "--N=67", "--d=5"])
+    assert (main(), *capsys.readouterr()) == want
