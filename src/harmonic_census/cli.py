@@ -6,7 +6,9 @@ Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
 in full, reported on one stderr line; help text goes through the same
 check), 3 a budget exceeded, 4 symmetry-conjecture counterexample
 discovered (notable, not fatal), 5 internal contract violated (a library
-bug, reported on one stderr line).  stdout is complete only on exits 0, 1
+bug, reported on one stderr line).  main returns every code and raises no
+SystemExit: 0 after help and 2 after a usage error that argparse writes.
+stdout is complete only on exits 0, 1
 and 4: enumerate and scan write each checked chunk's lines as they go, so
 a contract failure found after the last chunk leaves earlier lines written.
 --out writes a temporary file beside the path and renames it over the path
@@ -106,8 +108,9 @@ def _emit(payload: list[str] | bytes | Iterator, path: str | None) -> None:
     """Write a command's output to stdout or to path: its lines, its
     exported bytes, or an iterator of bytes-like blocks, each written as it
     comes.  A stream or path that cannot take them all is a usage error.
-    The first block is made before path is opened, so a command's own errors
-    come first.  path is written through a temporary file beside it, renamed
+    A command's own errors come first: enumerate and scan make and check
+    their first chunk in _orbit_chunks before they return their blocks.
+    path is written through a temporary file beside it, renamed
     over it on success, so a run that fails leaves no file there; a path
     that exists and is not a regular file (a device or a pipe) is written
     directly.  stdout may store only part of a write once a pipe's reader
@@ -117,11 +120,7 @@ def _emit(payload: list[str] | bytes | Iterator, path: str | None) -> None:
     docs)."""
     if isinstance(payload, list):
         payload = ("\n".join(payload) + "\n").encode("utf-8")
-    if isinstance(payload, bytes):
-        blocks = (payload,)
-    else:  # the first block is made before path is opened
-        blocks = iter(payload)
-        blocks = chain((next(blocks, b""),), blocks)
+    blocks = (payload,) if isinstance(payload, bytes) else payload
     try:
         if path is not None:
             _write_file(path, blocks)
@@ -254,7 +253,9 @@ def _group(table: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
 
 def _orbit_chunks(modulus: PrimeModulus, d: int, budget: int) -> Iterator:
     """orbit_chunks with its first chunk made, so that the budget and the
-    first chunk's check come before the command's own checks and output."""
+    first chunk's check come before the command's own checks and output:
+    the one place that orders these errors before a byte is written or the
+    --out path is opened."""
     from .orbits import orbit_chunks
 
     chunks = orbit_chunks(modulus, d, max_subsets=budget)
@@ -283,7 +284,7 @@ def _enumerate_blocks(
     w = table.shape[1]
     head_row, tail_row = (np.frombuffer(t.encode(), np.uint8) for t in (joint + head, tail))
     yield before.encode()
-    lines, layouts = 0, {}
+    lines = 0
     for reps, c, lead in chunks:
         d, zero = reps.shape[1], int(reps[0, 0] == 0)  # one head per chunk
         # c = N-1 is the one row of its chunk; bincount would take N bins
@@ -295,14 +296,10 @@ def _enumerate_blocks(
                 yield from chain(_group(table, row[mask]) if leaders else (), (tail_row,))
             lines += len(reps)
             continue
-        key = (zero, *orders)
-        if key not in layouts:
-            texts = [b"".join(middle(order, zero, table)) for order in orders]
-            width = max(map(len, texts))
-            padded = b"".join(text.ljust(width, b"\0") for text in texts)
-            middles = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), -1)
-            layouts[key] = np.array(orders), middles
-        orders, middles = layouts[key]
+        texts = [b"".join(middle(order, zero, table)) for order in orders]
+        width = max(map(len, texts))
+        padded = b"".join(text.ljust(width, b"\0") for text in texts)
+        middles = np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), -1)
         at = np.searchsorted(orders, c)
         # the columns: head | representative | middle | leaders | tail
         rep_at, mid_at = len(head_row), len(head_row) + d * w
@@ -641,7 +638,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # help is written while parsing, so a stdout that cannot take it
         # fails in here
-        args = _plain_args(parser.commands, argv) or parser.parse_args(argv)
+        try:
+            args = _plain_args(parser.commands, argv) or parser.parse_args(argv)
+        except SystemExit as exc:  # argparse wrote its help or usage error
+            return exc.code
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE

@@ -6,7 +6,7 @@ dict/set orbit chasing for subset orbits, all N-1 multipliers for a
 stabilizer, a lex-min image (and the at most d images x^-1 . S that
 the representative lemma leaves to try), the unit action m . S, the units
 mapping one set onto another or an equivalence witness, per-entry floats
-for a frame export, raw streaming over ordered tuples for the scaling
+for a frame export, every ordered tuple generated for the scaling
 action, the classical necklace count for the number of subset orbits,
 an orbit-level recursion in Fractions (alpha) for the census by stabilizer
 order, trial division for divisors and for the order of a unit, N x N
@@ -38,7 +38,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, permutations
+from itertools import combinations, compress, permutations
+from typing import Iterator
 
 import numpy as np
 
@@ -215,10 +216,29 @@ def subset_orbit_count_via_necklaces(N: int, d: int) -> int:
     return necklace_count(N - 1, d) + necklace_count(N - 1, d - 1)
 
 
+def _ordered_tuples(
+    N: int, d: int, T: np.ndarray, rows: int = 1 << 16
+) -> Iterator[np.ndarray]:
+    """Every ordered d-tuple of distinct residues mod N that extends a row of
+    T, in blocks of at most about rows tuples: each row is extended, in
+    turn, by every residue it does not hold."""
+    if T.shape[1] == d:
+        yield T
+        return
+    step = max(1, rows // (N - T.shape[1]))
+    for lo in range(0, len(T), step):
+        part = T[lo : lo + step]
+        free = np.ones((len(part), N), dtype=bool)
+        free[np.arange(len(part))[:, None], part] = False
+        row, x = np.nonzero(free)
+        yield from _ordered_tuples(N, d, np.column_stack((part[row], x)), rows)
+
+
 def pi1_orbit_count_raw(N: int, d: int, budget: int = 10**7) -> int | None:
-    """Number of scaling orbits of ordered distinct d-tuples, by streaming
+    """Number of scaling orbits of ordered distinct d-tuples, by generating
     every tuple and counting those that are the lexicographic minimum of
-    their own orbit.  Returns None when the tuple count exceeds budget."""
+    their own orbit: each multiplier m = 2..N-1 drops the tuples that its
+    image undercuts.  Returns None when the tuple count exceeds budget."""
     total = math.factorial(N) // math.factorial(N - d)
     if total > budget:
         return None
@@ -230,23 +250,19 @@ def pi1_orbit_count_raw(N: int, d: int, budget: int = 10**7) -> int | None:
         return len(orbits)
 
     weights = np.array([N ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    flat = chain.from_iterable(permutations(range(N), d))
-    remaining = total
-    chunk_rows = 1 << 17
-    count = 0
-    while remaining:
-        rows = min(chunk_rows, remaining)
-        T = np.fromiter(flat, dtype=np.int64, count=rows * d).reshape(rows, d)
-        remaining -= rows
+    generated = count = 0
+    for T in _ordered_tuples(N, d, np.empty((1, 0), dtype=np.int64)):
+        generated += len(T)
         key0 = T @ weights
-        is_canon = np.ones(rows, dtype=bool)
         for m in range(2, N):
             km = ((m * T) % N) @ weights
             # ties are impossible for d >= 2: a scaled tuple with a nonzero
             # coordinate equals the original only for m = 1
             assert not np.any(km == key0)
-            is_canon &= key0 <= km
-        count += int(is_canon.sum())
+            keep = key0 < km
+            T, key0 = T[keep], key0[keep]
+        count += len(T)
+    assert generated == total
     return count
 
 

@@ -604,6 +604,22 @@ def test_output_file_unwritable(tmp_path, capsys, where):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify", "scan"])
+def test_first_chunk_errors_come_before_the_out_path(tmp_path, capsys, monkeypatch, command):
+    # the budget and the first chunk's check run before the --out path is
+    # opened, so their exit code wins over the path's usage error
+    target = tmp_path / "missing" / "out.txt"
+    argv = [command, "--N", "7", "--d", "3", "--out", str(target)]
+    code, out, err = run(capsys, *argv, "--max-subsets", "1")
+    assert (code, out, err.count("\n")) == (3, "", 1) and "budget" in err
+    # 2 has order 3 mod 7, not 6: the first chunk's stabilizers fail their check
+    monkeypatch.setattr(number_theory, "find_primitive_root", lambda modulus: 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (5, "", 1)
+    assert err.startswith("error: internal contract violated: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _stdio_env(buffered: bool) -> dict:
     # block-buffered stdout keeps a failed write for the flush at exit
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -856,10 +872,24 @@ def test_plain_path_is_parse_args():
     assert set(accepted) == set(cli.COMMANDS)
 
 
+def test_main_returns_every_exit_code(capsys, monkeypatch, tmp_path):
+    # help, argparse's usage errors and every other outcome come back as
+    # main's result, never as SystemExit; --out o.txt writes to tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HC_MAX_SUBSETS", raising=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argvs())
+    def check(argv):
+        code = main(argv)
+        capsys.readouterr()
+        assert type(code) is int and 0 <= code <= 5
+
+    check()
+
+
 def test_values_that_look_like_options(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["symmetry", "--N", "7", "--gens", "-1,2"])
-    assert exc.value.code == 2
+    assert main(["symmetry", "--N", "7", "--gens", "-1,2"]) == 2
     assert "expected one argument" in capsys.readouterr().err
     code, out, _ = run(capsys, "symmetry", "--N", "7", "--gens=-1,2", "--format", "json")
     assert code == 0 and json.loads(out)["generators"] == [2, 6]

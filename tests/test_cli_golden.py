@@ -209,10 +209,7 @@ def run_case(env: str | None, argv: list[str], out_path: Path) -> str:
             mp.setenv("HC_MAX_SUBSETS", env)
         out_path.unlink(missing_ok=True)
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            try:
-                code = main([str(out_path) if a == OUT else a for a in argv])
-            except SystemExit as exc:  # argparse rejects the command line
-                code = exc.code
+            code = main([str(out_path) if a == OUT else a for a in argv])
     stdout.flush()
     written = out_path.read_text("utf-8") if out_path.exists() else None
     out = stdout.buffer.getvalue().decode("utf-8")
