@@ -4,11 +4,12 @@ decisions, and symmetry analysis with stable machine-readable output.
 Exit codes: 0 success (or equivalent frames), 1 mismatch or inequivalence,
 2 usage error (including output that stdout or the --out path cannot take
 in full, reported on one stderr line; help text goes through the same
-check), 3 a budget exceeded, 4 symmetry-conjecture counterexample
-discovered (notable, not fatal), 5 internal contract violated (a library
-bug, reported on one stderr line).  main returns every code and raises no
-SystemExit: 0 after help and 2 after a usage error that argparse writes.
-stdout is complete only on exits 0, 1
+check), 3 a budget exceeded, or memory run out under a budget raised
+past what memory holds (one "error: out of memory" line on stderr), 4
+symmetry-conjecture counterexample discovered (notable, not fatal), 5
+internal contract violated (a library bug, reported on one stderr line).
+main returns every code and raises no SystemExit: 0 after help and 2 after
+a usage error that argparse writes.  stdout is complete only on exits 0, 1
 and 4: enumerate and scan write each checked chunk's lines as they go, so
 a contract failure found after the last chunk leaves earlier lines written.
 --out writes a temporary file beside the path and renames it over the path
@@ -657,6 +658,9 @@ def main(argv: list[str] | None = None) -> int:
         _emit(payload, args.out)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory before the budget was reached", file=sys.stderr)
         return EXIT_BUDGET
     except (DomainError, ModulusMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

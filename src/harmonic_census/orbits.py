@@ -30,8 +30,7 @@ multipliers, and the multipliers with x^-1 . T = T make up its whole
 stabilizer (x fixes T iff x^-1 does).  Candidates are tested in chunks, one
 numpy pass over sorted rows per multiplier column.  Those containing 0 come
 first, each group in combination order, so the orbits come out sorted by
-representative with no visited-set memory.  The single set with no nonzero
-element, {0}, is its own orbit, and so is Z_N.
+representative with no visited-set memory.
 
 Above N/2 no candidate is visited: the d-orbits are mapped from the
 (N-d)-orbits by complement.  Complement commutes with the action,
@@ -42,19 +41,29 @@ both have the same stabilizer, and gamma_c(N, d) = gamma_c(N, N-d).
 Naimark complement of the frame of S.)  Among sets of one size complement
 reverses lex order, as the smallest element of the symmetric difference
 lies in the smaller set; so the representative of the d-orbit of Z_N - T
-is Z_N - L, with L the lex-max image m . T.  The (N-d)-orbits T are
-enumerated as above and each mapped across.  L never contains 1 (_lex_max),
-and m . T contains 1 exactly when m^-1 lies in T, so only the N-1-k units m
-with m^-1 outside T are tried, k the number of nonzero elements of T, in
-place of all N-1.  The L are sorted descending.
+is Z_N - L, with L the lex-max image m . T.  So one pipeline runs at
+k = min(d, N-d): the k-orbits T are grown, scanned and checked as above,
+and above N/2 each is mapped across with the same table of inverses.  L
+never contains 1 (_lex_max), and m . T contains 1 exactly when m^-1 lies
+in T, so only the N-1-j units m with m^-1 outside T are tried, j the
+number of nonzero elements of T, in place of all N-1.  The L are sorted
+descending.
+
+At k <= 1 nothing is searched or mapped: the orbits are the runs
+{lo, ..., lo+d-1} with lo = 0 and 1, or lo = 0 alone at d = N.  Every
+unit fixes {0}, the units and Z_N, so each is its own orbit with c = N-1.
+The other runs have c = 1: at d = 1 the orbit of {1} is the N-1 units as
+singletons, and at d = N-1 the orbit of Z_N - {N-1} is the N-1 sets that
+miss one unit.
 
 orbit_chunks yields the orbits as numpy chunks: the representatives, the
 stabilizer order c of each and the mask of its block leaders.  Each chunk
-but {0} and Z_N, which are yielded as they are, is checked in numpy
+that a search or the complement map made is checked in numpy
 (_check_chunk): c divides N-1; the fixed elements are the order-c unit
 subgroup; and the leaders' cosets under that subgroup give back the row.
-After the last chunk the orbit sizes must sum to C(N, d).  The CLI's enumerate, verify and scan read the chunks directly,
-and build no per-orbit object.
+The runs of the closed form are yielded as they are.  After the last chunk
+the orbit sizes must sum to C(N, d).  The CLI's enumerate, verify and scan
+read the chunks directly, and build no per-orbit object.
 """
 
 from __future__ import annotations
@@ -164,9 +173,7 @@ def _rechunk(blocks: Iterator[np.ndarray], chunk_rows: int) -> Iterator[np.ndarr
         yield np.concatenate(held)
 
 
-def _candidate_chunks(
-    N: int, d: int, inverse: np.ndarray | None
-) -> Iterator[np.ndarray]:
+def _candidate_chunks(N: int, d: int, inverse: np.ndarray) -> Iterator[np.ndarray]:
     """Candidates for the representatives at d <= N/2, in chunks of at most
     _CHUNK_ROWS rows and _CHUNK_ENTRIES entries that share their head:
     first the sets {0, 1} u U, then {1} u U, with U running over subsets of
@@ -176,9 +183,9 @@ def _candidate_chunks(
     together hold at most _CHUNK_ENTRIES entries."""
     for head in ((0, 1), (1,)):
         prefix = np.array([head], dtype=np.int64)
-        if len(head) == d:
+        if len(head) == d:  # {0, 1} at d = 2
             yield prefix
-        elif len(head) < d:
+        else:
             units = np.arange(N)
             # t2 needs t2^-1 >= t2: the rule on the pair (1, t2)
             may = ((units >= 2) & (inverse >= units))[None, :]
@@ -188,7 +195,7 @@ def _candidate_chunks(
 
 
 def _scan_candidates(
-    rows: np.ndarray, N: int, inverse: np.ndarray | None
+    rows: np.ndarray, N: int, inverse: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Keep the rows that are lexicographically no larger than x^-1 . row
     for every nonzero x in the row.  Returns the kept rows and a boolean
@@ -217,8 +224,7 @@ def _check_chunk(
     N-1, and the fixed elements are the order-c unit subgroup H, built once
     per distinct c in the chunk.  x is a leader iff x <= x h mod N for every
     h in H, and the leaders' cosets x H give back the nonzero part of the
-    row.  At c = N-1 the row's nonzero part is one coset, Z_N^x, led by 1,
-    so its leader needs no pass per h.  All rows share their head."""
+    row.  All rows share their head."""
     N = modulus.N
     c = fixes.sum(axis=1)
     nonzero = rows[:, int(rows[0, 0] == 0) :]
@@ -239,9 +245,8 @@ def _check_chunk(
             )
         if order == 1:
             continue
-        # at c = N-1 the one coset, Z_N^x, is led by 1: no pass per h
-        lead = leaders[at] & ((block == 1) | (order < N - 1))
-        for h in H[1:].tolist() if order < N - 1 else ():
+        lead = leaders[at]
+        for h in H[1:].tolist():
             lead &= block <= block * h % N
         leaders[at] = lead
         bad = lead.sum(axis=1) * order != nonzero.shape[1]
@@ -256,33 +261,23 @@ def _check_chunk(
     return c, leaders
 
 
-def _inverse(x: np.ndarray, N: int) -> np.ndarray:
-    """x^-1 mod N for units x, as x^(N-2) by repeated squaring.  Every
-    product is below N^2, which x's dtype must hold."""
-    out, e = np.ones_like(x), N - 2
-    while e:
-        if e & 1:
-            out = out * x % N
-        x, e = x * x % N, e >> 1
-    return out
-
-
-def _lex_max(reps: np.ndarray, N: int) -> np.ndarray:
+def _lex_max(reps: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """For each row T, the tuple-lex-max of its images m . T, sorted.  T has
     fewer than N-1 nonzero elements, so some image does not contain 1, and
     it beats every image that does at their first nonzero entry: the max
     never contains 1.  m . T contains 1 iff m^-1 lies in T, so the N-1-k
     units m with m^-1 not among the last k entries of T are tried, where k
-    is the fewest nonzero entries of any row.  The rows of a chunk share
-    their head, so every row has k nonzero entries and only the units that
-    can win are tried; a row with one more also tries one unit whose image
-    contains 1.  The images are computed in int32 when every product
-    m x < N^2 fits one, which takes about a third less time than int64.
-    Each image is one int64 key in lex order when its values below N fit
-    one, and one key per value when not; the max is found key by key among
-    the images that tie so far.  The rows are taken in blocks whose masks
+    is the fewest nonzero entries of any row; inverse is the table of x^-1
+    mod N, so N is its length.  The rows of a chunk share their head, so
+    every row has k nonzero entries and only the units that can win are
+    tried; a row with one more also tries one unit whose image contains 1.
+    The images are computed in int32 when every product m x < N^2 fits
+    one, which takes about a third less time than int64.  Each image is one
+    int64 key in lex order when its values below N fit one, and one key per
+    value when not; the max is found key by key among the images that tie
+    so far.  The rows are taken in blocks whose masks
     over Z_N and images hold at most _CHUNK_ENTRIES entries, or one row's."""
-    width = reps.shape[1]
+    N, width = len(inverse), reps.shape[1]
     k = width - int((reps[:, 0] == 0).any())  # only the first entry can be 0
     q = width if N**width < 1 << 63 else 1  # values per key
     dtype = np.int32 if N * N < 1 << 31 else np.int64
@@ -292,7 +287,7 @@ def _lex_max(reps: np.ndarray, N: int) -> np.ndarray:
         block = reps[lo : lo + rows].astype(dtype, copy=False)
         outside = np.ones((len(block), N), dtype=bool)
         outside[:, 0] = False
-        outside[np.arange(len(block))[:, None], _inverse(block[:, width - k :], N)] = False
+        outside[np.arange(len(block))[:, None], inverse[block[:, width - k :]]] = False
         units = np.flatnonzero(outside).astype(dtype) % N  # row by row, ascending
         units = units.reshape(len(block), N - 1 - k, 1)
         img = np.sort(block[:, None] * units % N, axis=2)
@@ -304,20 +299,22 @@ def _lex_max(reps: np.ndarray, N: int) -> np.ndarray:
     return best
 
 
-def _complements(modulus: PrimeModulus, d: int, budget: int) -> Iterator[tuple]:
-    """The d-orbits for N/2 < d < N as (rows, fixes) chunks, mapped by
-    complement from the checked (N-d)-orbits T (module docstring): each
-    representative is Z_N - L, with L the lex-max image of T, and has T's
-    stabilizer order c.  The L of all orbits are held and sorted descending,
-    one row of N-d entries per orbit, so the representatives come out
-    ascending.  The chunks are cut where 0 leaves the rows, so they share
-    their head, and their N-wide masks hold at most _CHUNK_ENTRIES entries.
-    fixes marks each row's members of the order-c unit subgroup, which
+def _complements(
+    modulus: PrimeModulus, d: int, chunks: Iterator[tuple], inverse: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The d-orbits for N/2 < d < N-1 as (rows, fixes) chunks, mapped by
+    complement from the checked (N-d)-orbit chunks (T, c, leaders) (module
+    docstring): each representative is Z_N - L, with L the lex-max image of
+    T (_lex_max, which reads the table inverse), and has T's stabilizer
+    order c.  The L of all orbits are held and sorted descending, one row
+    of N-d entries per orbit, so the representatives come out ascending.
+    The chunks are cut where 0 leaves the rows, so they share their head,
+    and their N-wide masks hold at most _CHUNK_ENTRIES entries.  fixes
+    marks each row's members of the order-c unit subgroup, which
     _check_chunk then tests: a row that is not a union of its cosets, or
     lacks 1, fails there."""
     N = modulus.N
-    chunks = orbit_chunks(modulus, N - d, max_subsets=budget)
-    low, orders = map(np.concatenate, zip(*[(_lex_max(T, N), c) for T, c, _ in chunks]))
+    low, orders = map(np.concatenate, zip(*[(_lex_max(T, inverse), c) for T, c, _ in chunks]))
     at = np.lexsort(low.T[::-1])[::-1]
     step = min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // N))
     # the L without 0 come first, and their complements hold 0
@@ -332,6 +329,17 @@ def _complements(modulus: PrimeModulus, d: int, budget: int) -> Iterator[tuple]:
         yield rows, fixes
 
 
+def _runs(N: int, d: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The orbits at min(d, N-d) <= 1 in closed form (module docstring), one
+    chunk each: the runs range(lo, lo + d) with lo = 0 and 1, or lo = 0 alone
+    at d = N.  A run that ends at 1 or N is {0}, the units or Z_N, with
+    c = N-1 and 1 as its one block leader ({0} has none); every other run
+    has c = 1, and each nonzero element leads its own block."""
+    for lo in range(1 + (d < N)):
+        row, whole = np.arange(lo, lo + d)[None], lo + d in (1, N)
+        yield row, np.array([N - 1 if whole else 1]), row == 1 if whole else row != 0
+
+
 def orbit_chunks(
     modulus: PrimeModulus,
     d: int,
@@ -341,18 +349,20 @@ def orbit_chunks(
     """All orbits of unordered d-subsets under the unit-group action, sorted
     by representative, as chunks (reps, c, leaders): the representatives as
     rows, the stabilizer order of each, and the mask of its block leaders.
-    At d <= N/2 it visits the sets whose smallest nonzero element is 1 that
-    meet the pairwise rule of the module docstring, in chunks of at most
-    _CHUNK_ROWS candidates and _CHUNK_ENTRIES entries, so that a chunk's
-    memory is bounded at every d.  At N/2 < d < N it maps the (N-d)-orbits
-    across by complement (_complements), and at d = N it yields Z_N, as at
-    d = 1 it yields {0}, both with c = N-1.  Every other chunk is checked with
-    _check_chunk.  The budget, by default DEFAULT_MAX_SUBSETS, counts
-    max(C(N, d), N): the subsets covered, or at d = N the N entries of the
-    one row, since C(N, N) = 1.  It is checked before the first chunk.  It
-    also bounds what _complements sorts, N-d entries per orbit: about
-    C(N, d)(N-d)/(N-1) in all, under half of C(N, d).  After the last chunk
-    the orbit sizes (N-1)/c must sum to C(N, d)."""
+    With k = min(d, N-d), at k <= 1 it yields the runs of the closed form
+    (_runs).  Otherwise it builds the table of x^-1 mod N once, visits the
+    k-sets whose smallest nonzero element is 1 that meet the pairwise rule
+    of the module docstring, in chunks of at most _CHUNK_ROWS candidates
+    and _CHUNK_ENTRIES entries, so that a chunk's memory is bounded at every
+    d, and scans and checks them (_check_chunk).  At d > N/2 it maps those
+    chunks across by complement (_complements), with the same table, and
+    checks the mapped chunks again.  The budget, by default
+    DEFAULT_MAX_SUBSETS, counts max(C(N, d), N): the subsets covered, or at
+    d = N the N entries of the one row, since C(N, N) = 1.  It is checked
+    before the first chunk.  It also bounds what _complements sorts, N-d
+    entries per orbit: about C(N, d)(N-d)/(N-1) in all, under half of
+    C(N, d).  After the last chunk the orbit sizes (N-1)/c must sum to
+    C(N, d)."""
     N = modulus.N
     check_dimension(N, d)
     budget = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
@@ -361,20 +371,20 @@ def orbit_chunks(
     what, unit = (f"C({N},{d})", "subsets") if d < N else (f"the row Z_{N}", "entries")
     check_budget(what, max(total, N), unit, budget)
 
-    covered = int(d in (1, N))
-    if d in (1, N):  # every unit fixes {0}, with no block, and Z_N, one led by 1
-        yield np.arange(d)[None], np.array([N - 1]), np.arange(d)[None] == 1
-    if 2 * d > N:
-        scanned = _complements(modulus, d, budget) if d < N else ()
-    else:  # x^-1 mod N by lookup; d = 1 runs no multiplier pass
-        inverse = None if d == 1 else np.array([0] + [pow(x, -1, N) for x in range(1, N)])
-        chunks = _candidate_chunks(N, d, inverse)
-        scanned = (_scan_candidates(chunk, N, inverse) for chunk in chunks)
-    for reps, fixes in scanned:
-        if len(reps):
-            c, leaders = _check_chunk(modulus, reps, fixes)
-            covered += int(((N - 1) // c).sum())
-            yield reps, c, leaders
+    k = min(d, N - d)
+    if k <= 1:
+        chunks = _runs(N, d)
+    else:  # x^-1 mod N by lookup
+        inverse = np.array([0] + [pow(x, -1, N) for x in range(1, N)])
+        scanned = (_scan_candidates(r, N, inverse) for r in _candidate_chunks(N, k, inverse))
+        chunks = ((T, *_check_chunk(modulus, T, f)) for T, f in scanned if len(T))
+        if k < d:  # each mapped chunk is checked again
+            mapped = _complements(modulus, d, chunks, inverse)
+            chunks = ((R, *_check_chunk(modulus, R, f)) for R, f in mapped)
+    covered = 0
+    for reps, c, leaders in chunks:
+        covered += int(((N - 1) // c).sum())
+        yield reps, c, leaders
 
     if covered != total:
         raise ContractViolationError(

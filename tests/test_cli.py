@@ -620,6 +620,23 @@ def test_first_chunk_errors_come_before_the_out_path(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # a raised budget can admit a frame larger than memory; the allocation's
+    # MemoryError is one stderr line and exit 3, and --out is left unmade
+    from harmonic_census import frames
+
+    def no_memory(self, s):
+        raise MemoryError
+
+    monkeypatch.setattr(frames.FrameMatrix, "__init__", no_memory)
+    target = tmp_path / "frame.json"
+    argv = ["frame", "--N", "7", "--gens", "1", "--format", "json", "--out", str(target)]
+    code, out, err = run(capsys, *argv, "--max-subsets", "100000000000")
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory before the budget was reached\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _stdio_env(buffered: bool) -> dict:
     # block-buffered stdout keeps a failed write for the flush at exit
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -286,6 +287,41 @@ def test_orbit_chunk_memory_is_bounded_at_large_d():
         assert peak < 100 << 20
 
 
+def test_closed_forms_at_scale():
+    """At min(d, N-d) <= 1 the orbits are runs yielded in closed form, with
+    no candidate, image or complement mask: at N = 999983 each of d = N-1
+    and d = N peaks under 3 * 8 * N bytes, and d = N-1 takes well under
+    0.1 s.  Each row, c and leader mask is the closed form's."""
+    N = 999_983
+    m = PrimeModulus(N)
+    for d, want in (
+        (N - 1, [(0, N - 2, 1), (1, N - 1, N - 1)]),
+        (N, [(0, N - 1, N - 1)]),
+    ):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            chunks = list(orbit_chunks(m, d))
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * N, (d, peak)
+        if d == N - 1:
+            assert seconds < 0.1
+        got = []
+        for reps, c, leaders in chunks:
+            assert reps.shape == (1, d) and len(c) == 1
+            (row,), (lead,) = reps, leaders
+            lo, hi = int(row[0]), int(row[-1])
+            assert np.array_equal(row, np.arange(lo, hi + 1))
+            # {0, ..., N-2} has c = 1, so each nonzero element leads a block
+            want_lead = np.arange(1, N - 1) if c[0] == 1 else [1]
+            assert np.array_equal(row[lead], want_lead)
+            got.append((lo, hi, int(c[0])))
+        assert got == want
+
+
 def test_orbit_chunk_memory_is_bounded_at_half_d():
     """At d <= N/2 the candidates are grown prefix by prefix, each level in
     blocks, and each chunk is freed before the next is gathered, so the
@@ -361,6 +397,11 @@ def test_candidates_above_half_are_those_of_the_complement(monkeypatch):
     assert orbits == 109 and visited < math.comb(12, 4)
 
 
+def _inverse_table(N):
+    """x^-1 mod N at each unit x, as _lex_max reads it; 0 at 0."""
+    return np.array([0] + [pow(x, -1, N) for x in range(1, N)])
+
+
 @pytest.mark.parametrize("k", [10, 11])
 def test_lex_max_against_all_images(k):
     """53^10 < 2^63 <= 53^11: an image of 10 values is one int64 key, one of
@@ -373,21 +414,22 @@ def test_lex_max_against_all_images(k):
         for row in reps.tolist()
     ]
     assert not any(1 in image for image in want)
-    assert list(map(tuple, _lex_max(reps, 53).tolist())) == want
+    assert list(map(tuple, _lex_max(reps, _inverse_table(53)).tolist())) == want
 
 
 @pytest.mark.parametrize("N", oracles.primes_up_to(19))
 def test_lex_max_against_all_units_above_half(N):
-    """Every N/2 < d < N: on each chunk of (N-d)-orbits, as the complement
-    map passes them, the max over the units that can win is the max over
-    all N-1."""
-    for d in range(N // 2 + 1, N):
+    """Every N/2 < d < N-1, where the complement map runs: on each chunk of
+    (N-d)-orbits, as the map passes them, the max over the units that can
+    win is the max over all N-1."""
+    inverse = _inverse_table(N)
+    for d in range(N // 2 + 1, N - 1):
         for reps, _, _ in orbit_chunks(PrimeModulus(N), N - d):
             want = [
                 max(tuple(sorted(m * x % N for x in row)) for m in range(1, N))
                 for row in reps.tolist()
             ]
-            assert list(map(tuple, _lex_max(reps, N).tolist())) == want, (N, d)
+            assert list(map(tuple, _lex_max(reps, inverse).tolist())) == want, (N, d)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
@@ -411,7 +453,7 @@ def test_complement_without_multiplier_search_exits_5(monkeypatch, capsys):
     import harmonic_census.orbits as orbits_mod
     from harmonic_census import cli
 
-    monkeypatch.setattr(orbits_mod, "_lex_max", lambda reps, N: reps)
+    monkeypatch.setattr(orbits_mod, "_lex_max", lambda reps, inverse: reps)
     code = cli.main(["verify", "--N", "13", "--d", "9"])
     out, err = capsys.readouterr()
     assert code == 5 and out == ""
@@ -450,8 +492,10 @@ def test_orbit_sizes_cover_all_subsets(m13, monkeypatch):
         return reps[:-1], fixes[:-1]
 
     monkeypatch.setattr(orbits_mod, "_scan_candidates", drop_last)
-    with pytest.raises(ContractViolationError, match="orbit sizes sum to"):
-        enumerate_orbits(m13, 4)
+    # at d = 9 the dropped 4-orbit is missed by the one sum, over the complements
+    for d in (4, 9):
+        with pytest.raises(ContractViolationError, match="orbit sizes sum to"):
+            enumerate_orbits(m13, d)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
