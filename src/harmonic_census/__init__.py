@@ -42,7 +42,8 @@ from .symmetry import (
 
 __version__ = "0.1.0"
 
-# name: the module that holds it, which imports numpy
+# name: the module that holds it, which imports numpy; cyclotomic needs none
+# but stays lazy, since only frames and the tests use it
 _NUMPY_NAMES = {
     "CyclotomicInt": "cyclotomic",
     "FrameMatrix": "frames",

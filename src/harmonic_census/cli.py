@@ -256,11 +256,13 @@ def _orbit_chunks(modulus: PrimeModulus, d: int, budget: int) -> Iterator:
     """orbit_chunks with its first chunk made, so that the budget and the
     first chunk's check come before the command's own checks and output:
     the one place that orders these errors before a byte is written or the
-    --out path is opened."""
+    --out path is opened.  The chain keeps its arguments to the end, so the
+    first chunk goes in through an iterator, which lets go of it once
+    exhausted, and is freed before the next chunk is made."""
     from .orbits import orbit_chunks
 
     chunks = orbit_chunks(modulus, d, max_subsets=budget)
-    return chain((next(chunks),), chunks)
+    return chain(iter([next(chunks)]), chunks)
 
 
 def _enumerate_blocks(
@@ -367,6 +369,7 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     N, d = modulus.N, args.d
     hist: dict[int, int] = {}
     for _, c, _ in _orbit_chunks(modulus, d, args.max_subsets):
+        del _  # the leaders mask, freed before the next chunk is made
         orders, counts = np.unique(c, return_counts=True)
         for order, count in zip(orders.tolist(), counts.tolist()):
             hist[order] = hist.get(order, 0) + count

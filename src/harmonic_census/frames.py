@@ -16,16 +16,16 @@ sorted((k-j) . [n]), and two entries are equal exactly when their labels
 coincide.  The numerator of an entry is the count vector of its label, and
 two count vectors denote the same element of Z[w] only if they differ by a
 constant vector c; both sum to d, so c N = 0 and c = 0.  `GramMatrix`
-therefore stores only the generators and sorts a label, or counts a
-numerator, on demand in O(d).  Gram row 0 fixes every other row: if column
-k minus column 0 of the exponents is k . [n] for every k, then column k
-minus column j is (k - j) . [n], so the constructor checks row 0 alone, in
-O(N d) for every N.  Every column has squared norm sum_k w^e w^(-e) = d
-whatever its exponents, so the unit-norm identity needs no check.  Each
-off-diagonal row-Gram entry sums all N roots once, so the row-Gram
-identity reduces to the generators being distinct mod N.  `symmetry`
-reads no labels: the label at t = 1 is S itself, so the multipliers that
-keep every label are exactly Stab(S).
+therefore stores only the generators, sorts a label on demand in O(d log d)
+and counts a numerator from its label with one bincount.  Gram row 0 fixes
+every other row: if column k minus column 0 of the exponents is k . [n] for
+every k, then column k minus column j is (k - j) . [n], so the constructor
+checks row 0 alone, in O(N d) for every N.  Every column has squared norm
+sum_k w^e w^(-e) = d whatever its exponents, so the unit-norm identity
+needs no check.  Each off-diagonal row-Gram entry sums all N roots once, so
+the row-Gram identity reduces to the generators being distinct mod N.
+`symmetry` reads no labels: the label at t = 1 is S itself, so the
+multipliers that keep every label are exactly Stab(S).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInt, exponent_counts
+from .cyclotomic import CyclotomicInt
 from .errors import ContractViolationError, DomainError
 from .number_theory import GeneratorSet
 
@@ -151,7 +151,7 @@ class GramMatrix:
         return self.modulus.N
 
     def difference_numerator(self, t: int) -> CyclotomicInt:
-        counts = exponent_counts(np.array(self.difference_label(t)), self.N)
+        counts = np.bincount(self.difference_label(t), minlength=self.N)
         return CyclotomicInt(self.modulus, tuple(counts.tolist()))
 
     def difference_label(self, t: int) -> tuple[int, ...]:

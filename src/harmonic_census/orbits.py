@@ -338,6 +338,7 @@ def _runs(N: int, d: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
     for lo in range(1 + (d < N)):
         row, whole = np.arange(lo, lo + d)[None], lo + d in (1, N)
         yield row, np.array([N - 1 if whole else 1]), row == 1 if whole else row != 0
+        del row  # before the next row is made
 
 
 def orbit_chunks(
@@ -382,9 +383,10 @@ def orbit_chunks(
             mapped = _complements(modulus, d, chunks, inverse)
             chunks = ((R, *_check_chunk(modulus, R, f)) for R, f in mapped)
     covered = 0
-    for reps, c, leaders in chunks:
-        covered += int(((N - 1) // c).sum())
-        yield reps, c, leaders
+    for chunk in chunks:
+        covered += int(((N - 1) // chunk[1]).sum())
+        yield chunk
+        del chunk  # before the next chunk is made
 
     if covered != total:
         raise ContractViolationError(

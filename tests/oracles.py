@@ -9,18 +9,20 @@ mapping one set onto another or an equivalence witness, per-entry floats
 for a frame export, every ordered tuple generated for the scaling
 action, the classical necklace count for the number of subset orbits,
 an orbit-level recursion in Fractions (alpha) for the census by stabilizer
-order, trial division for divisors and for the order of a unit, N x N
+order, trial division for divisors and for the order of a unit, Z[w]
+coefficient vectors counted here in bulk (exponent_counts), N x N
 coefficient matrices from the frame's column inner products for Gram
-entries and unit norms, every row of the circulant Gram check, the d x d x N coefficient tensor for the row Gram,
-both d x N frame matrices for an equivalence witness, every label t . S for
-the label-preserving multipliers, each relation of the symmetry generators
-checked on its own, backtracking over Gram labels plus exact unitary
-reconstruction for symmetry groups, every unit with x^c = 1 for coset
-blocks, a sieve for the primes up to a bound, and Miller-Rabin to the
-twelve prime bases up to 37 as the primality reference.  Slow but obviously
-correct; nothing in the package is trusted beyond basic types (frame
-exponents, Gram labels, which the tests check against t . S, and the exact
-cyclotomic coefficient helpers).  Harnesses also drive the library over
+entries and unit norms, every row of the circulant Gram check, the
+d x d x N coefficient tensor for the row Gram, both d x N frame matrices
+for an equivalence witness, every label t . S for the label-preserving
+multipliers, each relation of the symmetry generators checked on its own,
+backtracking over Gram labels plus exact unitary reconstruction for
+symmetry groups, every unit with x^c = 1 for the stabilizers and coset
+blocks of the orbit records and texts, a sieve for the primes up to a
+bound, and Miller-Rabin to the twelve prime bases up to 37 as the
+primality reference.  Slow but obviously correct; nothing in the package
+is trusted beyond basic types (frame exponents and Gram labels, which the
+tests check against t . S).  Harnesses also drive the library over
 every orbit: enumerate_orbits lists the chunks of orbits.orbit_chunks as
 one record per orbit, for the tests that check orbits one at a time;
 enumerate_text and scan_text format those chunks as the output of the
@@ -58,13 +60,39 @@ from harmonic_census import (
     gram,
 )
 from harmonic_census import orbits
-from harmonic_census.cyclotomic import canonicalize_array, exponent_counts
 from harmonic_census.equivalence import CERT_ORBIT_MISMATCH
-from harmonic_census.number_theory import unit_subgroup
 from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS
 from harmonic_census.symmetry import exceptional_orders
 
 AUTOMORPHISM_CAP = 500_000
+
+
+# -- exact Z[w] coefficient vectors, in bulk ---------------------------------
+#
+# Arrays of shape (..., N) of int64 coefficients: the last axis is the
+# coefficient vector (c_0, ..., c_{N-1}) of sum c_k w^k, in the canonical
+# form of CyclotomicInt.coeffs (last coefficient 0).  Each count of
+# `exponent_counts` is at most the row length, which is at most N < 2^31, so
+# canonical entries stay far below 2^63.
+
+
+def canonicalize_array(coeffs: np.ndarray) -> np.ndarray:
+    """Subtract the last coefficient along the final axis, as a new array."""
+    return coeffs - coeffs[..., -1:]
+
+
+def exponent_counts(exponents: np.ndarray, N: int) -> np.ndarray:
+    """Coefficient tensor of sums of single roots.
+
+    exponents has shape (..., M): each row lists M exponents, and the result
+    of shape (..., N) is the canonical coefficient vector of sum_j w^(e_j).
+    """
+    flat = exponents.reshape(-1, exponents.shape[-1])
+    rows = flat.shape[0]
+    offsets = np.arange(rows, dtype=np.int64)[:, None] * N
+    counts = np.bincount((flat + offsets).ravel(), minlength=rows * N)
+    counts = counts.reshape(*exponents.shape[:-1], N).astype(np.int64)
+    return canonicalize_array(counts)
 
 
 def subset_orbit_census(N: int, d: int) -> dict[tuple[int, ...], tuple[int, int]]:
@@ -370,10 +398,16 @@ def growth_ratio(modulus: PrimeModulus, d: int) -> float:
 # -- block forms -------------------------------------------------------------
 
 
+def roots_of_unity_mod(N: int, c: int) -> tuple[int, ...]:
+    """H = {x : x^c = 1 mod N}, found by trying every unit: for c dividing
+    N-1, the subgroup of order c of the units mod the prime N."""
+    return tuple(x for x in range(1, N) if pow(x, c, N) == 1)
+
+
 def coset_leaders(N: int, elems: tuple[int, ...], c: int) -> tuple[int, ...]:
     """The smallest member of each coset x H, x a nonzero element of elems,
-    with H = {x : x^c = 1 mod N} found by trying every unit."""
-    H = [x for x in range(1, N) if pow(x, c, N) == 1]
+    with H = roots_of_unity_mod(N, c)."""
+    H = roots_of_unity_mod(N, c)
     return tuple(sorted({min(x * h % N for h in H) for x in elems if x}))
 
 
@@ -432,7 +466,7 @@ def enumerate_orbits(
         skip = int(reps[0, 0] == 0)  # one head per chunk
         for i, (row, order) in enumerate(zip(reps.tolist(), c.tolist())):
             if order not in subgroups:
-                subgroups[order] = unit_subgroup(modulus, order)
+                subgroups[order] = roots_of_unity_mod(N, order)
             rep, stab = GeneratorSet(modulus, tuple(row)), subgroups[order]
             # at c = 1 the leaders are the nonzero elements
             leaders = tuple(row[skip:] if order == 1 else compress(row, masks[i].tolist()))
@@ -446,7 +480,6 @@ def enumerate_text(N: int, d: int, fmt: str, chunks) -> str:
     the representative, then a fragment that depends only on c and the kind
     (memoized), then the block leaders, which at c = 1 are the nonzero
     elements."""
-    modulus = PrimeModulus(N)
     sep = "|" if fmt == "csv" else ","
     head, tail = {
         "json": (f'{{"N":{N},"d":{d},"generators":[', "]}}"),
@@ -458,7 +491,7 @@ def enumerate_text(N: int, d: int, fmt: str, chunks) -> str:
         return sep.join(map(str, xs))
 
     def middle(c: int, kind: str) -> str:
-        size, stab = (N - 1) // c, join(unit_subgroup(modulus, c))
+        size, stab = (N - 1) // c, join(roots_of_unity_mod(N, c))
         if fmt == "json":
             return (
                 f'],"size":{size},"stab_order":{c},"stabilizer":[{stab}],'

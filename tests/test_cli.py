@@ -355,6 +355,21 @@ def test_verify_simplex_and_basis_at_large_N(capsys, d):
     assert code == 0 and f"N=1000003 d={d} formula_total={1000004 - d} " in out
 
 
+def test_verify_frees_each_row_before_the_next(capsys):
+    """At d = N-1 the two orbits are rows of N-1 entries, and each is freed
+    before the next is made: in-process verify at N = 999983 peaks under
+    1.5 * 8 * N bytes, one row of int64 and its leader mask."""
+    N = 999_983
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "--N", str(N), "--d", str(N - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and f"N={N} d={N - 1} formula_total=2 bruteforce_total=2 " in out
+    assert peak < 1.5 * 8 * N, peak
+
+
 @pytest.mark.parametrize("d", [616, P - 2, P - 1, P])
 def test_count_at_range_edge(capsys, d):
     # one binomial per divisor of gcd(N-1, d) or gcd(N-1, d-1)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_census import CyclotomicInt, DomainError, PrimeModulus
-from harmonic_census.cyclotomic import exponent_counts
+
+from oracles import exponent_counts
 
 M3 = PrimeModulus(3)
 M5 = PrimeModulus(5)

@@ -19,10 +19,10 @@ from harmonic_census import (
     gram,
     verify_funtf,
 )
-from harmonic_census.cyclotomic import exponent_counts
 from harmonic_census.number_theory import is_prime
 
 import oracles
+from oracles import exponent_counts
 
 M2 = PrimeModulus(2)
 M3 = PrimeModulus(3)

@@ -133,3 +133,18 @@ print(json.dumps(out))
     assert set(PACKAGE_NAMES) - set(got["eager"]) == lazy
     assert got["unknown"] == "module 'harmonic_census' has no attribute 'no_such_name'"
     assert got["after_all"] is True
+
+
+def test_cyclotomic_loads_no_numpy():
+    # Z[w] elements are pure-int tuples; the bulk coefficient arrays are
+    # the tests' own (oracles.exponent_counts)
+    got = _child(
+        """
+import json, sys
+from harmonic_census.cyclotomic import CyclotomicInt
+from harmonic_census.number_theory import PrimeModulus
+x = CyclotomicInt(PrimeModulus(5), (4, 1, 0, 2, 3))
+print(json.dumps({"coeffs": x.coeffs, "numpy": "numpy" in sys.modules}))
+"""
+    )
+    assert got == {"coeffs": [1, -2, -3, -1, 0], "numpy": False}

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -289,9 +290,11 @@ def test_orbit_chunk_memory_is_bounded_at_large_d():
 
 def test_closed_forms_at_scale():
     """At min(d, N-d) <= 1 the orbits are runs yielded in closed form, with
-    no candidate, image or complement mask: at N = 999983 each of d = N-1
-    and d = N peaks under 3 * 8 * N bytes, and d = N-1 takes well under
-    0.1 s.  Each row, c and leader mask is the closed form's."""
+    no candidate, image or complement mask, and each chunk is freed before
+    the next is made: at N = 999983, read by a consumer that keeps no
+    chunk, each of d = N-1 and d = N peaks under 1.5 * 8 * N bytes, one row
+    of int64, and d = N-1 takes well under 0.1 s.  Each row, c and leader
+    mask is the closed form's."""
     N = 999_983
     m = PrimeModulus(N)
     for d, want in (
@@ -301,16 +304,16 @@ def test_closed_forms_at_scale():
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            chunks = list(orbit_chunks(m, d))
+            collections.deque(orbit_chunks(m, d), maxlen=0)
             seconds = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * N, (d, peak)
+        assert peak < 1.5 * 8 * N, (d, peak)
         if d == N - 1:
             assert seconds < 0.1
         got = []
-        for reps, c, leaders in chunks:
+        for reps, c, leaders in orbit_chunks(m, d):
             assert reps.shape == (1, d) and len(c) == 1
             (row,), (lead,) = reps, leaders
             lo, hi = int(row[0]), int(row[-1])
