@@ -12,6 +12,9 @@ main returns every code and raises no SystemExit: 0 after help and 2 after
 a usage error that argparse writes.  stdout is complete only on exits 0, 1
 and 4: enumerate and scan write each checked chunk's lines as they go, so
 a contract failure found after the last chunk leaves earlier lines written.
+frame streams its rows too, one block per matrix row, with every check
+made before the first byte, so only running out of memory (exit 3) can
+cut its output short.
 --out writes a temporary file beside the path and renames it over the path
 only on success.
 
@@ -106,11 +109,12 @@ def _table(head: tuple, widths: tuple, rows) -> list[str]:
 
 
 def _emit(payload: list[str] | bytes | Iterator, path: str | None) -> None:
-    """Write a command's output to stdout or to path: its lines, its
-    exported bytes, or an iterator of bytes-like blocks, each written as it
-    comes.  A stream or path that cannot take them all is a usage error.
-    A command's own errors come first: enumerate and scan make and check
-    their first chunk in _orbit_chunks before they return their blocks.
+    """Write a command's output to stdout or to path: its lines, its help
+    text, or an iterator of bytes-like blocks, each written as it comes.  A
+    stream or path that cannot take them all is a usage error.  A command's
+    own errors come first: enumerate and scan make and check their first
+    chunk in _orbit_chunks, and frame its generators, budget and format,
+    before they return their blocks.
     path is written through a temporary file beside it, renamed
     over it on success, so a run that fails leaves no file there; a path
     that exists and is not a regular file (a device or a pipe) is written
@@ -186,10 +190,10 @@ def _checked_modulus(args: argparse.Namespace) -> PrimeModulus:
 
 # -- commands ----------------------------------------------------------------
 # Each takes the parsed arguments and the checked modulus and returns its
-# output, as lines, as exported bytes or as bytes-like blocks made as they
-# are written, with the exit code.
+# output, as lines or as bytes-like blocks made as they are written, with
+# the exit code.
 
-Output = tuple[list[str] | bytes | Iterator, int]
+Output = tuple[list[str] | Iterator, int]
 
 
 def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
@@ -225,17 +229,20 @@ def _digit_table(N: int, sep: str) -> np.ndarray:
     """One row of uint8 cells per residue 0..N-1: the separator byte, then
     its decimal digits, left-padded with 0 bytes, which no output text
     holds, so a rendered block drops every 0 byte.  Built one digit column
-    at a time from int32 values; the residues below 10^k are a prefix, so
-    the padding is cleared by slices."""
+    at a time from int32 values, _BLOCK_BYTES residues at a time, so that
+    no temporary is N wide; the residues below 10^k are a prefix, so the
+    padding is cleared by slices."""
     import numpy as np
 
     width = len(str(N - 1))
     table = np.zeros((N, width + 1), dtype=np.uint8)
     table[:, 0] = ord(sep)
-    values = np.arange(N, dtype=np.int32)  # N < 2^31
-    for k in range(width, 0, -1):
-        table[:, k] = values % 10 + ord("0")
-        values //= 10
+    for lo in range(0, N, _BLOCK_BYTES):
+        rows = table[lo : lo + _BLOCK_BYTES]
+        values = np.arange(lo, lo + len(rows), dtype=np.int32)  # N < 2^31
+        for k in range(width, 0, -1):
+            rows[:, k] = values % 10 + ord("0")
+            values //= 10
     for k in range(1, width):
         table[: 10 ** (width - k), k] = 0
     return table
@@ -298,6 +305,7 @@ def _enumerate_blocks(
                 yield from chain((first,), _group(table, row), middle(order, zero, table))
                 yield from chain(_group(table, row[mask]) if leaders else (), (tail_row,))
             lines += len(reps)
+            del reps, c, lead, row, mask  # freed before the next chunk is made
             continue
         texts = [b"".join(middle(order, zero, table)) for order in orders]
         width = max(map(len, texts))
@@ -329,6 +337,7 @@ def _enumerate_blocks(
                 block[0, : len(joint)] = 0
             yield block[block != 0]
         lines += len(reps)
+        del reps, c, lead, at, cells, block  # freed before the next chunk is made
     return lines
 
 
@@ -404,6 +413,11 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 
 
 def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
+    """json and csv stream from frames.export_frame; the table streams its
+    exponent rows the same way, each residue formatted once and each row
+    joined from those texts by exponent."""
+    import numpy as np
+
     from .frames import build_frame, export_frame
 
     if not args.gens:
@@ -414,14 +428,13 @@ def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     f = build_frame(s)
     if args.output_format in ("json", "csv"):
         return export_frame(f, args.output_format), EXIT_OK
-    lines = [
-        f"N={f.N} d={f.d} generators=[{_join(s.elems)}] "
-        f"normalization={f.normalization}"
-    ]
-    lines.append("exponent matrix (entry (k,m) = m*n_k mod N):")
-    for k in range(f.d):
-        lines.append("  " + " ".join(f"{int(e):>3}" for e in f.exponents[k]))
-    return lines, EXIT_OK
+    head = (
+        f"N={f.N} d={f.d} generators=[{_join(s.elems)}] normalization={f.normalization}\n"
+        "exponent matrix (entry (k,m) = m*n_k mod N):\n"
+    )
+    texts = np.array([f"{m:>3}" for m in range(f.N)], dtype=object)
+    rows = (f"  {' '.join(texts[row].tolist())}\n".encode() for row in f.exponents)
+    return chain((head.encode(),), rows), EXIT_OK
 
 
 def cmd_equivalent(args: argparse.Namespace, modulus: PrimeModulus) -> Output:

@@ -31,10 +31,11 @@ multipliers that keep every label are exactly Stab(S).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -58,11 +59,8 @@ class FrameMatrix:
     def __init__(self, generators: GeneratorSet):
         self.generators = generators
         self.modulus = generators.modulus
-        N = self.modulus.N
-        gens = np.array(generators.elems, dtype=np.int64)
-        exps = np.outer(gens, np.arange(N, dtype=np.int64)) % N
-        exps.setflags(write=False)
-        self.exponents = exps
+        self.exponents = np.outer(generators.elems, np.arange(self.N, dtype=np.int64)) % self.N
+        self.exponents.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -140,8 +138,7 @@ class GramMatrix:
         self.generators = frame.generators
         self.modulus = frame.modulus
         self.denominator = frame.d
-        N, E = frame.N, frame.exponents
-        gens = np.array(frame.generators.elems, dtype=np.int64)
+        N, E, gens = frame.N, frame.exponents, frame.generators.elems
         # <phi_k, phi_0> = sum_l w^(E[l, k] - E[l, 0])
         if not np.array_equal((E - E[:, :1]) % N, np.outer(gens, np.arange(N)) % N):
             raise ContractViolationError("Gram matrix is not circulant")
@@ -162,44 +159,54 @@ def gram(f: FrameMatrix) -> GramMatrix:
     return GramMatrix(f)
 
 
-def _round12(x: float) -> float:
-    v = float(f"{x:.12g}")
-    return 0.0 if v == 0.0 else v
-
-
-def _scaled_roots(N: int, d: int) -> list[tuple[float, float]]:
-    """w^k / sqrt(d) for k = 0, ..., N-1 as rounded (real, imag) pairs.
-    Each root is a single cmath.exp of its exponent, not a float sum over
-    a coefficient vector: w^(N-1), stored canonically as
-    -(1 + w + ... + w^(N-2)), would sum N-1 floats and lose digits."""
+def _root_texts(N: int, d: int) -> tuple[list[str], list[str]]:
+    """The real and the imaginary parts of w^k / sqrt(d), k = 0, ..., N-1,
+    rounded to 12 significant digits, as the texts json.dumps writes for
+    those floats.  Each root is a single cmath.exp of its exponent, not a
+    float sum over a coefficient vector: w^(N-1), stored canonically as
+    -(1 + w + ... + w^(N-2)), would sum N-1 floats and lose digits.  Each
+    part is formatted once, as f"{x:.12g}": at |x| <= 1 that decimal of at
+    most 12 digits is already the shortest repr of the float it rounds to,
+    in the same notation, since two decimals of at most 15 digits are never
+    the same double; only a whole number (0, -0 or +-1) lacks repr's ".0"."""
     scale = 1.0 / math.sqrt(d)
     # w = -1 at N = 2, where cmath.exp(1j * pi) keeps an imaginary 1.2e-16
-    roots = [1, -1] if N == 2 else [cmath.exp(2j * cmath.pi * k / N) for k in range(N)]
-    return [(_round12((z * scale).real), _round12((z * scale).imag)) for z in roots]
+    roots = [1, -1] if N == 2 else (cmath.exp(2j * cmath.pi * k / N) for k in range(N))
+    scaled = [z * scale for z in roots]
+    whole = {"-0": "0.0", "0": "0.0", "1": "1.0", "-1": "-1.0"}
+    real = [whole.get(t, t) for t in [f"{z.real:.12g}" for z in scaled]]
+    return real, [whole.get(t, t) for t in [f"{z.imag:.12g}" for z in scaled]]
 
 
-def export_frame(f: FrameMatrix, format: str) -> bytes:
-    """Serialize a frame; byte-stable across runs.
+def export_frame(f: FrameMatrix, format: str) -> Iterator[bytes]:
+    """Serialize a frame as byte blocks, the json header and then one per
+    matrix row, made as they are read; byte-stable across runs.
 
     json: N, d, generators, the exact exponent matrix, and 1/sqrt(d)-scaled
     floating entries rounded to 12 significant digits.
     csv: d rows x N columns of "re+imi" cells.
-    Only the N roots w^k / sqrt(d) occur, so each is formatted once, as its
-    repr (which json.dumps writes for a float) or as its cell, and each row
-    joins those texts by exponent.
+    Only the N residues and the N roots w^k / sqrt(d) occur, so each is
+    formatted once (_root_texts; a cell drops its parts' ".0"), and each
+    row joins those texts by exponent.  Every check runs on the call,
+    before the first block.
     """
-    roots, rows = _scaled_roots(f.N, f.d), f.exponents.tolist()
+    if format not in ("json", "csv"):
+        raise DomainError(f"unsupported export format {format!r}")
+    real, imag = _root_texts(f.N, f.d)
 
-    def joined(texts: list[str], sep: str) -> str:
-        return sep.join(",".join(map(texts.__getitem__, row)) for row in rows)
+    def joined(texts: list[str], first: str, sep: str = "],[", end: str = "") -> Iterator[bytes]:
+        # an object array indexed by the row makes no N-entry list of ints
+        # and joins in about half the time of a map over row.tolist()
+        table = np.array(texts, dtype=object)
+        for k, row in enumerate(f.exponents):
+            yield f"{sep if k else first}{','.join(table[row].tolist())}{end}".encode()
 
-    if format == "json":
-        meta = {"N": f.N, "d": f.d, "generators": list(f.generators.elems)}
-        head = json.dumps({**meta, "exponents": rows}, separators=(",", ":"))
-        real = joined([repr(re) for re, _ in roots], "],[")
-        imag = joined([repr(im) for _, im in roots], "],[")
-        return f'{head[:-1]},"real":[[{real}]],"imag":[[{imag}]]}}\n'.encode("utf-8")
     if format == "csv":
-        cells = [f"{re:.12g}{'-' if im < 0 else '+'}{abs(im):.12g}i" for re, im in roots]
-        return (joined(cells, "\n") + "\n").encode("utf-8")
-    raise DomainError(f"unsupported export format {format!r}")
+        real, imag = ([t.removesuffix(".0") for t in texts] for texts in (real, imag))
+        cells = [f"{re}{im if im[0] == '-' else '+' + im}i" for re, im in zip(real, imag)]
+        return joined(cells, "", "", "\n")
+    gens = ",".join(map(str, f.generators.elems))
+    head = f'{{"N":{f.N},"d":{f.d},"generators":[{gens}],"exponents":[['
+    opens = ("", ']],"real":[[', ']],"imag":[[')
+    blocks = map(joined, (list(map(str, range(f.N))), real, imag), opens)
+    return chain((head.encode(),), *blocks, (b"]]}\n",))

@@ -370,6 +370,24 @@ def test_verify_frees_each_row_before_the_next(capsys):
     assert peak < 1.5 * 8 * N, peak
 
 
+def test_enumerate_at_large_N_holds_one_row_and_its_table():
+    """enumerate at d = N-1 writes two rows of N-1 entries through the
+    digit table (N x 7 bytes), which is built a block of residues at a time,
+    and frees each row before the next is made: in-process at N = 999983
+    it peaks under 3.3 * 8 * N bytes, with the output sent to os.devnull.
+    The c = N-1 stabilizer is an N-entry array as well."""
+    N = 999_983
+    assert main(["enumerate", "--N", "7", "--d", "3", "--out", os.devnull]) == 0  # imports
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--N", str(N), "--d", str(N - 1), "--out", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3.3 * 8 * N, peak / (8 * N)
+
+
 @pytest.mark.parametrize("d", [616, P - 2, P - 1, P])
 def test_count_at_range_edge(capsys, d):
     # one binomial per divisor of gcd(N-1, d) or gcd(N-1, d-1)

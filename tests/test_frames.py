@@ -19,6 +19,7 @@ from harmonic_census import (
     gram,
     verify_funtf,
 )
+from harmonic_census.frames import _root_texts
 from harmonic_census.number_theory import is_prime
 
 import oracles
@@ -258,7 +259,7 @@ def test_gram_memory_is_linear():
 
 def test_export_json():
     f = build_frame(GeneratorSet(M3, (0, 1)))
-    payload = export_frame(f, "json")
+    payload = b"".join(export_frame(f, "json"))
     obj = json.loads(payload)
     assert list(obj.keys()) == ["N", "d", "generators", "exponents", "real", "imag"]
     assert obj["exponents"] == [[0, 0, 0], [0, 1, 2]]
@@ -266,12 +267,12 @@ def test_export_json():
     s = 1 / math.sqrt(2)
     assert obj["real"][0] == pytest.approx([s, s, s], abs=1e-9)
     # byte-stable
-    assert export_frame(f, "json") == payload
+    assert b"".join(export_frame(f, "json")) == payload
 
 
 def test_export_csv():
     f = build_frame(GeneratorSet(M2, (0, 1)))
-    lines = export_frame(f, "csv").decode().splitlines()
+    lines = b"".join(export_frame(f, "csv")).decode().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[0].startswith("0.707106781187")
     assert lines[1].split(",")[1].startswith("-0.707106781187")
@@ -279,7 +280,7 @@ def test_export_csv():
 
 def test_export_floating_matches_exact():
     f = build_frame(GeneratorSet(M7, (1, 2, 4)))
-    obj = json.loads(export_frame(f, "json"))
+    obj = json.loads(b"".join(export_frame(f, "json")))
     scale = 1 / math.sqrt(3)
     for k in range(3):
         for m in range(7):
@@ -289,7 +290,7 @@ def test_export_floating_matches_exact():
 
 
 EXPORT_CASES = [(N, d) for N in (97, 1009, 1999) for d in (1, 3, 16)]
-EXPORT_CASES += [(97, 96), (97, 97)]
+EXPORT_CASES += [(97, 96), (97, 97), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (211, 211)]
 
 
 @pytest.mark.parametrize("N,d", EXPORT_CASES)
@@ -299,10 +300,44 @@ def test_export_against_entrywise_reference(N, d):
     gens = tuple(random.Random(N * 31 + d).sample(range(N), d))
     f = build_frame(GeneratorSet(PrimeModulus(N), gens))
     for fmt in ("json", "csv"):
-        assert export_frame(f, fmt) == oracles.export_frame_entries(f, fmt)
+        got = b"".join(export_frame(f, fmt))
+        assert got == oracles.export_frame_entries(f, fmt)
 
 
 def test_export_unknown_format():
     f = build_frame(GeneratorSet(M3, (0, 1)))
     with pytest.raises(DomainError):
         export_frame(f, "xml")
+
+
+def test_root_texts_are_reprs_of_the_rounded_parts():
+    """One f"{x:.12g}" per part of each root w^k / sqrt(d) is the repr of
+    that part rounded to 12 significant digits (0.0 for a zero), which
+    json.dumps writes, at every prime N < 2000."""
+
+    def rounded(x: float) -> float:
+        v = float(f"{x:.12g}")
+        return 0.0 if v == 0.0 else v
+
+    for N in filter(is_prime, range(2, 2000)):
+        roots = [1, -1] if N == 2 else [cmath.exp(2j * cmath.pi * k / N) for k in range(N)]
+        for d in (1, 2, 3, 7, 16):
+            scaled = [z * (1.0 / math.sqrt(d)) for z in roots]
+            real = [repr(rounded(z.real)) for z in scaled]
+            imag = [repr(rounded(z.imag)) for z in scaled]
+            assert _root_texts(N, d) == (real, imag), (N, d)
+
+
+def test_export_streams_its_rows():
+    """The blocks are made as they are read: beside the N-entry text tables
+    only one row's text is held.  Consuming a json frame at (99991, 10),
+    37 MB of output, peaks below 64 MB traced."""
+    f = build_frame(GeneratorSet(PrimeModulus(99991), tuple(range(1, 11))))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, export_frame(f, "json")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == 37113027
+    assert peak < 64 * 10**6, peak

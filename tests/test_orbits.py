@@ -48,7 +48,8 @@ def test_generator_set_elements_are_python_ints(m7):
     reps, _, _ = next(orbit_chunks(m7, 3))
     s = GeneratorSet(m7, reps[0])
     assert s.elems == (0, 1, 2) and all(type(x) is int for x in s.elems)
-    assert json.loads(export_frame(build_frame(s), "json"))["generators"] == [0, 1, 2]
+    exported = b"".join(export_frame(build_frame(s), "json"))
+    assert json.loads(exported)["generators"] == [0, 1, 2]
     assert full_symmetry_group(s).stabilizer_order == 1
     for elems in ((1.5, 2), (2.0, 3), (np.float64(1), 2), ("1", 2), 5):
         with pytest.raises(DomainError, match="must be integers"):
