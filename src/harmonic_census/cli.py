@@ -413,28 +413,15 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
 
 
 def cmd_frame(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
-    """json and csv stream from frames.export_frame; the table streams its
-    exponent rows the same way, each residue formatted once and each row
-    joined from those texts by exponent."""
-    import numpy as np
-
+    """Checks the generators and the budget; frames.export_frame writes
+    every format."""
     from .frames import build_frame, export_frame
 
     if not args.gens:
         raise DomainError("frame requires --gens")
     s = GeneratorSet(modulus, args.gens)
-    entries = s.d * modulus.N
-    check_budget(f"frame of {s.d} x {modulus.N}", entries, "entries", args.max_subsets)
-    f = build_frame(s)
-    if args.output_format in ("json", "csv"):
-        return export_frame(f, args.output_format), EXIT_OK
-    head = (
-        f"N={f.N} d={f.d} generators=[{_join(s.elems)}] normalization={f.normalization}\n"
-        "exponent matrix (entry (k,m) = m*n_k mod N):\n"
-    )
-    texts = np.array([f"{m:>3}" for m in range(f.N)], dtype=object)
-    rows = (f"  {' '.join(texts[row].tolist())}\n".encode() for row in f.exponents)
-    return chain((head.encode(),), rows), EXIT_OK
+    check_budget(f"frame of {s.d} x {modulus.N}", s.d * modulus.N, "entries", args.max_subsets)
+    return export_frame(build_frame(s), args.output_format), EXIT_OK
 
 
 def cmd_equivalent(args: argparse.Namespace, modulus: PrimeModulus) -> Output:

@@ -7,8 +7,9 @@ which always form a unit-norm tight frame for C^d with frame bound N/d.
 
 Everything exact is done on the UNSCALED matrix Phi with entries w^(m n_k):
 the tight-frame identity becomes Phi Phi^* = N I_d entrywise in Z[w], which
-is decidable, while the 1/sqrt(d) factor is irrational and therefore kept as
-a symbolic tag, applied only in floating-point exports.
+is decidable, while the 1/sqrt(d) factor is irrational and therefore left
+out of the matrix: the json and csv exports apply it in floating point, and
+the table names it in its header.
 
 The Gram matrix Phi^* Phi is circulant with entries
 (1/d) sum_l w^(n_l (k-j)); each diagonal carries the difference label
@@ -43,8 +44,6 @@ from .cyclotomic import CyclotomicInt
 from .errors import ContractViolationError, DomainError
 from .number_theory import GeneratorSet
 
-NORMALIZATION_TAG = "1/sqrt(d)"
-
 
 class FrameMatrix:
     """The d x N unscaled frame matrix; entry (k, m) is w^(m n_k).
@@ -53,8 +52,6 @@ class FrameMatrix:
     by generator position (generators sorted ascending), columns by
     m = 0, ..., N-1.
     """
-
-    normalization = NORMALIZATION_TAG
 
     def __init__(self, generators: GeneratorSet):
         self.generators = generators
@@ -179,33 +176,41 @@ def _root_texts(N: int, d: int) -> tuple[list[str], list[str]]:
 
 
 def export_frame(f: FrameMatrix, format: str) -> Iterator[bytes]:
-    """Serialize a frame as byte blocks, the json header and then one per
-    matrix row, made as they are read; byte-stable across runs.
+    """Serialize a frame as byte blocks, a header and then one per matrix
+    row, made as they are read; byte-stable across runs.
 
     json: N, d, generators, the exact exponent matrix, and 1/sqrt(d)-scaled
     floating entries rounded to 12 significant digits.
     csv: d rows x N columns of "re+imi" cells.
+    table: a header naming the normalization 1/sqrt(d), then the exponent
+    matrix, each exponent right-aligned in 3 columns.
     Only the N residues and the N roots w^k / sqrt(d) occur, so each is
-    formatted once (_root_texts; a cell drops its parts' ".0"), and each
-    row joins those texts by exponent.  Every check runs on the call,
-    before the first block.
+    formatted once (_root_texts, for json and csv only; a cell drops its
+    parts' ".0"), and each row joins those texts by exponent.  Every check
+    runs on the call, before the first block.
     """
-    if format not in ("json", "csv"):
+    if format not in ("json", "csv", "table"):
         raise DomainError(f"unsupported export format {format!r}")
-    real, imag = _root_texts(f.N, f.d)
 
-    def joined(texts: list[str], first: str, sep: str = "],[", end: str = "") -> Iterator[bytes]:
+    def joined(texts: list[str], first: str, sep="],[", end="", by=",") -> Iterator[bytes]:
         # an object array indexed by the row makes no N-entry list of ints
         # and joins in about half the time of a map over row.tolist()
         table = np.array(texts, dtype=object)
+        del texts  # csv and the table pass their list in alone: it goes here
         for k, row in enumerate(f.exponents):
-            yield f"{sep if k else first}{','.join(table[row].tolist())}{end}".encode()
+            yield f"{sep if k else first}{by.join(table[row].tolist())}{end}".encode()
 
+    gens = ",".join(map(str, f.generators.elems))
+    if format == "table":
+        head = f"N={f.N} d={f.d} generators=[{gens}] normalization=1/sqrt(d)\n"
+        head += "exponent matrix (entry (k,m) = m*n_k mod N):\n"
+        rows = joined([f"{m:>3}" for m in range(f.N)], "  ", "  ", "\n", " ")
+        return chain((head.encode(),), rows)
+    real, imag = _root_texts(f.N, f.d)
     if format == "csv":
         real, imag = ([t.removesuffix(".0") for t in texts] for texts in (real, imag))
         cells = [f"{re}{im if im[0] == '-' else '+' + im}i" for re, im in zip(real, imag)]
         return joined(cells, "", "", "\n")
-    gens = ",".join(map(str, f.generators.elems))
     head = f'{{"N":{f.N},"d":{f.d},"generators":[{gens}],"exponents":[['
     opens = ("", ']],"real":[[', ']],"imag":[[')
     blocks = map(joined, (list(map(str, range(f.N))), real, imag), opens)

@@ -9,8 +9,8 @@ classes of the frames built in `frames`.  Each orbit has size (N-1)/c where
 c is the order of the stabilizer, c divides d or d-1, and the stabilized
 sets decompose into multiplicative cosets of the order-c subgroup of units
 (an optional 0 rides along untouched).  numpy is imported here and in
-`frames` and `cyclotomic`, and the CLI loads this module only for
-enumerate, verify and scan.
+`frames`, and the CLI loads this module only for enumerate, verify and
+scan.
 
 Orbit enumeration rests on two lemmas.  For any nonzero x in a set S the
 image x^-1 . S contains 1, so the lexicographically smallest member of an
@@ -272,14 +272,14 @@ def _lex_max(reps: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     every row has k nonzero entries and only the units that can win are
     tried; a row with one more also tries one unit whose image contains 1.
     The images are computed in int32 when every product m x < N^2 fits
-    one, which takes about a third less time than int64.  Each image is one
-    int64 key in lex order when its values below N fit one, and one key per
-    value when not; the max is found key by key among the images that tie
-    so far.  The rows are taken in blocks whose masks
+    one, which takes about a third less time than int64.  The max is found
+    column by column of the sorted images, among the images that tie so
+    far, and only in the rows where more than one still ties: after the
+    first column that is at most a third of them.  The rows are taken in
+    blocks whose masks
     over Z_N and images hold at most _CHUNK_ENTRIES entries, or one row's."""
     N, width = len(inverse), reps.shape[1]
     k = width - int((reps[:, 0] == 0).any())  # only the first entry can be 0
-    q = width if N**width < 1 << 63 else 1  # values per key
     dtype = np.int32 if N * N < 1 << 31 else np.int64
     best = np.empty_like(reps)
     rows = max(1, _CHUNK_ENTRIES // (N * width))
@@ -291,10 +291,12 @@ def _lex_max(reps: np.ndarray, inverse: np.ndarray) -> np.ndarray:
         units = np.flatnonzero(outside).astype(dtype) % N  # row by row, ascending
         units = units.reshape(len(block), N - 1 - k, 1)
         img = np.sort(block[:, None] * units % N, axis=2)
-        keys = img.reshape(*img.shape[:2], -1, q) @ N ** np.arange(q - 1, -1, -1)
         tied = np.ones(img.shape[:2], dtype=bool)
-        for key in np.moveaxis(keys, 2, 0):
-            tied &= key == np.where(tied, key, -1).max(axis=1, keepdims=True)
+        live = np.arange(len(img))  # the rows whose max image may still tie
+        for j in range(width):
+            c = np.where(tied[live], img[live, :, j], -1)
+            tied[live] = t = c == c.max(axis=1, keepdims=True)
+            live = live[t.sum(axis=1) > 1]
         best[lo : lo + rows] = img[np.arange(len(img)), tied.argmax(axis=1)]
     return best
 

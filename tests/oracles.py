@@ -675,8 +675,16 @@ def export_frame_entries(frame: FrameMatrix, format: str) -> bytes:
     """export_frame entry by entry: each of the 2 d N floats of w^e / sqrt(d)
     from its own cmath.exp (w = -1 at N = 2), rounded to 12 significant
     digits, then json.dumps of the whole object, or a per-cell f-string for
-    csv."""
+    csv; the table right-aligns each exponent m n_k mod N on its own."""
     N = frame.N
+    if format == "table":
+        gens = list(frame.generators.elems)
+        head = [
+            f"N={N} d={frame.d} generators={str(gens).replace(' ', '')} normalization=1/sqrt(d)",
+            "exponent matrix (entry (k,m) = m*n_k mod N):",
+        ]
+        rows = ["  " + " ".join(str(m * n % N).rjust(3) for m in range(N)) for n in gens]
+        return ("\n".join(head + rows) + "\n").encode("utf-8")
     scale = 1.0 / math.sqrt(frame.d)
 
     def rounded(x: float) -> float:

@@ -295,11 +295,12 @@ EXPORT_CASES += [(97, 96), (97, 97), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (21
 
 @pytest.mark.parametrize("N,d", EXPORT_CASES)
 def test_export_against_entrywise_reference(N, d):
-    """Both formats byte for byte against per-entry floats and json.dumps or
-    per-cell formatting, at N past the golden cases."""
+    """Every format byte for byte against per-entry floats and json.dumps,
+    per-cell formatting or per-exponent alignment, at N past the golden
+    cases."""
     gens = tuple(random.Random(N * 31 + d).sample(range(N), d))
     f = build_frame(GeneratorSet(PrimeModulus(N), gens))
-    for fmt in ("json", "csv"):
+    for fmt in ("json", "csv", "table"):
         got = b"".join(export_frame(f, fmt))
         assert got == oracles.export_frame_entries(f, fmt)
 
@@ -308,6 +309,23 @@ def test_export_unknown_format():
     f = build_frame(GeneratorSet(M3, (0, 1)))
     with pytest.raises(DomainError):
         export_frame(f, "xml")
+
+
+def test_table_export_formats_no_root(capsys, monkeypatch):
+    """The table holds exponents only, so neither export_frame nor the frame
+    command builds the root texts for it."""
+    from harmonic_census import frames
+    from harmonic_census.cli import main
+
+    def refuse(N, d):
+        raise AssertionError("root texts built for the table")
+
+    monkeypatch.setattr(frames, "_root_texts", refuse)
+    f = build_frame(GeneratorSet(M7, (1, 2, 4)))
+    want = oracles.export_frame_entries(f, "table")
+    assert b"".join(export_frame(f, "table")) == want
+    assert main(["frame", "--N", "7", "--gens", "1,2,4", "--format", "table"]) == 0
+    assert capsys.readouterr().out == want.decode()
 
 
 def test_root_texts_are_reprs_of_the_rounded_parts():
