@@ -379,8 +379,13 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     hist: dict[int, int] = {}
     for _, c, _ in _orbit_chunks(modulus, d, args.max_subsets):
         del _  # the leaders mask, freed before the next chunk is made
-        orders, counts = np.unique(c, return_counts=True)
-        for order, count in zip(orders.tolist(), counts.tolist()):
+        if len(c) > 1:
+            counts = np.bincount(c)
+            orders = np.flatnonzero(counts)
+            found = zip(orders.tolist(), counts[orders].tolist())
+        else:  # c = N-1 is the one row of its chunk; bincount would take N bins
+            found = [(int(c[0]), 1)]
+        for order, count in found:
             hist[order] = hist.get(order, 0) + count
     orbits = sum(hist.values())
     census = full_census(modulus, d)

@@ -27,10 +27,17 @@ narrows the candidates, and each is still tested in full.  A unit m maps a
 candidate T to a set that contains 1 exactly when m = x^-1 for a nonzero x
 in T, so T is a representative iff T <= x^-1 . T for those at most d-1
 multipliers, and the multipliers with x^-1 . T = T make up its whole
-stabilizer (x fixes T iff x^-1 does).  Candidates are tested in chunks, one
-numpy pass over sorted rows per multiplier column.  Those containing 0 come
-first, each group in combination order, so the orbits come out sorted by
-representative with no visited-set memory.
+stabilizer (x fixes T iff x^-1 does).  The pairwise rule also leaves most
+of those multipliers nothing to decide (the tie lemma): every nonzero
+element y x^-1 of x^-1 . T other than 1 is at least t2, so the image has
+T's head, contains 1, and its second nonzero element is t2 exactly when
+t2 x lies in T.  Otherwise that element is larger than t2, the image is
+lex-larger than T, and x neither rejects T nor fixes it.  Candidates are
+tested in chunks: t2 x in T is answered for every column at once, and each
+multiplier column sorts and compares only the rows that tie there among
+those still kept.  Those containing 0 come first, each group in combination
+order, so the orbits come out sorted by representative with no visited-set
+memory.
 
 Above N/2 no candidate is visited: the d-orbits are mapped from the
 (N-d)-orbits by complement.  Complement commutes with the action,
@@ -105,13 +112,22 @@ def _subgroup_array(modulus: PrimeModulus, c: int) -> np.ndarray:
 # -- orbit enumeration -------------------------------------------------------
 
 
-def _allowed(x: np.ndarray, t2: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """One boolean row over Z_N per entry of x: the e whose ratio r = e x^-1
-    has min(r, r^-1) >= t2, so that e and x may both lie in a representative
-    with second nonzero element t2.  0 is never allowed."""
-    units = np.arange(len(inverse))
-    low = np.minimum(units, inverse)  # min(r, r^-1) for each r
-    return low[units * inverse[x][:, None] % len(inverse)] >= t2[:, None]
+def _allowed(x: np.ndarray, t2: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """One boolean row over Z_N per entry of x: the e with
+    min(e x^-1, x e^-1) >= t2, so that e and x may both lie in a
+    representative with second nonzero element t2.  ratio[x] is that row of
+    minima (_ratio_table), so this is one gather and one compare, with no
+    modulo.  0 is never allowed."""
+    return ratio.take(x, axis=0) >= t2[:, None]
+
+
+def _ratio_table(inverse: np.ndarray) -> np.ndarray:
+    """ratio[x, e] = min(e x^-1, x e^-1) mod N, in the smallest int dtype
+    that holds N; 0 wherever x or e is 0.  The two ratios are each other's
+    inverse, so this is min(r, r^-1) at r = e x^-1."""
+    N = len(inverse)
+    low = np.minimum(np.arange(N), inverse).astype(np.min_scalar_type(N))
+    return low[inverse[:, None] * np.arange(N) % N]
 
 
 def _pruned_rows(
@@ -119,7 +135,7 @@ def _pruned_rows(
     may: np.ndarray,
     t2: np.ndarray | None,
     d: int,
-    inverse: np.ndarray,
+    ratio: np.ndarray | None,
     block: int,
 ) -> Iterator[np.ndarray]:
     """Every extension of the prefix rows to d elements that the pairwise
@@ -129,12 +145,13 @@ def _pruned_rows(
     the children in row-major order, which is combination order.  At most
     block children are extended at once, so a level's mask holds at most
     block * N entries, and a prefix is cut when too few elements remain to
-    reach d."""
+    reach d.  ratio is the table _allowed reads; the last level reads none,
+    so at d = 2 it is None."""
     N = may.shape[1]
     width = prefix.shape[1] + 1
     if width == d:  # the last element: at most block * N rows, no mask
         parent, last = np.nonzero(may)
-        yield np.concatenate((prefix[parent], last[:, None]), axis=1)
+        yield np.concatenate((prefix.take(parent, axis=0), last[:, None]), axis=1)
         return
     step = max(1, block // N)  # parents per pass: at most max(block, N) children
     for first in range(0, len(may), step):
@@ -142,17 +159,17 @@ def _pruned_rows(
         parent += first
         for lo in range(0, len(parent), block):
             at, c = parent[lo : lo + block], last[lo : lo + block]
-            rows = np.concatenate((prefix[at], c[:, None]), axis=1)
+            rows = np.concatenate((prefix.take(at, axis=0), c[:, None]), axis=1)
             if t2 is None:  # c is t2, so the pair (1, e) joins the rule
                 t = c
-                child = _allowed(np.ones_like(c), t, inverse)
+                child = _allowed(np.ones_like(c), t, ratio)
             else:
-                t = t2[at]
-                child = may[at]
-            child &= _allowed(c, t, inverse) & (np.arange(N) > c[:, None])
+                t = t2.take(at)
+                child = may.take(at, axis=0)
+            child &= _allowed(c, t, ratio) & (np.arange(N) > c[:, None])
             keep = child.sum(axis=1) >= d - width  # enough left to reach d
-            rows, child, t = rows[keep], child[keep], t[keep]
-            yield from _pruned_rows(rows, child, t, d, inverse, block)
+            rows, child, t = (a.compress(keep, axis=0) for a in (rows, child, t))
+            yield from _pruned_rows(rows, child, t, d, ratio, block)
 
 
 def _rechunk(blocks: Iterator[np.ndarray], chunk_rows: int) -> Iterator[np.ndarray]:
@@ -177,20 +194,28 @@ def _candidate_chunks(N: int, d: int, inverse: np.ndarray) -> Iterator[np.ndarra
     """Candidates for the representatives at d <= N/2, in chunks of at most
     _CHUNK_ROWS rows and _CHUNK_ENTRIES entries that share their head:
     first the sets {0, 1} u U, then {1} u U, with U running over subsets of
-    {2, ..., N-1} in combination order, and only the sets whose nonzero part
-    (1, t2, ...) meets the pairwise rule min(y x^-1, x y^-1) mod N >= t2.
-    They are grown in blocks small enough that the masks of all d levels
-    together hold at most _CHUNK_ENTRIES entries."""
+    {2, ..., N-1} in combination order, and only the sets whose nonzero
+    part (1, t2, ...) meets the pairwise rule min(y x^-1, x y^-1) mod N >=
+    t2, which the scan's tie lemma rests on.  They are grown in blocks
+    small enough that the masks of all d levels together hold at most
+    _CHUNK_ENTRIES entries.  The rule is read from one table of those
+    minima (_ratio_table), built here once from the table of inverses, and
+    only at d >= 3: at d = 2 the last element is chosen with no rule beyond
+    the pair (1, t2), so no level reads it.  The table holds N^2 entries of
+    the smallest int dtype that holds N: under the default budget d >= 3
+    means N <= 389, at most 151,321 entries, and only a budget raised past
+    C(1031, 3) lets it outgrow _CHUNK_ENTRIES."""
+    ratio = _ratio_table(inverse) if d > 2 else None
+    units = np.arange(N)
+    # t2 needs t2^-1 >= t2: the rule on the pair (1, t2)
+    may = ((units >= 2) & (inverse >= units))[None, :]
+    block = max(1, _CHUNK_ENTRIES // (N * d))
     for head in ((0, 1), (1,)):
         prefix = np.array([head], dtype=np.int64)
         if len(head) == d:  # {0, 1} at d = 2
             yield prefix
         else:
-            units = np.arange(N)
-            # t2 needs t2^-1 >= t2: the rule on the pair (1, t2)
-            may = ((units >= 2) & (inverse >= units))[None, :]
-            block = max(1, _CHUNK_ENTRIES // (N * d))
-            rows = _pruned_rows(prefix, may, None, d, inverse, block)
+            rows = _pruned_rows(prefix, may, None, d, ratio, block)
             yield from _rechunk(rows, min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // d)))
 
 
@@ -200,20 +225,34 @@ def _scan_candidates(
     """Keep the rows that are lexicographically no larger than x^-1 . row
     for every nonzero x in the row.  Returns the kept rows and a boolean
     mask of the same shape marking the x with x^-1 . row == row, which are
-    exactly the stabilizer.  All rows of one chunk share their head."""
+    exactly the stabilizer.  All rows of one chunk share their head.
+
+    Only the x with t2 x in the row can tie (the tie lemma of the module
+    docstring); every other x gives a lex-larger image, which neither
+    rejects the row nor fixes it.  So t2 x in row is answered for every
+    column at once, by comparing the products t2 x with each column of
+    the rows, and then each column sorts and compares only its tied rows
+    among those still kept.  1 fixes every row."""
     one = int(rows[0, 0] == 0)  # column holding the element 1
-    fixes = np.zeros(rows.shape, dtype=bool)
-    fixes[:, one] = True
-    for j in range(one + 1, rows.shape[1]):
-        img = np.sort(rows * inverse[rows[:, j]][:, None] % N, axis=1)
-        differs = img != rows
-        first = differs.argmax(axis=1)
-        at = np.arange(len(rows))
-        moved = differs[at, first]
-        keep = ~moved | (img[at, first] > rows[at, first])
-        rows, fixes = rows[keep], fixes[keep]
-        fixes[:, j] = ~moved[keep]
-    return rows, fixes
+    fixes = rows == 1
+    if rows.shape[1] == one + 1:  # {0, 1} at d = 2: only 1, which fixes it
+        return rows, fixes
+    x = rows[:, one + 1 :]  # the other nonzero elements, t2 first
+    t2x = x[:, :1] * x % N
+    tie = t2x == 1  # every row holds 1
+    for y in x.T:
+        tie |= t2x == y[:, None]
+    keep = np.ones(len(rows), dtype=bool)
+    for j, tied in enumerate(tie.T, one + 1):
+        i = (tied & keep).nonzero()[0]
+        T = rows.take(i, axis=0)
+        diff = T * inverse.take(T[:, j])[:, None] % N
+        diff.sort(axis=1)
+        diff -= T
+        sign = diff[np.arange(len(i)), (diff != 0).argmax(axis=1)]  # at the first difference
+        fixes[:, j][i] = sign == 0
+        keep[i] = sign >= 0
+    return rows.compress(keep, axis=0), fixes.compress(keep, axis=0)
 
 
 def _check_chunk(

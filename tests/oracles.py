@@ -4,7 +4,8 @@ Everything here is deliberately written against the definitions only, with
 no reuse of the package's enumeration, counting or symmetry paths: plain
 dict/set orbit chasing for subset orbits, all N-1 multipliers for a
 stabilizer, a lex-min image (and the at most d images x^-1 . S that
-the representative lemma leaves to try), the unit action m . S, the units
+the representative lemma leaves to try, each sorted and compared for every
+candidate of a chunk in scan_every_column), the unit action m . S, the units
 mapping one set onto another or an equivalence witness, per-entry floats
 for a frame export, every ordered tuple generated for the scaling
 action, the classical necklace count for the number of subset orbits,
@@ -123,6 +124,30 @@ def stabilizer_scan(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
 def lexmin_image(N: int, elems: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically smallest m . elems over every unit m."""
     return min(tuple(sorted((m * x) % N for x in elems)) for m in range(1, N))
+
+
+def scan_every_column(
+    rows: np.ndarray, N: int, inverse: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit scan of a chunk of candidates with no tie lemma: for every
+    multiplier column j past the element 1, every row still kept is mapped
+    by x^-1 (x its j-th element), sorted and compared with itself.  A row
+    is dropped when an image is lex-smaller; x fixes it when the image is
+    the row.  Returns the kept rows and their fixed elements, as
+    orbits._scan_candidates does; all rows share their head."""
+    one = int(rows[0, 0] == 0)  # column holding the element 1
+    fixes = np.zeros(rows.shape, dtype=bool)
+    fixes[:, one] = True
+    for j in range(one + 1, rows.shape[1]):
+        img = np.sort(rows * inverse[rows[:, j]][:, None] % N, axis=1)
+        differs = img != rows
+        first = differs.argmax(axis=1)
+        at = np.arange(len(rows))
+        moved = differs[at, first]
+        keep = ~moved | (img[at, first] > rows[at, first])
+        rows, fixes = rows[keep], fixes[keep]
+        fixes[:, j] = ~moved[keep]
+    return rows, fixes
 
 
 def act(m: int, s: GeneratorSet) -> GeneratorSet:

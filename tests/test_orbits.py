@@ -25,7 +25,15 @@ from harmonic_census import (
     stabilizer,
     unit_subgroup,
 )
-from harmonic_census.orbits import KIND_BLOCKS, KIND_ZERO_BLOCKS, _check_chunk, _lex_max
+from harmonic_census.orbits import (
+    KIND_BLOCKS,
+    KIND_ZERO_BLOCKS,
+    _candidate_chunks,
+    _check_chunk,
+    _lex_max,
+    _ratio_table,
+    _scan_candidates,
+)
 
 import oracles
 from oracles import OrbitRecord, act, canonical_rep, enumerate_orbits
@@ -404,6 +412,63 @@ def test_candidates_above_half_are_those_of_the_complement(monkeypatch):
 def _inverse_table(N):
     """x^-1 mod N at each unit x, as _lex_max reads it; 0 at 0."""
     return np.array([0] + [pow(x, -1, N) for x in range(1, N)])
+
+
+@pytest.mark.parametrize("N", [3, 5, 13, 389])
+def test_ratio_table_against_pow(N):
+    """ratio[x, e] = min(e x^-1, x e^-1) mod N in plain ints, 0 wherever x
+    or e is 0, in the smallest int dtype that holds N.  389 is the largest
+    N the default budget admits at k = 3, the only k that reads the
+    table."""
+    inv = [0] + [pow(x, -1, N) for x in range(1, N)]
+    want = [
+        [min(e * inv[x] % N, x * inv[e] % N) if x and e else 0 for e in range(N)]
+        for x in range(N)
+    ]
+    ratio = _ratio_table(np.array(inv))
+    assert ratio.tolist() == want
+    assert ratio.dtype == np.min_scalar_type(N)
+
+
+def _scan_cases():
+    """Every prime N <= 23 at every 2 <= d <= N/2, among them (23, 11),
+    which has the most tied images per row in range; (31, 7), where ties
+    are common; and the largest N the default budget admits at k = 2 and
+    k = 3, 4463 and 389, with 4001 beside the first."""
+    small = [(N, d) for N in oracles.primes_up_to(23) for d in range(2, N // 2 + 1)]
+    return small + [(31, 7), (4001, 2), (4463, 2), (389, 3)]
+
+
+@pytest.mark.parametrize("N, d", _scan_cases())
+def test_scan_against_every_column_oracle(N, d):
+    """On every chunk of candidates, the scan that sorts only the images
+    that can tie keeps the rows, and marks the fixed elements, of the scan
+    that sorts every image."""
+    inverse = _inverse_table(N)
+    for rows in _candidate_chunks(N, d, inverse):
+        kept, fixes = _scan_candidates(rows, N, inverse)
+        want_kept, want_fixes = oracles.scan_every_column(rows, N, inverse)
+        assert np.array_equal(kept, want_kept), (N, d)
+        assert np.array_equal(fixes, want_fixes), (N, d)
+
+
+@pytest.mark.parametrize("N", [N for N in oracles.primes_up_to(19) if N >= 7])
+def test_untied_images_are_larger(N):
+    """The tie lemma in plain ints, at every 3 <= d <= N/2: for every
+    candidate T with nonzero part (1, t2, ...) and every nonzero x != 1 in
+    T with t2 x not in T, the sorted image x^-1 . T is lex-larger than T,
+    so the scan may skip it."""
+    inverse = _inverse_table(N)
+    skipped = 0
+    for d in range(3, N // 2 + 1):
+        for rows in _candidate_chunks(N, d, inverse):
+            for T in map(tuple, rows.tolist()):
+                members, nonzero = set(T), [x for x in T if x]
+                for x in nonzero[1:]:
+                    if nonzero[1] * x % N not in members:
+                        assert tuple(sorted(pow(x, -1, N) * y % N for y in T)) > T
+                        skipped += 1
+    assert skipped
 
 
 @pytest.mark.parametrize("k", [10, 11])
