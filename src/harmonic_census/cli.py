@@ -22,7 +22,11 @@ All output is UTF-8 with newline-terminated records, and identical
 invocations produce byte-identical output.
 --format csv writes csv for count, enumerate and frame; verify, equivalent,
 symmetry and scan print their table for it.
-Integers too large for a double are emitted as decimal strings in JSON.
+Every JSON output is written from templates, f-strings filled straight from
+the census, verdict, report or chunk, with no dict or list built to be
+serialized; json.dumps only quotes the note strings (and equivalent's
+certificate tag).  Integers too large for a double are written as quoted
+decimal strings (_num).
 The HC_MAX_SUBSETS environment variable overrides the default budget, which
 counts the C(N, d) subsets an enumeration covers, or at d = N the N entries
 of its one row Z_N (C(N, N) = 1), and the d x N entries of a frame; an
@@ -83,12 +87,18 @@ _JSON_SAFE_BOUND = 2**53
 _BLOCK_BYTES = 1 << 16
 
 
-def _json_int(v: int):
-    return v if abs(v) < _JSON_SAFE_BOUND else str(v)
+def _num(v: int) -> str:
+    """v as JSON: its decimal text, quoted when a double cannot hold it."""
+    return str(v) if -_JSON_SAFE_BOUND < v < _JSON_SAFE_BOUND else f'"{v}"'
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+def _bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def _string(text: str | None) -> str:
+    """A note or a certificate as JSON: quoted by json.dumps, or null."""
+    return "null" if text is None else json.dumps(text)
 
 
 def _parse_gens(text: str) -> tuple[int, ...]:
@@ -211,11 +221,13 @@ def cmd_count(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         for c in sorted(census.gamma)
     ]
     if args.output_format == "json":
-        records = [dict(zip(head, map(_json_int, row))) for row in rows]
-        obj = {"N": N, "d": d, "total": _json_int(census.total), "rows": records}
-        if note:
-            obj["note"] = note
-        return [_dumps(obj)], EXIT_OK
+        records = ",".join(
+            f'{{"c":{c},"beta":{_num(b)},"gamma":{_num(g)},"orbit_size":{_num(o)}}}'
+            for c, b, g, o in rows
+        )
+        tail = f',"note":{_string(note)}' if note else ""
+        total = _num(census.total)
+        return [f'{{"N":{N},"d":{d},"total":{total},"rows":[{records}]{tail}}}'], EXIT_OK
     if args.output_format == "csv":
         lines = [_join(("N", "d", *head))]
         return lines + [_join((N, d, *row)) for row in rows], EXIT_OK
@@ -396,18 +408,14 @@ def cmd_verify(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     all_match = census.total == orbits and all(f == b for _, f, b in rows)
     code = EXIT_OK if all_match else EXIT_MISMATCH
     if args.output_format == "json":
-        obj = {
-            "N": N,
-            "d": d,
-            "total_formula": _json_int(census.total),
-            "total_bruteforce": orbits,
-            "match": all_match,
-            "rows": [
-                {"c": c, "formula": _json_int(f), "bruteforce": b, "match": f == b}
-                for c, f, b in rows
-            ],
-        }
-        return [_dumps(obj)], code
+        records = ",".join(
+            f'{{"c":{c},"formula":{_num(f)},"bruteforce":{b},"match":{_bool(f == b)}}}'
+            for c, f, b in rows
+        )
+        return [
+            f'{{"N":{N},"d":{d},"total_formula":{_num(census.total)},'
+            f'"total_bruteforce":{orbits},"match":{_bool(all_match)},"rows":[{records}]}}'
+        ], code
     lines = [
         f"N={N} d={d} formula_total={census.total} "
         f"bruteforce_total={orbits} match={'yes' if all_match else 'NO'}"
@@ -438,22 +446,24 @@ def cmd_equivalent(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         raise DomainError(f"generator lists have different sizes {a.d} and {b.d}")
     verdict = are_equivalent(a, b)
     code = EXIT_OK if verdict.equivalent else EXIT_MISMATCH
-    if args.output_format == "json":
-        if verdict.equivalent:
-            obj = {
-                "equivalent": True,
-                "m0": verdict.witness.m0,
-                "coordinate_perm": list(verdict.witness.coordinate_perm),
-            }
-        else:
-            obj = {"equivalent": False, "certificate": verdict.certificate}
-        return [_dumps(obj)], code
-    if verdict.equivalent:
-        w = verdict.witness
+    w, json_out = verdict.witness, args.output_format == "json"
+    if verdict.equivalent and json_out:
+        line = f'{{"equivalent":true,"m0":{w.m0},"coordinate_perm":[{_join(w.coordinate_perm)}]}}'
+    elif verdict.equivalent:
         line = f"equivalent m0={w.m0} coordinate_perm=[{_join(w.coordinate_perm)}]"
+    elif json_out:
+        line = f'{{"equivalent":false,"certificate":{_string(verdict.certificate)}}}'
     else:
         line = f"inequivalent certificate={verdict.certificate}"
     return [line], code
+
+
+def _generator_json(g: dict) -> str:
+    """One generator of a symmetry report: D by its exponents, or Q by its
+    slot permutation and unit."""
+    if g["kind"] == "diagonal":
+        return f'{{"kind":"diagonal","exponents":[{_join(g["exponents"])}]}}'
+    return f'{{"kind":"block_perm","slot_perm":[{_join(g["slot_perm"])}],"unit":{g["unit"]}}}'
 
 
 def cmd_symmetry(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
@@ -462,17 +472,15 @@ def cmd_symmetry(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     s = GeneratorSet(modulus, args.gens)
     report = full_symmetry_group(s)
     if args.output_format == "json":
-        obj = {
-            "N": modulus.N,
-            "generators": list(s.elems),
-            "stabilizer_order": report.stabilizer_order,
-            "subgroup_order": _json_int(report.subgroup_order),
-            "full_group_order": _json_int(report.full_group_order),
-            "conjecture_holds": report.conjecture_holds,
-            "generators_found": list(report.generators_found),
-            "note": report.note,
-        }
-        return [_dumps(obj)], EXIT_OK
+        found = ",".join(map(_generator_json, report.generators_found))
+        return [
+            f'{{"N":{modulus.N},"generators":[{_join(s.elems)}],'
+            f'"stabilizer_order":{report.stabilizer_order},'
+            f'"subgroup_order":{_num(report.subgroup_order)},'
+            f'"full_group_order":{_num(report.full_group_order)},'
+            f'"conjecture_holds":{_bool(report.conjecture_holds)},'
+            f'"generators_found":[{found}],"note":{_string(report.note)}}}'
+        ], EXIT_OK
     lines = [
         f"N={modulus.N} generators=[{_join(s.elems)}] "
         f"c={report.stabilizer_order} subgroup_order={report.subgroup_order} "
@@ -499,7 +507,7 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
     N, d, fmt = modulus.N, args.d, args.output_format
     chunks = _orbit_chunks(modulus, d, args.max_subsets)
     last = exceptional_orders(N, range(N - d, N))
-    counterexamples = [list(range(N - d, N))] if last and last[0] != last[1] else []
+    counterexample = bool(last) and last[0] != last[1]
     total = full_census(modulus, d).total
 
     def middle(c: int, zero: int, table: np.ndarray) -> Iterable:
@@ -511,9 +519,10 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         )
         sub, full, note = exception or (N * c, N * c, None)
         if fmt == "json":
-            row = {"c": c, "subgroup_order": _json_int(sub), "full_group_order": _json_int(full),
-                   "conjecture_holds": full == sub, "note": note}
-            return (("]," + _dumps(row)[1:]).encode(),)
+            return (
+                f'],"c":{c},"subgroup_order":{_num(sub)},"full_group_order":{_num(full)},'
+                f'"conjecture_holds":{_bool(full == sub)},"note":{_string(note)}}}'.encode(),
+            )
         mark = "holds=yes" if full == sub else "holds=NO  <-- counterexample"
         return (f"] c={c} subgroup={sub} full={full} {mark}\n".encode(),)
 
@@ -528,9 +537,10 @@ def cmd_scan(args: argparse.Namespace, modulus: PrimeModulus) -> Output:
         if rows != total:
             raise ContractViolationError(f"scan wrote {rows} rows for {total} orbits")
         if fmt == "json":
-            yield f'],"counterexamples":{_dumps(counterexamples)}}}\n'.encode()
+            listed = f"[{_join(range(N - d, N))}]" if counterexample else ""
+            yield f'],"counterexamples":[{listed}]}}\n'.encode()
 
-    return blocks(), EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
+    return blocks(), EXIT_COUNTEREXAMPLE if counterexample else EXIT_OK
 
 
 # -- argument plumbing --------------------------------------------------------

@@ -261,14 +261,21 @@ def _check_chunk(
     """The stabilizer order c of each scanned row (its number of fixed
     elements) and the mask of its block leaders, checked exactly: c divides
     N-1, and the fixed elements are the order-c unit subgroup H, built once
-    per distinct c in the chunk.  x is a leader iff x <= x h mod N for every
-    h in H, and the leaders' cosets x H give back the nonzero part of the
-    row.  All rows share their head."""
+    per distinct c >= 2 in the chunk.  x is a leader iff x <= x h mod N for
+    every h in H, and the leaders' cosets x H give back the nonzero part of
+    the row.  All rows share their head, so 1 sits in one column of every
+    row; that column is checked once for the whole chunk to hold 1, fixed,
+    in every row.  Then a row with c = 1 fixes exactly {1}, the subgroup of
+    order 1, and each element leads its own coset, so only the rows with
+    c != 1 are gathered and checked per order."""
     N = modulus.N
     c = fixes.sum(axis=1)
-    nonzero = rows[:, int(rows[0, 0] == 0) :]
+    one = int(rows[0, 0] == 0)  # the column holding 1
+    nonzero = rows[:, one:]
     leaders = rows != 0  # at c = 1 each coset is one element
     for order in np.flatnonzero(np.bincount(c)).tolist():  # c <= d bins
+        if order == 1:  # fixes exactly {1}, by the check after the loop
+            continue
         at = c == order
         block = rows[at]
         if math.gcd(order, N - 1) != order:
@@ -282,8 +289,6 @@ def _check_chunk(
                 f"the elements fixing {block[bad.argmax()].tolist()} are not the "
                 f"unit subgroup of order {order}"
             )
-        if order == 1:
-            continue
         lead = leaders[at]
         for h in H[1:].tolist():
             lead &= block <= block * h % N
@@ -297,6 +302,12 @@ def _check_chunk(
             raise ContractViolationError(
                 f"block expansion does not reproduce {block[bad.argmax()].tolist()}"
             )
+    fixed_one = (nonzero[:, 0] == 1) & fixes[:, one]
+    if not fixed_one.all():
+        i = int(fixed_one.argmin())
+        raise ContractViolationError(
+            f"the elements fixing {rows[i].tolist()} are not the unit subgroup of order {c[i]}"
+        )
     return c, leaders
 
 

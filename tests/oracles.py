@@ -28,7 +28,9 @@ every orbit: enumerate_orbits lists the chunks of orbits.orbit_chunks as
 one record per orbit, for the tests that check orbits one at a time;
 enumerate_text and scan_text format those chunks as the output of the
 `enumerate` and `scan` commands, one orbit at a time in Python, against the
-CLI's numpy rendering;
+CLI's numpy rendering; count_json, verify_json, equivalent_json and
+symmetry_json build the json of the other commands as dicts, which
+json_text writes with json.dumps, against the CLI's templates;
 growth_ratio sets the library's orbit count against its leading-order
 term; and are_equivalent runs on all pairs of sets, tallied against the
 angle multisets.
@@ -58,6 +60,8 @@ from harmonic_census import (
     are_equivalent,
     build_frame,
     count_harmonic_frames,
+    full_census,
+    full_symmetry_group,
     gram,
 )
 from harmonic_census import orbits
@@ -551,11 +555,7 @@ def scan_text(N: int, d: int, fmt: str, chunks) -> str:
     orbit at a time in Python: a tuple per row, whose orders come from
     exceptional_orders on the chunk's first representative (all rows of a
     chunk share their head) or are N*c, then a dict per json row and one
-    json.dumps of the whole; csv is the table."""
-
-    def json_int(v: int):
-        return v if abs(v) < 2**53 else str(v)
-
+    json.dumps of the whole (json_text); csv is the table."""
     rows = []
     for reps, c, _ in chunks:
         exception = exceptional_orders(N, reps[0].tolist())
@@ -575,12 +575,97 @@ def scan_text(N: int, d: int, fmt: str, chunks) -> str:
             for rep, c, sub, full, note in rows
         ]
         obj = {"N": N, "d": d, "rows": records, "counterexamples": counterexamples}
-        return json.dumps(obj, separators=(",", ":")) + "\n"
+        return json_text(obj)
     lines = [f"N={N} d={d} orbits={len(rows)}"]
     for rep, c, sub, full, _ in rows:
         mark = "holds=yes" if full == sub else "holds=NO  <-- counterexample"
         lines.append(f"rep=[{','.join(map(str, rep))}] c={c} subgroup={sub} full={full} {mark}")
     return "\n".join(lines) + "\n"
+
+
+# -- the json of the small commands, as dicts --------------------------------
+
+
+def json_int(v: int) -> int | str:
+    """v, or its decimal string when a double cannot hold it."""
+    return v if abs(v) < 2**53 else str(v)
+
+
+def json_text(obj) -> str:
+    """The compact json.dumps of obj and a newline: a command's json output."""
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def count_json(modulus: PrimeModulus, d: int) -> dict:
+    """The json of `count` as a dict: the census by stabilizer order, and a
+    note at d = 1 and d = N only."""
+    N, census = modulus.N, full_census(modulus, d)
+    rows = [
+        {
+            "c": c,
+            "beta": json_int(census.beta[c]),
+            "gamma": json_int(census.gamma[c]),
+            "orbit_size": json_int(census.orbit_size(c)),
+        }
+        for c in sorted(census.gamma)
+    ]
+    obj = {"N": N, "d": d, "total": json_int(census.total), "rows": rows}
+    if d == 1:
+        obj["note"] = "d=1: two orbits, one of them the degenerate single-vector frame"
+    elif d == N:
+        obj["note"] = "d=N: a single orbit"
+    return obj
+
+
+def verify_json(modulus: PrimeModulus, d: int) -> dict:
+    """The json of `verify` as a dict: the census against the stabilizer
+    orders of every orbit of orbits.orbit_chunks, counted one orbit at a
+    time."""
+    N, census = modulus.N, full_census(modulus, d)
+    hist: dict[int, int] = {}
+    for _, c, _ in orbits.orbit_chunks(modulus, d):
+        for order in c.tolist():
+            hist[order] = hist.get(order, 0) + 1
+    counts = [
+        (c, census.gamma.get(c, 0), hist.get(c, 0))
+        for c in sorted(set(census.gamma) | set(hist))
+    ]
+    total = sum(hist.values())
+    return {
+        "N": N,
+        "d": d,
+        "total_formula": json_int(census.total),
+        "total_bruteforce": total,
+        "match": census.total == total and all(f == b for _, f, b in counts),
+        "rows": [
+            {"c": c, "formula": json_int(f), "bruteforce": b, "match": f == b}
+            for c, f, b in counts
+        ],
+    }
+
+
+def equivalent_json(a: GeneratorSet, b: GeneratorSet) -> dict:
+    """The json of `equivalent` as a dict: the witness, or the certificate."""
+    verdict = are_equivalent(a, b)
+    if not verdict.equivalent:
+        return {"equivalent": False, "certificate": verdict.certificate}
+    w = verdict.witness
+    return {"equivalent": True, "m0": w.m0, "coordinate_perm": list(w.coordinate_perm)}
+
+
+def symmetry_json(s: GeneratorSet) -> dict:
+    """The json of `symmetry` as a dict, from full_symmetry_group."""
+    report = full_symmetry_group(s)
+    return {
+        "N": s.modulus.N,
+        "generators": list(s.elems),
+        "stabilizer_order": report.stabilizer_order,
+        "subgroup_order": json_int(report.subgroup_order),
+        "full_group_order": json_int(report.full_group_order),
+        "conjecture_holds": report.conjecture_holds,
+        "generators_found": list(report.generators_found),
+        "note": report.note,
+    }
 
 
 # -- equivalence across all orbits -------------------------------------------

@@ -958,3 +958,122 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
         assert (main(), *capsys.readouterr()) == want
     monkeypatch.setattr(sys, "argv", ["harmonic-census", "count", "--N=67", "--d=5"])
     assert (main(), *capsys.readouterr()) == want
+
+
+# -- json from templates, against the dict oracles -----------------------------
+
+
+def _prime_below(n: int) -> int:
+    while not oracles.is_prime_reference(n):
+        n -= 1
+    return n
+
+
+def _join(xs) -> str:
+    return ",".join(map(str, xs))
+
+
+def _json_dict(argv: list[str]) -> dict:
+    """The json of a count, verify, equivalent or symmetry command line,
+    built as a dict by the oracles."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    m = number_theory.PrimeModulus(int(options["--N"]))
+
+    def gens(key: str) -> number_theory.GeneratorSet:
+        return number_theory.GeneratorSet(m, tuple(map(int, options[key].split(","))))
+
+    if argv[0] == "count":
+        return oracles.count_json(m, int(options["--d"]))
+    if argv[0] == "verify":
+        return oracles.verify_json(m, int(options["--d"]))
+    if argv[0] == "equivalent":
+        return oracles.equivalent_json(gens("--a"), gens("--b"))
+    return oracles.symmetry_json(gens("--gens"))
+
+
+_SIMPLEX_31 = _join(range(1, 31))
+
+
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [
+        *((f"count --N {P} --d {d}", 0) for d in (1, 2, 5, 616, P - 1, P)),
+        ("verify --N 13 --d 4", 0),
+        ("verify --N 31 --d 24", 0),
+        (f"equivalent --N {P} --a 1,2,5 --b 2,4,10", 0),
+        (f"equivalent --N {P} --a 1,2,5 --b 2,4,11", 1),
+        (f"equivalent --N {P} --a 1,2,5 --b 1,2,5", 0),
+        (f"equivalent --N {P} --a 0 --b 0", 0),
+        ("symmetry --N 31 --gens 0", 0),
+        (f"symmetry --N {P} --gens 0", 0),
+        (f"symmetry --N 31 --gens {_SIMPLEX_31}", 0),
+        (f"symmetry --N 31 --gens 0,{_SIMPLEX_31}", 0),
+        ("symmetry --N 31 --gens 1,5,25", 0),  # the subgroup of order 3
+        ("symmetry --N 31 --gens 0,1,2,5,10,19,25", 0),  # 0 and two of its cosets
+        ("symmetry --N 13 --gens 1,3,9", 0),
+        (f"symmetry --N {P} --gens 1,{P - 1}", 0),
+        (f"symmetry --N {P} --gens 1,2,5", 0),
+        ("scan --N 7 --d 6", 4),
+        ("scan --N 13 --d 6", 0),
+    ],
+)
+def test_json_against_dict_oracle(capsys, argv, want_code):
+    # every json output is written from templates: the same bytes as the
+    # dict written by json.dumps, big integers quoted (C(N, 616) at
+    # N = 2^31-1, 31!) and the notes and the counterexample list included
+    argv = argv.split()
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (want_code, "")
+    if argv[0] == "scan":
+        N, d = int(argv[2]), int(argv[4])
+        chunks = orbits.orbit_chunks(number_theory.PrimeModulus(N), d)
+        assert out == oracles.scan_text(N, d, "json", chunks)
+    else:
+        obj = _json_dict(argv)
+        assert out == oracles.json_text(obj) and json.loads(out) == obj
+
+
+@st.composite
+def _json_argvs(draw):
+    """count, equivalent or symmetry at a random prime N < 2^31, with d
+    near either end and the generator sets drawn to match: random sets,
+    images of one set under a unit, and coset unions of a small subgroup,
+    at times with 0."""
+    N = draw(st.sampled_from(oracles.primes_up_to(60)) | st.integers(61, P).map(_prime_below))
+    command = draw(st.sampled_from(["count", "equivalent", "symmetry"]))
+    if command == "count":
+        d = draw(st.integers(1, min(N, 40)) | st.integers(max(1, N - 40), N))
+        return ["count", "--N", str(N), "--d", str(d)]
+    d = draw(st.integers(1, min(N, 8)))
+    elems = draw(st.lists(st.integers(0, N - 1), min_size=d, max_size=d, unique=True))
+    if command == "symmetry":
+        c = draw(st.sampled_from([c for c in range(2, 7) if (N - 1) % c == 0] or [1]))
+        h = pow(number_theory.PrimeModulus(N).primitive_root, (N - 1) // c, N)
+        if draw(st.booleans()):  # the cosets x H of the order-c subgroup H
+            cosets = {x * pow(h, k, N) % N for x in elems if x for k in range(c)}
+            elems = sorted(cosets | ({0} & set(elems))) or [0]
+        return ["symmetry", "--N", str(N), "--gens", _join(elems)]
+    if draw(st.booleans()):  # b = m . a, an equivalent pair
+        m = draw(st.integers(1, N - 1))
+        other = draw(st.permutations([x * m % N for x in elems]))
+    else:
+        other = draw(st.lists(st.integers(0, N - 1), min_size=d, max_size=d, unique=True))
+    return ["equivalent", "--N", str(N), "--a", _join(elems), "--b", _join(other)]
+
+
+def test_json_against_dict_oracle_at_random_primes(capsys):
+    # the draws reach both verdicts, quoted totals, notes and the generator Q
+    marks = ('"equivalent":true', '"equivalent":false', '"total":"', '"note":"', '"block_perm"')
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_argvs())
+    def check(argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        obj = _json_dict(argv)
+        assert (code, err) == (int(obj.get("equivalent") is False), "")
+        assert out == oracles.json_text(obj) and json.loads(out) == obj
+        seen.update(mark for mark in marks if mark in out)
+
+    check()
+    assert seen == set(marks)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -259,6 +260,19 @@ def test_check_chunk_cosets_rebuild_row(m7, m13):
     fixes = np.isin(rows, (1, 5, 8, 12))
     with pytest.raises(ContractViolationError, match="block expansion"):
         _check_chunk(m13, rows, fixes)
+
+
+def test_check_chunk_one_fixed_element_is_1(m7):
+    # each second row has c = 1, but the one element it fixes is not 1; the
+    # rows with c = 1 are checked only through the column holding 1
+    for rows, wrong in (([[1, 2, 4], [1, 3, 5]], [0, 1, 0]), ([[0, 1, 2], [0, 1, 3]], [1, 0, 0])):
+        rows = np.array(rows)
+        fixes = rows == 1
+        assert _check_chunk(m7, rows, fixes)[0].tolist() == [1, 1]
+        fixes[1] = wrong
+        message = re.escape(f"fixing {rows[1].tolist()} are not")
+        with pytest.raises(ContractViolationError, match=message):
+            _check_chunk(m7, rows, fixes)
 
 
 def test_orbit_chunks_preconditions(m7):
